@@ -31,6 +31,7 @@ __all__ = [
     "ChannelMatrix",
     "QuantizerConfig",
     "RANK_TOL",
+    "RankDeficientError",
     "SpectralDecomposition",
     "decompose",
     "draw_channel",
@@ -43,6 +44,13 @@ __all__ = [
 RANK_TOL = 1e-10
 
 _DECOMP_TOL = 1e-10
+
+# Counter blocks a draw may try before giving up on a full-rank channel.
+_DRAW_ATTEMPTS = 8
+
+
+class RankDeficientError(ValueError):
+    """A channel matrix failed the full-rank test relative to ``RANK_TOL``."""
 
 
 class Architecture(str, Enum):
@@ -78,7 +86,7 @@ class ChannelMatrix:
             raise ValueError("channel matrix entries must be finite")
         svals = np.linalg.svd(arr, compute_uv=False)
         if svals[-1] <= RANK_TOL * svals[0]:
-            raise ValueError(
+            raise RankDeficientError(
                 f"channel matrix is rank deficient: min/max singular value "
                 f"{svals[-1]:.3e}/{svals[0]:.3e}"
             )
@@ -258,32 +266,21 @@ def gaussian_draw(seed: int, stream: int, shape, counter_block: int = 0) -> np.n
 def draw_channel(spec: ChannelEnsembleSpec, trial_index: int) -> ChannelMatrix:
     """Deterministic per-trial channel draw with full-rank rejection.
 
-    Rank-deficient draws (relative tolerance ``RANK_TOL``) are rejected and
-    redrawn from the same stream; the redraw count is kept in the returned
-    matrix's provenance.
+    The draw is :func:`gaussian_draw` on stream ``trial_index``.  A
+    rank-deficient draw (relative tolerance ``RANK_TOL``) is redrawn from the
+    next counter block of the same stream; the redraw count is kept in the
+    returned matrix's provenance.
     """
     if not 0 <= trial_index < spec.trials:
         raise ValueError(f"trial_index {trial_index} outside [0, {spec.trials})")
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([spec.seed, trial_index], dtype=np.uint64))
-    )
-    redraws = 0
-    for _ in range(64):
-        k = gen.integers(0, 1 << 53, size=(spec.n_rx, spec.n_tx), dtype=np.int64)
-        u = (k.astype(np.float64) + 0.5) * (2.0**-53)
-        h = special.ndtri(u)
-        svals = np.linalg.svd(h, compute_uv=False)
-        if svals[-1] > RANK_TOL * svals[0]:
-            return ChannelMatrix(
-                h,
-                provenance={
-                    "seed": int(spec.seed),
-                    "trial_index": int(trial_index),
-                    "redraws": redraws,
-                },
-            )
-        redraws += 1
-    raise RuntimeError(f"no full-rank draw after {redraws} attempts for trial {trial_index}")
+    for block in range(_DRAW_ATTEMPTS):
+        h = gaussian_draw(spec.seed, trial_index, (spec.n_rx, spec.n_tx), counter_block=block)
+        provenance = {"seed": int(spec.seed), "trial_index": int(trial_index), "redraws": block}
+        try:
+            return ChannelMatrix(h, provenance=provenance)
+        except RankDeficientError:
+            continue
+    raise RuntimeError(f"no full-rank draw after {_DRAW_ATTEMPTS} attempts for trial {trial_index}")
 
 
 def random_config(

@@ -167,21 +167,33 @@ def entropy_bits(probs: np.ndarray) -> float:
     return float(-np.sum(live * np.log2(live)))
 
 
+def _log_positive(w: np.ndarray) -> np.ndarray:
+    return np.log(w, out=np.zeros_like(w), where=w > 0)
+
+
+def _row_divergences(w: np.ndarray, logw: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """KL(row || py) in nats per row of w, with logw = _log_positive(w).
+
+    Zero entries contribute zero; a row reaching an output with py = 0 scores +inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w > 0, w * (logw - np.log(py)), 0.0).sum(axis=1)
+
+
 def mutual_information(input_dist: InputDistribution, channel: TransitionMatrix) -> float:
     """Exact I(X; Y) in bits for the given input and transition law."""
     r = input_dist.probs
     w = channel.probs
     if r.size != channel.n_inputs:
         raise ValueError(f"input size {r.size} does not match channel inputs {channel.n_inputs}")
-    py = r @ w
-    total = 0.0
-    for m in range(r.size):
-        if r[m] == 0.0:
-            continue
-        row = w[m]
-        live = row > 0
-        total += r[m] * np.sum(row[live] * np.log2(row[live] / py[live]))
-    return float(max(total, 0.0))
+    return _mi_bits(r, w)
+
+
+def _mi_bits(r: np.ndarray, w: np.ndarray) -> float:
+    # unchecked: r a probability vector, w row-stochastic with matching rows
+    d = _row_divergences(w, _log_positive(w), r @ w)
+    live = r > 0
+    return max(float(r[live] @ d[live] / _LN2), 0.0)
 
 
 def blahut_arimoto(
@@ -209,20 +221,16 @@ def blahut_arimoto(
     w = w_full[:, reachable]
     n = channel.n_inputs
 
-    mask = w > 0
-    logw = np.zeros_like(w)
-    np.log(w, out=logw, where=mask)
+    logw = _log_positive(w)
     r = np.full(n, 1.0 / n)
     rate_nats = 0.0
     gap_bits = np.inf
     for _ in range(max_iters):
-        py = r @ w
-        # d[m] = KL(row_m || output marginal) in nats.  A row with current
-        # mass can only reach outputs with py > 0, so d is finite on the
-        # support of r; rows starved to zero by underflow may score +inf,
-        # which keeps the certificate honest instead of silently converging.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(mask, w * (logw - np.log(py)), 0.0).sum(axis=1)
+        # A row with current mass can only reach outputs with py > 0, so d
+        # is finite on the support of r; rows starved to zero by underflow
+        # may score +inf, which keeps the certificate honest instead of
+        # silently converging.
+        d = _row_divergences(w, logw, r @ w)
         live = r > 0
         rate_nats = float(r[live] @ d[live])
         gap_bits = (float(np.max(d)) - rate_nats) / _LN2

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .dmc import InputDistribution, entropy_bits, mutual_information, quantizer_transition
+from .bounds import _multi_select_flags
+from .dmc import InputDistribution, _mi_bits, entropy_bits, mutual_information, quantizer_transition
 
 __all__ = [
     "DitheredSchemeParams",
@@ -271,13 +272,6 @@ def build_dithered_scheme(
     spacing = math.sqrt(12.0 * power) / m
     points = _uniform_grid(m, spacing)
     base = spacing * (np.arange(m + 1) - m / 2.0)
-    flags = []
-    if not power > math.log2(n):
-        flags.append("low-power")
-    if not math.log2(n) > 2:
-        flags.append("few-quantizers")
-    if np.any(gains * gains <= 1.0):
-        flags.append("weak-gains")
     sq = gains * gains
     gamma = float((sq.sum() + (spacing**2 / 12.0) * np.sum(sq * sq)) / sq.sum() ** 2)
     return DitheredSchemeParams(
@@ -292,17 +286,17 @@ def build_dithered_scheme(
         gamma,
         float(power),
         n,
-        tuple(flags),
+        _multi_select_flags(gains, power, n),
     )
 
 
 def _plugin_mi_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    pxy = counts / total
-    px = pxy.sum(axis=1, keepdims=True)
-    py = pxy.sum(axis=0, keepdims=True)
-    live = pxy > 0
-    return float(np.sum(pxy[live] * np.log2(pxy[live] / (px @ py)[live])))
+    # mutual information of the empirical law; symbols never drawn and cells
+    # never hit carry no mass
+    n_x = counts.sum(axis=1)
+    seen = n_x > 0
+    rows = counts[seen][:, counts.sum(axis=0) > 0] / n_x[seen, None]
+    return _mi_bits(n_x[seen] / n_x.sum(), rows)
 
 
 def dithered_mi_estimate(

@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    _multi_select_rates,
     mimo_sign_highsnr_bounds,
     mimo_single_select_bounds,
     simo_linear_bounds,
     simo_single_select_bounds,
     waterfill_relaxed,
 )
-from .channel import ChannelMatrix, decompose, gaussian_draw
+from .channel import _DRAW_ATTEMPTS, ChannelMatrix, RankDeficientError, decompose, gaussian_draw
 
 __all__ = [
     "CurvePoint",
@@ -49,8 +50,6 @@ __all__ = [
 ]
 
 FIGURES = ("fig2a", "fig2b", "fig2c", "custom")
-
-_DRAW_ATTEMPTS = 8
 
 
 class UnsupportedCurveError(ValueError):
@@ -154,12 +153,8 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     v = np.asarray(h, dtype=np.float64)
     if int(k_cap) < 1:
         raise ValueError(f"k_cap must be positive, got {k_cap!r}")
-    sq = np.sort(v * v)[::-1]
-    kmax = min(int(k_cap), v.size, int(n_sq))
-    cum = np.cumsum(sq[:kmax])
-    counts = np.arange(1, kmax + 1, dtype=np.float64)
-    terms = 0.5 * np.log2(np.minimum(1.0 + cum * power, (n_sq / counts + 1.0) ** 2))
-    return max(0.0, float(np.max(terms)) - 2.0)
+    rates = _multi_select_rates(v, power, n_sq, min(int(k_cap), v.size, int(n_sq)))
+    return max(0.0, float(np.max(rates)) - 2.0)
 
 
 def _curve_labels(spec: SweepSpec) -> list:
@@ -214,7 +209,7 @@ def _matrix_trial(spec: SweepSpec, curves: list, trial: int) -> np.ndarray:
         )
         try:
             return _matrix_trial_eval(spec, curves, master)
-        except ValueError:
+        except RankDeficientError:
             continue
     raise RuntimeError(f"no full-rank channel after {_DRAW_ATTEMPTS} attempts in trial {trial}")
 

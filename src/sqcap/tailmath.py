@@ -96,7 +96,7 @@ def q_function(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"q_function needs a finite argument, got {x!r}")
-    v = 0.5 * math.erfc(x * _INV_SQRT2)
+    v = 0.5 * float(special.erfc(x * _INV_SQRT2))
     if v == 0.0:
         v = _deep_tail(x)
     return v
@@ -112,11 +112,8 @@ def _interval_mass_quad(a: float, b: float) -> float:
 def q_diff(a: float, b: float) -> float:
     """Gaussian interval mass Q(a) - Q(b) for a <= b, always >= 0.
 
-    Straddling intervals are summed as two half masses meeting at zero, so
-    nothing cancels.  One-sided intervals subtract paired tail values on the
-    side where both are small; if that subtraction would lose more than six
-    digits the mass is recomputed by Gauss-Legendre integration of the
-    density over [a, b].
+    Scalar entry point of :func:`q_diff_array`, which documents the
+    stability branches.
     """
     a = float(a)
     b = float(b)
@@ -124,17 +121,7 @@ def q_diff(a: float, b: float) -> float:
         raise ValueError(f"q_diff needs finite endpoints, got a={a!r} b={b!r}")
     if a > b:
         raise ValueError(f"q_diff needs a <= b, got a={a!r} b={b!r}")
-    if a <= 0.0 <= b:
-        d = 0.5 * (math.erf(b * _INV_SQRT2) - math.erf(a * _INV_SQRT2))
-    else:
-        if a > 0.0:
-            qa, qb = q_function(a), q_function(b)
-        else:
-            qa, qb = q_function(-b), q_function(-a)
-        d = qa - qb
-        if d < _CANCEL_GUARD * qa:
-            d = _interval_mass_quad(a, b)
-    return d if d > 0.0 else 0.0
+    return float(q_diff_array(a, b))
 
 
 def binary_entropy(p: float) -> float:
@@ -159,18 +146,22 @@ def q_array(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("q_array needs finite arguments")
-    v = 0.5 * special.erfc(x * _INV_SQRT2)
-    dead = v == 0.0
-    if np.any(dead):
-        vf = v.reshape(-1)
-        xf = x.reshape(-1)
-        for i in np.flatnonzero(dead.reshape(-1)):
-            vf[i] = _deep_tail(float(xf[i]))
+    # erfc returns a numpy scalar on 0-d input; the rescue needs an array
+    v = np.asarray(0.5 * special.erfc(x * _INV_SQRT2))
+    for i in np.flatnonzero(v == 0.0):
+        v.flat[i] = _deep_tail(float(x.flat[i]))
     return v
 
 
 def q_diff_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`q_diff` with the same stability branches."""
+    """Gaussian interval masses Q(a) - Q(b) for a <= b elementwise, all >= 0.
+
+    Straddling intervals are summed as two half masses meeting at zero, so
+    nothing cancels.  One-sided intervals subtract paired tail values on the
+    side where both are small; if that subtraction would lose more than six
+    digits the mass is recomputed by Gauss-Legendre integration of the
+    density over [a, b].
+    """
     a, b = np.broadcast_arrays(np.asarray(a, np.float64), np.asarray(b, np.float64))
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("q_diff_array needs finite endpoints")
@@ -200,10 +191,8 @@ def _tail_side_diff(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # subtraction is safe unless the interval is very narrow
     qlo = q_array(lo)
     d = qlo - q_array(hi)
-    rescue = d < _CANCEL_GUARD * qlo
-    if np.any(rescue):
-        for i in np.flatnonzero(rescue):
-            d[i] = _interval_mass_quad(float(lo[i]), float(hi[i]))
+    for i in np.flatnonzero(d < _CANCEL_GUARD * qlo):
+        d[i] = _interval_mass_quad(float(lo[i]), float(hi[i]))
     return d
 
 

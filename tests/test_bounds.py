@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sqcap.bounds import (
     ORACLE_MAX_CHANNELS,
+    ORACLE_MAX_COMPOSITIONS,
     ORACLE_MAX_QUANTIZERS,
     AllocationBranch,
     AllocationResult,
@@ -124,6 +125,26 @@ def test_simo_multi_select_bound_and_argmax():
     k2 = 0.5 * 2 * math.log2(16 / 2 + 1) - 2.0
     assert k2 == pytest.approx(1.1699250014423122, rel=1e-14)
     assert pair.lower >= k2
+
+
+def test_simo_multi_select_matches_selection_loop():
+    # reference: the first k maximizing 0.5 log2 min(1 + P sum_top_k h^2, (N/k + 1)^2)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        h = rng.standard_normal(rng.integers(1, 12)) * rng.uniform(0.2, 3.0)
+        p, n_sq = float(rng.uniform(0.1, 500.0)), int(rng.integers(1, 40))
+        sq = sorted((x * x for x in h), reverse=True)
+        vals = [
+            0.5 * math.log2(min(1.0 + sum(sq[:k]) * p, (n_sq / k + 1.0) ** 2))
+            for k in range(1, min(h.size, n_sq) + 1)
+        ]
+        pair = simo_multi_select_bounds(h, p, n_sq)
+        assert pair.lower == pytest.approx(max(max(vals) - 2.0, 0.0), rel=1e-12, abs=1e-12)
+        k = pair.argmax_k
+        assert vals[k - 1] == pytest.approx(max(vals), rel=1e-12)
+        assert all(v < vals[k - 1] for v in vals[: k - 1])  # the first maximizer
+        upper = 0.5 * math.log2(min(1.0 + sum(sq) * p, (n_sq + 1.0) ** 2))
+        assert pair.upper == pytest.approx(upper, rel=1e-12)
 
 
 def test_simo_multi_select_flags():
@@ -320,6 +341,19 @@ def test_oracle_budget_guard():
         allocate_integer_oracle((1.0,) * (ORACLE_MAX_CHANNELS + 1), 1.0, 4)
     with pytest.raises(BudgetError):
         allocate_integer_oracle((1.0, 2.0), 1.0, ORACLE_MAX_QUANTIZERS + 1)
+
+
+def test_oracle_composition_guard_bounds_run_time():
+    # 8 channels x 21 quantizers passes both size checks but has C(28, 7)
+    # compositions, past the run-time budget
+    assert math.comb(28, 7) == 1_184_040 > ORACLE_MAX_COMPOSITIONS
+    with pytest.raises(BudgetError, match="waterfill_relaxed"):
+        allocate_integer_oracle(np.linspace(4.0, 0.5, 8), 15.0, 21)
+    # the benchmark's largest size, 6 x 32, and the largest 8-channel size still run
+    for n, m in [(6, 32), (8, 20)]:
+        assert math.comb(m + n - 1, n - 1) <= ORACLE_MAX_COMPOSITIONS
+        res = allocate_integer_oracle(np.linspace(4.0, 0.5, n), 1000.0, m)
+        assert res.quantizer_shares.sum() == m
 
 
 @given(

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqcap.channel
 from sqcap.channel import (
     RANK_TOL,
     Architecture,
     ChannelEnsembleSpec,
     ChannelMatrix,
     QuantizerConfig,
+    RankDeficientError,
     decompose,
     draw_channel,
     gaussian_draw,
@@ -34,11 +36,12 @@ def test_channel_matrix_rejects_bad_input():
         ChannelMatrix(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ChannelMatrix(np.array([[1.0, np.inf]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(RankDeficientError):
         ChannelMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))  # rank deficient
     # near-deficient relative to scale
-    with pytest.raises(ValueError):
+    with pytest.raises(RankDeficientError):
         ChannelMatrix(np.array([[1.0, 1.0], [1.0, 1.0 + 0.1 * RANK_TOL]]))
+    assert issubclass(RankDeficientError, ValueError)
 
 
 def test_channel_matrix_json_round_trip():
@@ -146,6 +149,29 @@ def test_draw_channel_provenance_and_determinism():
         draw_channel(spec, 10)
     with pytest.raises(ValueError):
         draw_channel(spec, -1)
+
+
+def test_draw_channel_first_draw_is_counter_block_zero():
+    for seed in (0, 2, 2**40 + 7):
+        spec = ChannelEnsembleSpec(4, 3, seed=seed, trials=3)
+        cm = draw_channel(spec, 2)
+        np.testing.assert_array_equal(cm.entries, gaussian_draw(seed, 2, (4, 3)))
+        assert cm.provenance["redraws"] == 0
+
+
+def test_draw_channel_redraws_rank_deficient_block(monkeypatch):
+    real = sqcap.channel.gaussian_draw
+
+    def draw(seed, stream, shape, counter_block=0):
+        h = real(seed, stream, shape, counter_block)
+        if counter_block == 0:
+            h[:, 1] = h[:, 0]
+        return h
+
+    monkeypatch.setattr(sqcap.channel, "gaussian_draw", draw)
+    cm = draw_channel(ChannelEnsembleSpec(4, 2, seed=5, trials=2), 1)
+    assert cm.provenance["redraws"] == 1
+    np.testing.assert_array_equal(cm.entries, real(5, 1, (4, 2), counter_block=1))
 
 
 @given(st.sampled_from(list(Architecture)), st.integers(1, 6), st.integers(1, 8))

@@ -140,6 +140,25 @@ def test_mutual_information_permutation_invariant(m, k, seed):
     assert shuffled == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
+def test_mutual_information_matches_per_row_loop():
+    # reference: sum over rows of r_m sum_j w_mj log2(w_mj / p_y), zero terms skipped
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        m, k = rng.integers(2, 7), rng.integers(2, 9)
+        w = rng.dirichlet(np.ones(k), size=m) * (rng.random((m, k)) > 0.3)
+        w[:, 0] += 1.0 - w.sum(axis=1)
+        r = rng.dirichlet(np.ones(m)) * (rng.random(m) > 0.2)
+        r[0] += 1.0 - r.sum()
+        py = r @ w
+        ref = sum(
+            r[i] * sum(w[i, j] * math.log2(w[i, j] / py[j]) for j in range(k) if w[i, j] > 0)
+            for i in range(m)
+            if r[i] > 0
+        )
+        got = mutual_information(InputDistribution(r), TransitionMatrix(w))
+        assert got == pytest.approx(max(ref, 0.0), rel=1e-12, abs=1e-14)
+
+
 def test_blahut_arimoto_bsc():
     cap, dist = blahut_arimoto(BSC_011, tolerance=1e-11)
     assert cap == pytest.approx(1.0 - binary_entropy(0.11), abs=1e-10)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sqcap.bounds import siso_sign_capacity
 from sqcap.schemes import (
     DitheredSchemeParams,
+    _plugin_mi_bits,
     build_dithered_scheme,
     build_pam_scheme,
     dithered_mi_estimate,
@@ -177,6 +178,19 @@ def test_dithered_mi_estimate_deterministic():
     mi, se = a
     assert 0.0 < mi <= math.log2(params.m_levels) + 0.01
     assert se > 0.0
+
+
+def test_plugin_mi_is_mutual_information_of_joint_counts():
+    # reference: sum over cells of p_xy log2(p_xy / (p_x p_y)); unseen symbols add nothing
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        counts = rng.poisson(3.0, size=(rng.integers(2, 7), rng.integers(2, 30)))
+        counts[rng.integers(counts.shape[0])] = 0
+        pxy = counts / counts.sum()
+        outer = pxy.sum(axis=1, keepdims=True) * pxy.sum(axis=0, keepdims=True)
+        live = pxy > 0
+        ref = float(np.sum(pxy[live] * np.log2(pxy[live] / outer[live])))
+        assert _plugin_mi_bits(counts) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_dithered_mi_estimate_guards():

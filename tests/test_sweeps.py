@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from sqcap.bounds import simo_linear_bounds, simo_multi_select_bounds, simo_single_select_bounds
-from sqcap.channel import gaussian_draw
+import sqcap.sweeps
+from sqcap.bounds import (
+    mimo_single_select_bounds,
+    simo_linear_bounds,
+    simo_multi_select_bounds,
+    simo_single_select_bounds,
+)
+from sqcap.channel import ChannelMatrix, gaussian_draw
 from sqcap.sweeps import (
     CurvePoint,
     SweepSpec,
@@ -161,6 +167,34 @@ def test_matrix_sweep_curves_and_proxy():
     # the proxy ignores the draw: constant with zero spread
     assert len({p.mean for p in proxy}) == 1
     assert all(p.std_err == 0 for p in proxy)
+
+
+def test_matrix_sweep_propagates_evaluation_errors(monkeypatch):
+    # only a rank-deficient draw is redrawn; any other fault surfaces as is
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(sqcap.sweeps, "waterfill_relaxed", boom)
+    with pytest.raises(ValueError, match="boom"):
+        run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
+
+
+def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
+    real = sqcap.sweeps.gaussian_draw
+
+    def draw(seed, stream, shape, counter_block=0):
+        h = real(seed, stream, shape, counter_block)
+        if counter_block == 0:
+            h[:, 1] = h[:, 0]
+        return h
+
+    monkeypatch.setattr(sqcap.sweeps, "gaussian_draw", draw)
+    pts = run_sweep(figure_spec("fig2c", trials=1, seed=3, axis=(5, 6), power_list=(1.0,)))
+    master = real(3, 0, (6, 5), counter_block=1)
+    got = {(p.curve_label, p.x): p.mean for p in pts}
+    for x in (5, 6):
+        want = mimo_single_select_bounds(ChannelMatrix(master[:x]), 1.0, 5).upper
+        assert got[("mimo-single-select-upper:P=1", x)] == want
 
 
 def test_run_sweep_deterministic_and_worker_invariant():

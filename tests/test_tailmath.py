@@ -56,6 +56,11 @@ def test_q_matches_reference(x):
 def test_q_array_matches_scalar():
     xs = np.array([-3.0, -0.2, 0.0, 1.7, 12.0])
     np.testing.assert_allclose(q_array(xs), [q_function(v) for v in xs], rtol=1e-13)
+    # 0-d input past the float64 underflow of erfc still gets the deep tail
+    for x in (38.0, 40.0):
+        got = float(q_array(x))
+        assert got > 0.0
+        assert got == q_function(x)
 
 
 def test_q_diff_well_separated():
