@@ -30,17 +30,11 @@ from .bounds import (
     waterfill_relaxed,
 )
 from .channel import (
-    Architecture,
     ChannelEnsembleSpec,
     ChannelMatrix,
-    QuantizerConfig,
     RankDeficientError,
-    SpectralDecomposition,
-    decompose,
     draw_channel,
     gaussian_draw,
-    random_config,
-    sign_quantize,
 )
 from .dmc import (
     ConvergenceError,
@@ -89,7 +83,6 @@ __all__ = [
     "ORACLE_MAX_QUANTIZERS",
     "AllocationBranch",
     "AllocationResult",
-    "Architecture",
     "BoundPair",
     "BudgetError",
     "ChannelEnsembleSpec",
@@ -99,9 +92,7 @@ __all__ = [
     "DitheredSchemeParams",
     "InputDistribution",
     "PamScheme",
-    "QuantizerConfig",
     "RankDeficientError",
-    "SpectralDecomposition",
     "SweepSpec",
     "TransitionMatrix",
     "UnsupportedCurveError",
@@ -111,7 +102,6 @@ __all__ = [
     "build_dithered_scheme",
     "build_pam_scheme",
     "csv_text",
-    "decompose",
     "dithered_mi_estimate",
     "draw_channel",
     "emit_csv",
@@ -132,9 +122,7 @@ __all__ = [
     "q_diff_array",
     "q_function",
     "quantizer_transition",
-    "random_config",
     "run_sweep",
-    "sign_quantize",
     "simo_linear_bounds",
     "simo_multi_select_bounds",
     "simo_sign_highsnr_bounds",

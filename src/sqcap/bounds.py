@@ -141,10 +141,10 @@ def _check_power(power: float) -> float:
     return p
 
 
-def _check_n_sq(n_sq: int) -> int:
-    n = int(n_sq)
-    if n < 1 or n != n_sq:
-        raise ValueError(f"quantizer count must be a positive integer, got {n_sq!r}")
+def _check_count(value, name: str) -> int:
+    n = int(value)
+    if n < 1 or n != value:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return n
 
 
@@ -172,9 +172,7 @@ def miso_sign_capacity(h, power: float) -> float:
 
 def simo_sign_highsnr_bounds(n_rx: int) -> BoundPair:
     """High-SNR capacity of one antenna sign-quantized n_rx times."""
-    n = int(n_rx)
-    if n < 1:
-        raise ValueError(f"n_rx must be a positive integer, got {n_rx!r}")
+    n = _check_count(n_rx, "n_rx")
     lo, hi = math.log2(n), math.log2(n + 1)
     return BoundPair(lo, hi, hi - lo)
 
@@ -188,10 +186,8 @@ def mimo_sign_highsnr_bounds(n_sq: int, n_tx: int) -> BoundPair:
     exact integer arithmetic; log2 of a Python integer never overflows, so
     no further guard is needed.
     """
-    m = _check_n_sq(n_sq)
-    t = int(n_tx)
-    if t < 1:
-        raise ValueError(f"n_tx must be a positive integer, got {n_tx!r}")
+    m = _check_count(n_sq, "n_sq")
+    t = _check_count(n_tx, "n_tx")
     if t >= m:
         return BoundPair(float(m), float(m), 0.0)
     k = sum(math.comb(2 * m - 1, j) for j in range(2 * t))
@@ -223,7 +219,7 @@ def _multi_select_flags(gains: np.ndarray, power: float, n_sq: int) -> tuple:
 def siso_multilevel_bounds(power: float, n_sq: int) -> BoundPair:
     """Scalar channel with a budget of n_sq sign quantizers, gap one bit."""
     p = _check_power(power)
-    m = _check_n_sq(n_sq)
+    m = _check_count(n_sq, "n_sq")
     upper = _capped_half_log(p + 1.0, m)
     return BoundPair(max(upper - 1.0, 0.0), upper, 1.0)
 
@@ -232,7 +228,7 @@ def simo_single_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     """All quantizers on one receive antenna, best antenna chosen."""
     v = _check_gain_vector(h)
     p = _check_power(power)
-    m = _check_n_sq(n_sq)
+    m = _check_count(n_sq, "n_sq")
     h_max = float(np.max(np.abs(v)))
     upper = _capped_half_log(1.0 + h_max * h_max * p, m)
     return BoundPair(max(upper - 0.5, 0.0), upper, 0.5)
@@ -248,7 +244,7 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     """
     v = _check_gain_vector(h)
     p = _check_power(power)
-    m = _check_n_sq(n_sq)
+    m = _check_count(n_sq, "n_sq")
     rates = _multi_select_rates(v, p, m, min(v.size, m))
     best = int(np.argmax(rates))
     upper = _capped_half_log(1.0 + float(v @ v) * p, m)
@@ -260,7 +256,7 @@ def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
     """Maximal-ratio combining before quantization, gap half a bit."""
     v = _check_gain_vector(h)
     p = _check_power(power)
-    m = _check_n_sq(n_sq)
+    m = _check_count(n_sq, "n_sq")
     upper = _capped_half_log(1.0 + float(v @ v) * p, m)
     return BoundPair(max(upper - 0.5, 0.0), upper, 0.5)
 
@@ -268,7 +264,7 @@ def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
 def mimo_single_select_bounds(channel: ChannelMatrix, power: float, n_sq: int) -> BoundPair:
     """All quantizers on the receive antenna with the largest row norm."""
     p = _check_power(power)
-    m = _check_n_sq(n_sq)
+    m = _check_count(n_sq, "n_sq")
     row_sq = np.sum(channel.entries * channel.entries, axis=1)
     upper = _capped_half_log(1.0 + float(np.max(row_sq)) * p, m)
     return BoundPair(max(upper - 2.0, 0.0), upper, 2.0)
@@ -317,7 +313,7 @@ def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
     if np.any(np.diff(g) > 0):
         raise ValueError("gains must be sorted nonincreasing")
     p = _check_power(power)
-    m = _check_n_sq(n_sq)
+    m = _check_count(n_sq, "n_sq")
     if p == 0.0:
         powers = np.zeros_like(g)
         mu = float(1.0 / g[0])
@@ -408,7 +404,7 @@ def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
     """
     g_in = _check_gains(gains)
     p = _check_power(power)
-    m = _check_n_sq(n_sq)
+    m = _check_count(n_sq, "n_sq")
     n = g_in.size
     if (
         n > ORACLE_MAX_CHANNELS

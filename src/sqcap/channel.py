@@ -1,14 +1,10 @@
-"""Channel matrices, analog front-end configurations, and ensemble draws.
+"""Channel matrices and counter-based ensemble draws.
 
-A receiver observes W = H X + Z through a bank of sign comparators: each
-comparator j outputs +1 when (V W)_j >= t_j and -1 otherwise (ties count as
-+1).  The rows of V encode which analog front end feeds each comparator and
-``Architecture`` names the four supported front ends:
-
-* ``sign-select``: each row of V picks one antenna, all levels are zero.
-* ``single-select``: every row picks the same antenna, levels are free.
-* ``multi-select``: each row picks one antenna (repeats allowed), levels free.
-* ``linear-combine``: V is unrestricted.
+A receiver observes W = H X + Z with H a real n_rx x n_tx matrix.
+``ChannelMatrix`` validates H (finite entries, full rank) and keeps its
+gains, the squared singular values, from the one SVD it takes; the bound
+families in ``bounds`` read the entries or the gains and never factorize a
+channel themselves.
 
 Ensemble draws are counter based: trial ``k`` of seed ``s`` always comes from
 the Philox stream keyed by (s, k), and normal variates are produced by the
@@ -19,31 +15,22 @@ regardless of platform, thread count, or evaluation order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "Architecture",
     "ChannelEnsembleSpec",
     "ChannelMatrix",
-    "QuantizerConfig",
     "RANK_TOL",
     "RankDeficientError",
-    "SpectralDecomposition",
-    "decompose",
     "draw_channel",
     "gaussian_draw",
-    "random_config",
-    "sign_quantize",
 ]
 
 #: Relative singular-value threshold below which a draw counts as rank deficient.
 RANK_TOL = 1e-10
-
-_DECOMP_TOL = 1e-10
 
 # Counter blocks a draw may try before giving up on a full-rank channel.
 _DRAW_ATTEMPTS = 8
@@ -51,13 +38,6 @@ _DRAW_ATTEMPTS = 8
 
 class RankDeficientError(ValueError):
     """A channel matrix failed the full-rank test relative to ``RANK_TOL``."""
-
-
-class Architecture(str, Enum):
-    SIGN_SELECT = "sign-select"
-    SINGLE_SELECT = "single-select"
-    MULTI_SELECT = "multi-select"
-    LINEAR_COMBINE = "linear-combine"
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -71,12 +51,15 @@ class ChannelMatrix:
     """Real channel matrix with receive antennas on rows.
 
     Entries must be finite and the matrix must have full rank relative to
-    ``RANK_TOL``.  ``provenance`` optionally records how the draw was made
-    (seed, trial index, redraw count).
+    ``RANK_TOL``.  ``gains`` holds the min(n_rx, n_tx) squared singular
+    values, nonincreasing and read-only: the nonzero eigenvalues of H H^T,
+    from the SVD the rank test takes.  ``provenance`` optionally records how
+    the draw was made (seed, trial index, redraw count).
     """
 
     entries: np.ndarray
     provenance: dict | None = None
+    gains: np.ndarray = field(init=False)
 
     def __post_init__(self):
         arr = _frozen_array(self.entries)
@@ -91,6 +74,7 @@ class ChannelMatrix:
                 f"{svals[-1]:.3e}/{svals[0]:.3e}"
             )
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "gains", _frozen_array(svals * svals))
 
     @property
     def n_rx(self) -> int:
@@ -126,104 +110,6 @@ class ChannelMatrix:
                 f"entry count {entries.size} does not match shape {n_rx}x{n_tx}"
             )
         return cls(entries.reshape(n_rx, n_tx), payload.get("provenance"))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Singular-value decomposition H = U diag(s) Vt with s nonincreasing.
-
-    ``gains`` are the squared singular values, i.e. the eigenvalues of H H^T
-    restricted to its row space.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-    gains: np.ndarray
-
-    def __post_init__(self):
-        for name in ("left", "singular_values", "right", "gains"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        s = self.singular_values
-        if np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be nonincreasing")
-        if np.any(s <= 0):
-            raise ValueError("singular values must be positive for a full-rank channel")
-        if not np.allclose(self.gains, s * s, rtol=1e-12, atol=0):
-            raise ValueError("gains must equal squared singular values")
-
-
-def decompose(channel: ChannelMatrix) -> SpectralDecomposition:
-    """Economy SVD of the channel with orthonormality and reconstruction checks."""
-    h = channel.entries
-    u, s, vt = np.linalg.svd(h, full_matrices=False)
-    scale = np.linalg.norm(h)
-    err = np.linalg.norm(h - (u * s) @ vt)
-    if err > _DECOMP_TOL * scale:
-        raise ValueError(f"decomposition residual {err:.3e} exceeds {_DECOMP_TOL:.1e} relative")
-    r = s.size
-    for f, n in ((u, "left"), (vt.T, "right")):
-        gram = f.T @ f
-        if np.max(np.abs(gram - np.eye(r))) > _DECOMP_TOL:
-            raise ValueError(f"{n} factor is not orthonormal within {_DECOMP_TOL:.1e}")
-    return SpectralDecomposition(u, s, vt, s * s)
-
-
-@dataclass(frozen=True, eq=False)
-class QuantizerConfig:
-    """Comparator bank: outputs sign(V w - t) with sign(0) = +1."""
-
-    combining: np.ndarray
-    thresholds: np.ndarray
-    architecture: Architecture
-
-    def __post_init__(self):
-        v = _frozen_array(self.combining)
-        t = _frozen_array(self.thresholds)
-        arch = Architecture(self.architecture)
-        if v.ndim != 2:
-            raise ValueError(f"combining matrix must be 2-D, got shape {v.shape}")
-        if t.shape != (v.shape[0],):
-            raise ValueError(
-                f"thresholds must have one entry per comparator, got {t.shape} for {v.shape[0]} rows"
-            )
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(t))):
-            raise ValueError("combining matrix and thresholds must be finite")
-        if arch is not Architecture.LINEAR_COMBINE:
-            one_hot = (v == 1.0).sum(axis=1) == 1
-            zeros = (v == 0.0).sum(axis=1) == v.shape[1] - 1
-            if not np.all(one_hot & zeros):
-                raise ValueError(f"{arch.value} needs one-hot rows selecting a single antenna")
-            cols = np.argmax(v, axis=1)
-            if arch is Architecture.SIGN_SELECT:
-                if np.any(t != 0.0):
-                    raise ValueError("sign-select uses zero thresholds")
-                if np.unique(cols).size != v.shape[0]:
-                    raise ValueError("sign-select rows must pick distinct antennas")
-            if arch is Architecture.SINGLE_SELECT and np.unique(cols).size != 1:
-                raise ValueError("single-select rows must all pick the same antenna")
-        object.__setattr__(self, "combining", v)
-        object.__setattr__(self, "thresholds", t)
-        object.__setattr__(self, "architecture", arch)
-
-    @property
-    def n_comparators(self) -> int:
-        return self.combining.shape[0]
-
-    @property
-    def n_rx(self) -> int:
-        return self.combining.shape[1]
-
-
-def sign_quantize(config: QuantizerConfig, antenna_out: np.ndarray) -> np.ndarray:
-    """Comparator outputs, +1 where (V w)_j >= t_j and -1 otherwise."""
-    w = np.asarray(antenna_out, dtype=np.float64)
-    if w.shape != (config.n_rx,):
-        raise ValueError(f"antenna output must have shape ({config.n_rx},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("antenna output must be finite")
-    z = config.combining @ w - config.thresholds
-    return np.where(z >= 0.0, 1, -1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -281,28 +167,3 @@ def draw_channel(spec: ChannelEnsembleSpec, trial_index: int) -> ChannelMatrix:
         except RankDeficientError:
             continue
     raise RuntimeError(f"no full-rank draw after {_DRAW_ATTEMPTS} attempts for trial {trial_index}")
-
-
-def random_config(
-    architecture: Architecture, n_rx: int, n_sq: int, rng: np.random.Generator
-) -> QuantizerConfig:
-    """Random valid comparator bank for the given architecture (test helper)."""
-    arch = Architecture(architecture)
-    if n_rx < 1 or n_sq < 1:
-        raise ValueError(f"need positive dimensions, got n_rx={n_rx} n_sq={n_sq}")
-    t = rng.normal(size=n_sq)
-    if arch is Architecture.LINEAR_COMBINE:
-        v = rng.normal(size=(n_sq, n_rx))
-        return QuantizerConfig(v, t, arch)
-    v = np.zeros((n_sq, n_rx))
-    if arch is Architecture.SINGLE_SELECT:
-        cols = np.full(n_sq, rng.integers(n_rx))
-    elif arch is Architecture.SIGN_SELECT:
-        if n_sq > n_rx:
-            raise ValueError(f"sign-select needs n_sq <= n_rx, got {n_sq} > {n_rx}")
-        cols = rng.permutation(n_rx)[:n_sq]
-        t = np.zeros(n_sq)
-    else:
-        cols = rng.integers(n_rx, size=n_sq)
-    v[np.arange(n_sq), cols] = 1.0
-    return QuantizerConfig(v, t, arch)

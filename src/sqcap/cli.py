@@ -28,8 +28,9 @@ from .bounds import (
     waterfill_relaxed,
 )
 from .channel import ChannelMatrix
-from .dmc import ConvergenceError, blahut_arimoto, quantizer_transition
+from .dmc import ConvergenceError, blahut_arimoto
 from .schemes import (
+    _pam_channel,
     build_dithered_scheme,
     build_pam_scheme,
     dithered_mi_estimate,
@@ -206,7 +207,7 @@ def _cmd_dither(args) -> dict:
 
 def _cmd_ba(args) -> dict:
     scheme = _build_scheme(args)
-    channel = quantizer_transition(scheme.points, args.gain * scheme.thresholds, args.gain, 1.0)
+    channel = _pam_channel(scheme, args.gain)
     capacity, dist = blahut_arimoto(channel, args.tolerance, args.max_iters)
     uniform_rate = pam_inner_rate(scheme, args.gain)
     inputs = {

@@ -20,7 +20,14 @@ import numpy as np
 from scipy import special
 
 from .bounds import _multi_select_flags
-from .dmc import InputDistribution, _mi_bits, entropy_bits, mutual_information, quantizer_transition
+from .dmc import (
+    InputDistribution,
+    TransitionMatrix,
+    _mi_bits,
+    entropy_bits,
+    mutual_information,
+    quantizer_transition,
+)
 
 __all__ = [
     "DitheredSchemeParams",
@@ -136,14 +143,22 @@ def build_pam_scheme(power: float, n_sq: int) -> PamScheme:
     return pam_scheme_for_levels(m, power)
 
 
-def pam_inner_rate(scheme: PamScheme, gain: float) -> float:
-    """Exact I(X; quantizer cell) in bits at unit noise and the given gain.
+def _pam_channel(scheme: PamScheme, gain: float) -> TransitionMatrix:
+    """Cell transitions of the scheme at unit noise and the given gain.
 
     Thresholds are placed at the received (gain-scaled) midpoints.
     """
     if not (gain > 0 and math.isfinite(gain)):
         raise ValueError(f"gain must be positive and finite, got {gain!r}")
-    channel = quantizer_transition(scheme.points, gain * scheme.thresholds, gain, 1.0)
+    return quantizer_transition(scheme.points, gain * scheme.thresholds, gain, 1.0)
+
+
+def pam_inner_rate(scheme: PamScheme, gain: float) -> float:
+    """Exact I(X; quantizer cell) in bits at unit noise and the given gain.
+
+    Thresholds are placed at the received (gain-scaled) midpoints.
+    """
+    channel = _pam_channel(scheme, gain)
     return mutual_information(InputDistribution.uniform(scheme.m_levels), channel)
 
 
@@ -154,9 +169,7 @@ def entropy_spotchecks(scheme: PamScheme, gain: float) -> tuple[float, float]:
     gain the second lies below its supremum at spacing 2 sqrt(3), 0.4968 bits
     (0.3444 nats), because M^2 <= P keeps the spacing above 2 sqrt(3).
     """
-    if not (gain > 0 and math.isfinite(gain)):
-        raise ValueError(f"gain must be positive and finite, got {gain!r}")
-    channel = quantizer_transition(scheme.points, gain * scheme.thresholds, gain, 1.0)
+    channel = _pam_channel(scheme, gain)
     marginal = InputDistribution.uniform(scheme.m_levels).probs @ channel.probs
     h_out = entropy_bits(marginal)
     h_cond_max = max(entropy_bits(row) for row in channel.probs)

@@ -36,7 +36,7 @@ from .bounds import (
     simo_single_select_bounds,
     waterfill_relaxed,
 )
-from .channel import _DRAW_ATTEMPTS, ChannelMatrix, RankDeficientError, decompose, gaussian_draw
+from .channel import _DRAW_ATTEMPTS, ChannelMatrix, RankDeficientError, gaussian_draw
 
 __all__ = [
     "CurvePoint",
@@ -219,12 +219,11 @@ def _matrix_trial_eval(spec: SweepSpec, curves: list, master: np.ndarray) -> np.
     proxy = None
     for i, x in enumerate(spec.axis):
         cm = ChannelMatrix(master[:x])
-        gains = decompose(cm).gains
         for c, (_, kind, p, _k) in enumerate(curves):
             if kind == "mimo-single":
                 out[c, i] = mimo_single_select_bounds(cm, p, spec.n_sq).upper
             elif kind == "waterfill":
-                out[c, i] = waterfill_relaxed(gains, p, spec.n_sq).rate
+                out[c, i] = waterfill_relaxed(cm.gains, p, spec.n_sq).rate
             else:
                 if proxy is None:
                     proxy = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower

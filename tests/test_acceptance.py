@@ -19,7 +19,6 @@ from sqcap import (
     build_dithered_scheme,
     build_pam_scheme,
     csv_text,
-    decompose,
     dithered_mi_estimate,
     draw_channel,
     figure_spec,
@@ -129,7 +128,7 @@ def test_04_relaxed_allocation_sandwiches_integer_oracle():
     for i in range(30):
         n = int(rng.integers(2, 5))
         cm = draw_channel(ChannelEnsembleSpec(n, n, seed=404, trials=30), i)
-        gains = decompose(cm).gains
+        gains = cm.gains
         n_sq = int(rng.choice([2, 4, 8]))
         p = float(rng.choice([1.0, 10.0, 100.0]))
         relaxed = waterfill_relaxed(gains, p, n_sq)

@@ -227,6 +227,13 @@ def test_input_validation():
         simo_single_select_bounds((), 1.0, 4)
     with pytest.raises(ValueError):
         miso_sign_capacity((1.0, math.nan), 1.0)
+    # antenna counts take the same integer check as quantizer counts
+    with pytest.raises(ValueError, match="n_sq"):
+        siso_multilevel_bounds(1.0, 2.5)
+    with pytest.raises(ValueError, match="n_rx"):
+        simo_sign_highsnr_bounds(2.7)
+    with pytest.raises(ValueError, match="n_tx"):
+        mimo_sign_highsnr_bounds(8, 2.9)
     # a zero gain is a dead antenna, not an error
     assert simo_single_select_bounds((0.0,), 1.0, 4).upper == 0.0
 

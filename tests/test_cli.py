@@ -157,6 +157,14 @@ def test_ba_command(capsys):
     assert sum(res["input_distribution"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("gain", ["0", "-1"])
+def test_ba_nonpositive_gain_is_runtime_error(capsys, gain):
+    code, out, err = run(capsys, "ba", "--power", "25", "--levels", "4", "--gain", gain)
+    assert code == 1
+    assert out == ""
+    assert "gain must be positive" in err
+
+
 def test_sweep_csv_stdout_and_file(capsys, tmp_path):
     args = ("sweep", "--figure", "fig2a", "--trials", "4", "--seed", "7",
             "--axis", "1,2,4", "--powers", "1")

@@ -197,6 +197,20 @@ def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
         assert got[("mimo-single-select-upper:P=1", x)] == want
 
 
+def test_matrix_sweep_factorizes_each_point_once(monkeypatch):
+    real = np.linalg.svd
+    calls = []
+
+    def svd(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8), include_highsnr_proxy=True)
+    run_sweep(spec)
+    assert len(calls) == spec.trials * len(spec.axis)
+
+
 def test_run_sweep_deterministic_and_worker_invariant():
     spec = figure_spec("fig2a", trials=6, seed=8, axis=(1, 2, 3), power_list=(1.0,))
     base = csv_text(run_sweep(spec))
