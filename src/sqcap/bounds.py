@@ -142,7 +142,10 @@ def _check_power(power: float) -> float:
 
 
 def _check_count(value, name: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):  # inf, nan, non-numeric text
+        n = 0
     if n < 1 or n != value:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return n
@@ -195,15 +198,27 @@ def mimo_sign_highsnr_bounds(n_sq: int, n_tx: int) -> BoundPair:
     return BoundPair(lo, hi, hi - lo)
 
 
-def _capped_half_log(snr_term: float, n_sq: int) -> float:
-    return 0.5 * math.log2(min(snr_term, float(n_sq + 1) ** 2))
+def _capped_half_log(snr, n_sq):
+    """0.5 log2 min(snr, (n_sq + 1)^2), elementwise; ``n_sq`` may be a per-entry count."""
+    return 0.5 * np.log2(np.minimum(snr, (n_sq + 1.0) ** 2))
 
 
-def _multi_select_rates(h: np.ndarray, power: float, n_sq: int, kmax: int) -> np.ndarray:
-    """0.5 log2 min(1 + P sum_top_k |h|^2, (n_sq/k + 1)^2) over the k strongest, k = 1..kmax."""
-    top = np.sort(h * h)[::-1][:kmax]
-    counts = np.arange(1, kmax + 1, dtype=np.float64)
-    return 0.5 * np.log2(np.minimum(1.0 + np.cumsum(top) * power, (n_sq / counts + 1.0) ** 2))
+def _top_squares(sq: np.ndarray, kmax: int) -> np.ndarray:
+    """The ``kmax`` largest squared gains along the last axis, in nonincreasing order."""
+    n = sq.shape[-1]
+    if kmax < n:
+        sq = np.partition(sq, n - kmax, axis=-1)[..., n - kmax :]
+    return np.sort(sq, axis=-1)[..., ::-1]
+
+
+def _multi_select_rates(top: np.ndarray, power: float, n_sq: int) -> np.ndarray:
+    """0.5 log2 min(1 + P sum_top_k |h|^2, (n_sq/k + 1)^2), k = 1..kmax, along the last axis.
+
+    ``top`` holds the strongest squared gains in nonincreasing order, as
+    :func:`_top_squares` returns them, one selection problem per row.
+    """
+    counts = np.arange(1, top.shape[-1] + 1, dtype=np.float64)
+    return _capped_half_log(1.0 + np.cumsum(top, axis=-1) * power, n_sq / counts)
 
 
 def _multi_select_flags(gains: np.ndarray, power: float, n_sq: int) -> tuple:
@@ -220,7 +235,7 @@ def siso_multilevel_bounds(power: float, n_sq: int) -> BoundPair:
     """Scalar channel with a budget of n_sq sign quantizers, gap one bit."""
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
-    upper = _capped_half_log(p + 1.0, m)
+    upper = float(_capped_half_log(p + 1.0, m))
     return BoundPair(max(upper - 1.0, 0.0), upper, 1.0)
 
 
@@ -230,7 +245,7 @@ def simo_single_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
     h_max = float(np.max(np.abs(v)))
-    upper = _capped_half_log(1.0 + h_max * h_max * p, m)
+    upper = float(_capped_half_log(1.0 + h_max * h_max * p, m))
     return BoundPair(max(upper - 0.5, 0.0), upper, 0.5)
 
 
@@ -245,9 +260,9 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     v = _check_gain_vector(h)
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
-    rates = _multi_select_rates(v, p, m, min(v.size, m))
+    rates = _multi_select_rates(_top_squares(v * v, min(v.size, m)), p, m)
     best = int(np.argmax(rates))
-    upper = _capped_half_log(1.0 + float(v @ v) * p, m)
+    upper = float(_capped_half_log(1.0 + float(v @ v) * p, m))
     flags = _multi_select_flags(v, p, m)
     return BoundPair(max(float(rates[best]) - 2.0, 0.0), upper, 2.0, argmax_k=best + 1, flags=flags)
 
@@ -257,7 +272,7 @@ def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
     v = _check_gain_vector(h)
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
-    upper = _capped_half_log(1.0 + float(v @ v) * p, m)
+    upper = float(_capped_half_log(1.0 + float(v @ v) * p, m))
     return BoundPair(max(upper - 0.5, 0.0), upper, 0.5)
 
 
@@ -266,7 +281,7 @@ def mimo_single_select_bounds(channel: ChannelMatrix, power: float, n_sq: int) -
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
     row_sq = np.sum(channel.entries * channel.entries, axis=1)
-    upper = _capped_half_log(1.0 + float(np.max(row_sq)) * p, m)
+    upper = float(_capped_half_log(1.0 + float(np.max(row_sq)) * p, m))
     return BoundPair(max(upper - 2.0, 0.0), upper, 2.0)
 
 

@@ -348,7 +348,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--figure", choices=("fig2a", "fig2b", "fig2c", "custom"), required=True)
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument(
+        "--workers", type=int, default=1,
+        help="threads, each evaluating a contiguous chunk of the trials; "
+        "the output is identical for any value",
+    )
     s.add_argument("--axis", type=_ints, help="receive-antenna grid, comma-separated")
     s.add_argument("--powers", type=_floats)
     s.add_argument("--nsq", type=int)

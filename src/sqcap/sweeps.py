@@ -9,6 +9,12 @@ exactly instead of only statistically.  All randomness is counter-based
 (seed, trial), making every sweep reproducible byte for byte under any
 worker count.
 
+Vector sweeps are evaluated in blocks of contiguous trials: the array
+kernels of ``bounds`` run once per curve and grid point over prefix
+statistics of the block's stacked master draws.  Matrix sweeps evaluate
+their trials one by one.  ``run_sweep`` says how ``workers`` splits the
+trials.
+
 Figure presets:
 
 * ``fig2a``: one receive antenna bank, 10 sign quantizers, P in {1, 10, 100},
@@ -29,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    _capped_half_log,
+    _check_count,
     _multi_select_rates,
+    _top_squares,
     mimo_sign_highsnr_bounds,
     mimo_single_select_bounds,
-    simo_linear_bounds,
-    simo_single_select_bounds,
     waterfill_relaxed,
 )
 from .channel import _DRAW_ATTEMPTS, ChannelMatrix, RankDeficientError, gaussian_draw
@@ -50,6 +57,10 @@ __all__ = [
 ]
 
 FIGURES = ("fig2a", "fig2b", "fig2c", "custom")
+
+#: Most trials evaluated in one block; caps a block's working memory at any
+#: trial count (a fig2b block of 1024 trials holds 8 MB of channel draws).
+BLOCK_TRIALS = 1024
 
 
 class UnsupportedCurveError(ValueError):
@@ -79,29 +90,26 @@ class SweepSpec:
     def __post_init__(self):
         if self.figure_id not in FIGURES:
             raise ValueError(f"figure_id must be one of {FIGURES}, got {self.figure_id!r}")
-        axis = tuple(int(x) for x in self.axis)
-        if not axis or any(x < 1 for x in axis) or any(b <= a for a, b in zip(axis, axis[1:])):
+        axis = tuple(_check_count(x, "each axis count") for x in self.axis)
+        if not axis or any(b <= a for a, b in zip(axis, axis[1:])):
             raise ValueError(f"axis must be a strictly increasing grid of counts, got {axis}")
         powers = tuple(float(p) for p in self.power_list)
         if not powers or any(not (math.isfinite(p) and p > 0) for p in powers):
             raise ValueError(f"power_list must be nonempty positive reals, got {powers}")
-        ks = tuple(int(k) for k in self.k_list)
-        if any(k < 1 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
+        ks = tuple(_check_count(k, "each k_list count") for k in self.k_list)
+        if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(f"k_list must be strictly increasing positive, got {ks}")
-        if int(self.n_sq) < 1:
-            raise ValueError(f"n_sq must be positive, got {self.n_sq!r}")
-        if self.n_tx is not None and int(self.n_tx) < 1:
-            raise ValueError(f"n_tx must be positive when given, got {self.n_tx!r}")
-        if int(self.trials) < 1:
-            raise ValueError(f"trials must be positive, got {self.trials!r}")
+        n_sq = _check_count(self.n_sq, "n_sq")
+        n_tx = None if self.n_tx is None else _check_count(self.n_tx, "n_tx")
+        trials = _check_count(self.trials, "trials")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in uint64, got {self.seed!r}")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "power_list", powers)
         object.__setattr__(self, "k_list", ks)
-        object.__setattr__(self, "n_sq", int(self.n_sq))
-        object.__setattr__(self, "n_tx", None if self.n_tx is None else int(self.n_tx))
-        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "n_sq", n_sq)
+        object.__setattr__(self, "n_tx", n_tx)
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -151,9 +159,8 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     value is nondecreasing in ``k_cap`` for any fixed channel draw.
     """
     v = np.asarray(h, dtype=np.float64)
-    if int(k_cap) < 1:
-        raise ValueError(f"k_cap must be positive, got {k_cap!r}")
-    rates = _multi_select_rates(v, power, n_sq, min(int(k_cap), v.size, int(n_sq)))
+    kmax = min(_check_count(k_cap, "k_cap"), v.size, int(n_sq))
+    rates = _multi_select_rates(_top_squares(v * v, kmax), power, n_sq)
     return max(0.0, float(np.max(rates)) - 2.0)
 
 
@@ -185,19 +192,43 @@ def _curve_labels(spec: SweepSpec) -> list:
     return curves
 
 
-def _vector_trial(spec: SweepSpec, curves: list, trial: int) -> np.ndarray:
-    h = gaussian_draw(spec.seed, trial, (spec.axis[-1],))
-    out = np.empty((len(curves), len(spec.axis)))
-    for i, x in enumerate(spec.axis):
-        hx = h[:x]
-        for c, (_, kind, p, k) in enumerate(curves):
-            if kind == "single":
-                out[c, i] = simo_single_select_bounds(hx, p, spec.n_sq).upper
-            elif kind == "linear":
-                out[c, i] = simo_linear_bounds(hx, p, spec.n_sq).upper
-            else:
-                out[c, i] = multi_select_lower_capped(hx, p, spec.n_sq, k)
-    return out
+def _vector_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
+    """Write the curve values of trials ``t0 <= t < t1`` into ``out``.
+
+    ``out`` has shape (trials, curves, grid points).  Every grid point reads
+    prefix statistics of each trial's master draw (the running max and the
+    running sum of |h|^2, the strongest |h|^2 in order), so each bound
+    kernel runs once per curve and grid point over the whole block.  Every
+    operation acts row by row, so a trial's values do not depend on the
+    block it is evaluated in.
+    """
+    sq = np.empty((t1 - t0, spec.axis[-1]))
+    for row, t in enumerate(range(t0, t1)):
+        sq[row] = gaussian_draw(spec.seed, t, (spec.axis[-1],))
+    np.square(sq, out=sq)
+    starts = (0,) + spec.axis[:-1]
+    # squaring rounds monotonically, so max |h|^2 is the square of max |h|,
+    # the statistic the single-select bound squares
+    max_sq = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
+    tops = []
+    if spec.k_list:
+        top = sq[:, :0]
+        for start, x in zip(starts, spec.axis):
+            # the strongest of a prefix are among the previous prefix's
+            # strongest and the entries added since
+            kmax = min(spec.k_list[-1], x, spec.n_sq)
+            top = _top_squares(np.hstack([top, sq[:, start:x]]), kmax)
+            tops.append(top)
+    sum_sq = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
+    for c, (_, kind, p, k) in enumerate(curves):
+        if kind == "single":
+            out[:, c] = _capped_half_log(1.0 + max_sq * p, spec.n_sq)
+        elif kind == "linear":
+            out[:, c] = _capped_half_log(1.0 + sum_sq * p, spec.n_sq)
+        else:
+            for i, top in enumerate(tops):
+                rates = _multi_select_rates(top[:, :k], p, spec.n_sq)
+                out[:, c, i] = np.maximum(rates.max(axis=1) - 2.0, 0.0)
 
 
 def _matrix_trial(spec: SweepSpec, curves: list, trial: int) -> np.ndarray:
@@ -234,24 +265,34 @@ def _matrix_trial_eval(spec: SweepSpec, curves: list, master: np.ndarray) -> np.
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Evaluate all configured curves, averaged over the trial ensemble.
 
-    Worker threads only parallelize independent trials; results are reduced
-    in trial order, so output is identical for any ``workers`` value.
+    The trials are split into ``workers`` contiguous chunks, or into more
+    when needed so that no chunk exceeds ``BLOCK_TRIALS`` trials.  A vector
+    sweep evaluates each chunk as one block of array kernels; a matrix sweep
+    evaluates its trials one by one.  With ``workers > 1`` a thread pool
+    runs the chunks.  Each chunk writes its own rows of the trial-ordered
+    value array and every kernel works row by row, so the output is
+    identical for any ``workers`` value.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers!r}")
+    workers = _check_count(workers, "workers")
     curves = _curve_labels(spec)
-    eval_trial = _matrix_trial if spec.n_tx is not None else _vector_trial
     values = np.empty((spec.trials, len(curves), len(spec.axis)))
+    n_chunks = max(workers, -(-spec.trials // BLOCK_TRIALS))
+    chunks = [c for c in np.array_split(np.arange(spec.trials), n_chunks) if c.size]
 
-    def fill(t: int):
-        values[t] = eval_trial(spec, curves, t)
+    def fill(chunk: np.ndarray):
+        t0, t1 = int(chunk[0]), int(chunk[-1]) + 1
+        if spec.n_tx is None:
+            _vector_block(spec, curves, t0, t1, values[t0:t1])
+        else:
+            for t in range(t0, t1):
+                values[t] = _matrix_trial(spec, curves, t)
 
     if workers == 1:
-        for t in range(spec.trials):
-            fill(t)
+        for chunk in chunks:
+            fill(chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(spec.trials)))
+            list(pool.map(fill, chunks))
 
     means = values.mean(axis=0)
     if spec.trials > 1:

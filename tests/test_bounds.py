@@ -234,6 +234,12 @@ def test_input_validation():
         simo_sign_highsnr_bounds(2.7)
     with pytest.raises(ValueError, match="n_tx"):
         mimo_sign_highsnr_bounds(8, 2.9)
+    # non-finite counts are the same ValueError, naming the argument
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"n_sq must be a positive integer, got {bad!r}"):
+            siso_multilevel_bounds(1.0, bad)
+        with pytest.raises(ValueError, match="n_rx"):
+            simo_sign_highsnr_bounds(bad)
     # a zero gain is a dead antenna, not an error
     assert simo_single_select_bounds((0.0,), 1.0, 4).upper == 0.0
 

@@ -1,23 +1,88 @@
-"""Figure sweeps against committed golden CSVs, byte for byte.
+"""Figure sweeps and CLI outputs against committed golden files, byte for byte.
 
-The fixtures in ``tests/golden`` are the output of
-``csv_text(run_sweep(figure_spec(fig, trials=n, seed=12)))`` with n = 60, 60
-and 40 for fig2a, fig2b and fig2c.  A change that moves any digit of any
-curve fails here; one that does so on purpose regenerates the fixture with
-that expression and says why.
+The sweep fixtures in ``tests/golden`` are the output of
+``csv_text(run_sweep(figure_spec(fig, trials=n, seed=s)))``: n = 60, 60 and
+40 at seed 12 for ``fig2a.csv``, ``fig2b.csv`` and ``fig2c.csv``, and the
+paper's n = 1000 at seed 0 for ``fig2a-1000.csv`` and ``fig2b-1000.csv``.
+
+The CLI fixtures in ``tests/golden/cli`` hold the JSON that
+``sqcap <argv>`` prints for each entry of ``CLI_CASES``, with the
+``version`` field removed.
+
+A change that moves any digit of any output fails here; one that does so on
+purpose regenerates the fixture with the same expression or argv and says
+why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from sqcap.cli import cli_dispatch
 from sqcap.sweeps import csv_text, figure_spec, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
+_CHANNEL = json.dumps(
+    {"n_rx": 3, "n_tx": 2, "entries": [0.9, -1.3, 0.4, 2.1, -0.7, 1.6]}
+)
 
-@pytest.mark.parametrize("figure, trials", [("fig2a", 60), ("fig2b", 60), ("fig2c", 40)])
+#: Fixture name -> argv of one non-sweep subcommand.
+CLI_CASES = {
+    "bounds-siso-sign": ["bounds", "--family", "siso-sign", "--power", "2.5"],
+    "bounds-miso-sign": ["bounds", "--family", "miso-sign", "--h", "0.8,1.3,-0.4", "--power", "3"],
+    "bounds-simo-highsnr": ["bounds", "--family", "simo-highsnr", "--nrx", "5"],
+    "bounds-mimo-highsnr": ["bounds", "--family", "mimo-highsnr", "--nsq", "12", "--ntx", "3"],
+    "bounds-siso-multilevel": [
+        "bounds", "--family", "siso-multilevel", "--power", "30", "--nsq", "7",
+    ],
+    "bounds-simo-single-select": [
+        "bounds", "--family", "simo-single-select",
+        "--h", "0.7,-1.9,1.2", "--power", "4.5", "--nsq", "16",
+    ],
+    "bounds-simo-multi-select": [
+        "bounds", "--family", "simo-multi-select",
+        "--h", "1.2,2.5,0.9,1.7", "--power", "80", "--nsq", "24",
+    ],
+    "bounds-simo-linear": [
+        "bounds", "--family", "simo-linear", "--h", "0.5,1.1,-0.8", "--power", "2", "--nsq", "9",
+    ],
+    "bounds-mimo-single-select": [
+        "bounds", "--family", "mimo-single-select",
+        "--channel", _CHANNEL, "--power", "6", "--nsq", "5",
+    ],
+    "pam-power": ["pam", "--power", "150", "--nsq", "15"],
+    "pam-levels": ["pam", "--levels", "4", "--power", "20", "--gain", "1.3"],
+    "ba": ["ba", "--power", "40", "--nsq", "7", "--gain", "1.1"],
+    "dither": [
+        "dither", "--h", "2.0,2.5,1.8", "--power", "200", "--nsq", "12",
+        "--k", "2", "--samples", "20000", "--seed", "7",
+    ],
+    "waterfill": ["waterfill", "--gains", "2.1,1.4,0.6", "--power", "12", "--nsq", "6"],
+}
+
+
+def cli_golden_text(argv, capsys) -> str:
+    """What ``sqcap <argv>`` prints, less its version field, as the fixture stores it."""
+    assert cli_dispatch(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["version"]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "figure, trials",
+    [("fig2a", 60), ("fig2b", 60), ("fig2c", 40), ("fig2a", 1000), ("fig2b", 1000)],
+)
 def test_figure_csv_matches_golden(figure, trials):
-    want = (GOLDEN / f"{figure}.csv").read_bytes()
-    got = csv_text(run_sweep(figure_spec(figure, trials=trials, seed=12))).encode("utf-8")
+    seed, name = (0, f"{figure}-1000") if trials == 1000 else (12, figure)
+    want = (GOLDEN / f"{name}.csv").read_bytes()
+    got = csv_text(run_sweep(figure_spec(figure, trials=trials, seed=seed))).encode("utf-8")
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_json_matches_golden(name, capsys):
+    want = (GOLDEN / "cli" / f"{name}.json").read_bytes()
+    assert cli_golden_text(CLI_CASES[name], capsys).encode("utf-8") == want

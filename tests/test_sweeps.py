@@ -43,6 +43,34 @@ def test_spec_validation():
     assert spec.power_list == (1.0, 10.0)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("axis", dict(axis=(1, 2.7))),
+        ("k_list", dict(k_list=(1.5,))),
+        ("n_sq", dict(n_sq=2.5)),
+        ("n_tx", dict(n_tx=2.5)),
+        ("trials", dict(trials=3.9)),
+        ("trials", dict(trials=float("inf"))),
+    ],
+    ids=["axis", "k_list", "n_sq", "n_tx", "trials", "trials-inf"],
+)
+def test_spec_rejects_fractional_counts(field, kwargs):
+    args = dict(figure_id="custom", axis=(1, 2), power_list=(1.0,), n_sq=4, trials=3)
+    with pytest.raises(ValueError, match=field):
+        SweepSpec(**{**args, **kwargs})
+
+
+def test_k_cap_and_workers_must_be_counts():
+    for k_cap in (0, 1.5):
+        with pytest.raises(ValueError, match="k_cap"):
+            multi_select_lower_capped((1.0, 2.0), 10.0, 8, k_cap)
+    spec = SweepSpec("custom", (1, 2), (1.0,), 4, trials=3)
+    for workers in (0, 2.5):
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(spec, workers=workers)
+
+
 def test_figure_presets():
     a = figure_spec("fig2a", trials=10, seed=1)
     assert a.n_sq == 10 and a.n_tx is None
@@ -131,6 +159,50 @@ def test_single_trial_curves_match_direct_evaluation():
         )
 
 
+def test_multi_trial_curves_match_scalar_api():
+    # every curve mean is the trial mean of the scalar bounds on each prefix;
+    # K is capped by the antenna count at the first grid points and, for
+    # K = 8, by n_sq = 6 at the last ones
+    axis, trials, ks = (1, 2, 3, 5, 8, 13), 7, (1, 2, 4, 8)
+    spec = SweepSpec("custom", axis, (0.5, 40.0), 6, k_list=ks, trials=trials, seed=21)
+    pts = {(p.curve_label, p.x): p.mean for p in run_sweep(spec)}
+    assert len(pts) == 2 * (2 + len(ks)) * len(axis)
+    masters = [gaussian_draw(21, t, (axis[-1],)) for t in range(trials)]
+    for p in (0.5, 40.0):
+        for x in axis:
+            prefixes = [h[:x] for h in masters]
+            want = {
+                f"single-select-upper:P={p:g}": [
+                    simo_single_select_bounds(h, p, 6).upper for h in prefixes
+                ],
+                f"linear-upper:P={p:g}": [simo_linear_bounds(h, p, 6).upper for h in prefixes],
+                **{
+                    f"multi-select-lower:P={p:g};K={k}": [
+                        multi_select_lower_capped(h, p, 6, k) for h in prefixes
+                    ]
+                    for k in ks
+                },
+            }
+            for label, values in want.items():
+                assert pts[(label, x)] == pytest.approx(np.mean(values), rel=1e-12)
+
+
+def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
+    spec = figure_spec("fig2b", trials=11, seed=5, axis=(1, 3, 40))
+    base = csv_text(run_sweep(spec))
+    monkeypatch.setattr(sqcap.sweeps, "BLOCK_TRIALS", 4)
+    blocks = []
+    real = sqcap.sweeps._vector_block
+
+    def block(spec, curves, t0, t1, out):
+        blocks.append((t0, t1))
+        real(spec, curves, t0, t1, out)
+
+    monkeypatch.setattr(sqcap.sweeps, "_vector_block", block)
+    assert csv_text(run_sweep(spec)) == base
+    assert blocks == [(0, 4), (4, 8), (8, 11)]
+
+
 def test_per_draw_dominance_and_monotonicity():
     spec = SweepSpec("custom", (1, 2, 3, 5, 8), (5.0,), 10, trials=1, seed=6)
     pts = run_sweep(spec)
@@ -216,6 +288,11 @@ def test_run_sweep_deterministic_and_worker_invariant():
     base = csv_text(run_sweep(spec))
     assert base == csv_text(run_sweep(spec))
     assert base == csv_text(run_sweep(spec, workers=3))
+    # uneven chunks, and more workers than trials
+    spec_u = figure_spec("fig2b", trials=5, seed=8)
+    base_u = csv_text(run_sweep(spec_u))
+    for workers in (2, 3, 7):
+        assert csv_text(run_sweep(spec_u, workers=workers)) == base_u
     spec_b = figure_spec("fig2c", trials=6, seed=8, axis=(5, 7))
     assert csv_text(run_sweep(spec_b, workers=1)) == csv_text(run_sweep(spec_b, workers=5))
 
