@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._validate import _check_count
 from .channel import ChannelMatrix
 from .tailmath import binary_entropy, q_function
 
@@ -77,11 +78,6 @@ class BoundPair:
         if math.isfinite(self.lower) and self.lower > self.upper + _PAIR_TOL:
             raise ValueError(f"lower bound {self.lower!r} exceeds upper bound {self.upper!r}")
 
-    def to_csv_row(self) -> str:
-        k = "" if self.argmax_k is None else str(self.argmax_k)
-        flags = ";".join(self.flags)
-        return f"{self.lower:.12g},{self.upper:.12g},{self.gap_claim:.12g},{k},{flags}"
-
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
@@ -125,30 +121,12 @@ class AllocationResult:
         if self.water_level < 0:
             raise ValueError(f"water level must be nonnegative, got {self.water_level!r}")
 
-    def to_csv_row(self) -> str:
-        powers = ";".join(f"{p:.12g}" for p in self.powers)
-        shares = ";".join(f"{s:.12g}" for s in self.quantizer_shares)
-        return (
-            f"{self.rate:.12g},{self.branch.value},{self.active_count},"
-            f"{self.water_level:.12g},{powers},{shares}"
-        )
-
 
 def _check_power(power: float) -> float:
     p = float(power)
     if not (math.isfinite(p) and p >= 0):
         raise ValueError(f"power must be finite and nonnegative, got {power!r}")
     return p
-
-
-def _check_count(value, name: str) -> int:
-    try:
-        n = int(value)
-    except (OverflowError, ValueError):  # inf, nan, non-numeric text
-        n = 0
-    if n < 1 or n != value:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return n
 
 
 def _check_gain_vector(h) -> np.ndarray:
@@ -294,25 +272,44 @@ def _check_gains(gains) -> np.ndarray:
     return g
 
 
-def _waterfill_powers(g: np.ndarray, power: float) -> tuple[np.ndarray, float]:
-    """Classic water-filling: P_i = (mu - 1/g_i)^+ summing to the budget."""
+def _waterfill_powers(g: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classic water-filling per row of gains: P_i = (mu - 1/g_i)^+ summing to the budget.
+
+    Each row bisects its own water level mu and keeps the first midpoint
+    that meets the budget, so no row depends on another.  Returns (powers, mu).
+    """
     inv = 1.0 / g
-    lo, hi = float(inv.min()), float(inv.max()) + power
+    lo, hi = inv.min(axis=-1), inv.max(axis=-1) + power
+    tol = _WF_TOL * max(1.0, power)
     mu = lo
+    live = np.ones(lo.shape, dtype=bool)
     for _ in range(_WF_MAX_BISECT):
-        mu = 0.5 * (lo + hi)
-        total = float(np.maximum(mu - inv, 0.0).sum())
-        if abs(total - power) <= _WF_TOL * max(1.0, power):
+        mu = np.where(live, 0.5 * (lo + hi), mu)
+        total = np.maximum(mu[..., None] - inv, 0.0).sum(axis=-1)
+        live &= np.abs(total - power) > tol
+        if not live.any():
             break
-        if total > power:
-            hi = mu
-        else:
-            lo = mu
-    powers = np.maximum(mu - inv, 0.0)
-    total = float(powers.sum())
-    if abs(total - power) > _WF_TOL * max(1.0, power):
-        raise RuntimeError(f"water-filling failed to meet budget: {total!r} vs {power!r}")
-    return powers, mu
+        over = total > power
+        hi = np.where(over, mu, hi)
+        lo = np.where(over, lo, mu)
+    if live.any():
+        raise RuntimeError(f"water-filling failed to meet budget {power!r} in {live.sum()} rows")
+    return np.maximum(mu[..., None] - inv, 0.0), mu
+
+
+def _relaxed_rates(g: np.ndarray, powers: np.ndarray, n_sq: int) -> tuple:
+    """Relaxed-allocation rates per row of gains and water-filled powers, as
+    ``waterfill_relaxed`` states them.  Returns (rates, quantizer-limited
+    flags, free (unquantized) rates, per-subchannel quantizer demands).
+    """
+    snr = 1.0 + g * powers
+    free = np.sum(0.5 * np.log2(snr), axis=-1)
+    demand = np.sqrt(snr) - 1.0
+    k = np.count_nonzero(powers > 0, axis=-1)
+    split = [j * math.log2(n_sq / j + 1.0) if j else 0.0 for j in range(g.shape[-1] + 1)]
+    capped = demand.sum(axis=-1) > n_sq
+    rates = np.where(capped, np.asarray(split)[k], free)
+    return rates, capped, free, demand
 
 
 def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
@@ -329,26 +326,15 @@ def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
         raise ValueError("gains must be sorted nonincreasing")
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
-    if p == 0.0:
-        powers = np.zeros_like(g)
-        mu = float(1.0 / g[0])
-        return AllocationResult(
-            g, p, m, powers, np.zeros_like(g), 0, mu, 0.0, AllocationBranch.POWER_LIMITED
-        )
-    powers, mu = _waterfill_powers(g, p)
-    active = powers > 0
-    k = int(np.count_nonzero(active))
-    demand = np.sqrt(1.0 + g * powers) - 1.0
-    if float(demand.sum()) <= m:
-        rate = float(np.sum(0.5 * np.log2(1.0 + g * powers)))
-        return AllocationResult(
-            g, p, m, powers, demand, k, mu, rate, AllocationBranch.POWER_LIMITED
-        )
-    shares = np.where(active, m / k, 0.0)
-    rate = k * math.log2(m / k + 1.0)
-    return AllocationResult(
-        g, p, m, powers, shares, k, mu, rate, AllocationBranch.QUANTIZER_LIMITED
-    )
+    powers, mu = _waterfill_powers(g[None], p) if p else (np.zeros((1, g.size)), 1.0 / g[:1])
+    rate, capped, _, demand = _relaxed_rates(g[None], powers, m)
+    powers = powers[0]
+    k = int(np.count_nonzero(powers))
+    if capped[0]:
+        shares, branch = np.where(powers > 0, m / k, 0.0), AllocationBranch.QUANTIZER_LIMITED
+    else:
+        shares, branch = demand[0], AllocationBranch.POWER_LIMITED
+    return AllocationResult(g, p, m, powers, shares, k, float(mu[0]), float(rate[0]), branch)
 
 
 def _composition_chunks(total: int, slots: int, chunk: int = _ORACLE_CHUNK):
@@ -456,8 +442,7 @@ def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
     rate = float(rates[0])
 
     # branch tag: quantizer-limited when the budget actually cost rate
-    free_powers, _ = _waterfill_powers(g, p) if p > 0 else (np.zeros(n), 0.0)
-    free_rate = float(np.sum(0.5 * np.log2(1.0 + g * free_powers)))
+    free_rate = _relaxed_rates(g[None], _waterfill_powers(g[None], p)[0], m)[2][0] if p else 0.0
     branch = (
         AllocationBranch.POWER_LIMITED
         if rate >= free_rate - 1e-9

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from ._validate import _check_count, _check_seed
+
 __all__ = [
     "ChannelEnsembleSpec",
     "ChannelMatrix",
@@ -99,7 +101,8 @@ class ChannelMatrix:
         if not isinstance(payload, dict):
             raise ValueError(f"channel JSON must be an object, got {type(payload).__name__}")
         try:
-            n_rx, n_tx = int(payload["n_rx"]), int(payload["n_tx"])
+            n_rx = _check_count(payload["n_rx"], "n_rx")
+            n_tx = _check_count(payload["n_tx"], "n_tx")
             entries = np.asarray(payload["entries"], dtype=np.float64)
         except KeyError as exc:
             raise ValueError(f"channel JSON is missing key {exc.args[0]!r}") from None
@@ -122,12 +125,9 @@ class ChannelEnsembleSpec:
     trials: int = 1
 
     def __post_init__(self):
-        if self.n_rx < 1 or self.n_tx < 1:
-            raise ValueError(f"ensemble dimensions must be positive, got {self.n_rx}x{self.n_tx}")
-        if self.trials < 1:
-            raise ValueError(f"ensemble trials must be positive, got {self.trials}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in uint64, got {self.seed}")
+        for name in ("n_rx", "n_tx", "trials"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def gaussian_draw(seed: int, stream: int, shape, counter_block: int = 0) -> np.ndarray:
@@ -138,9 +138,10 @@ def gaussian_draw(seed: int, stream: int, shape, counter_block: int = 0) -> np.n
     the same bits on every platform.  ``counter_block`` selects a disjoint
     block of the same stream, for deterministic redraws.
     """
+    key = [_check_seed(seed), _check_seed(stream, "stream")]
     gen = np.random.Generator(
         np.random.Philox(
-            key=np.array([seed, stream], dtype=np.uint64),
+            key=np.array(key, dtype=np.uint64),
             counter=np.array([0, 0, 0, counter_block], dtype=np.uint64),
         )
     )

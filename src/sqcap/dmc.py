@@ -10,12 +10,12 @@ additive stopping gap.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
+from ._validate import _check_count
 from .tailmath import clamp_small_probabilities, q_array, q_diff_array
 
 __all__ = [
@@ -64,18 +64,6 @@ class TransitionMatrix:
     def n_outputs(self) -> int:
         return self.probs.shape[1]
 
-    def to_csv(self, labels=None) -> str:
-        """CSV text with one header row of output labels, %.17g entries."""
-        if labels is None:
-            labels = [f"y{j}" for j in range(self.n_outputs)]
-        if len(labels) != self.n_outputs:
-            raise ValueError(f"need {self.n_outputs} labels, got {len(labels)}")
-        buf = io.StringIO()
-        buf.write(",".join(str(l) for l in labels) + "\n")
-        for row in self.probs:
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
-
 
 @dataclass(frozen=True, eq=False)
 class InputDistribution:
@@ -95,8 +83,7 @@ class InputDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "InputDistribution":
-        if n < 1:
-            raise ValueError(f"alphabet size must be positive, got {n}")
+        n = _check_count(n, "alphabet size")
         return cls(np.full(n, 1.0 / n))
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._validate import _check_count, _check_seed
 from .bounds import _multi_select_flags
 from .dmc import (
     InputDistribution,
@@ -75,7 +76,7 @@ class PamScheme:
     def __post_init__(self):
         x = _frozen(self.points)
         t = _frozen(self.thresholds)
-        m = int(self.m_levels)
+        m = _check_count(self.m_levels, "m_levels")
         if m < 2 or x.shape != (m,):
             raise ValueError(f"need at least 2 points matching m_levels, got {x.shape} for {m}")
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
@@ -115,7 +116,7 @@ class PamScheme:
 
 def pam_scheme_for_levels(m_levels: int, power: float) -> PamScheme:
     """M-point PAM meeting ``power`` exactly, with midpoint thresholds."""
-    m = int(m_levels)
+    m = _check_count(m_levels, "m_levels")
     if m < 2:
         raise ValueError(f"need at least 2 levels, got {m_levels!r}")
     if not (power > 0 and math.isfinite(power)):
@@ -134,7 +135,7 @@ def build_pam_scheme(power: float, n_sq: int) -> PamScheme:
     """
     if not (math.isfinite(power) and power > 6):
         raise ValueError(f"power must exceed 6, got {power!r}")
-    n = int(n_sq)
+    n = _check_count(n_sq, "n_sq")
     if n < 2:
         raise ValueError(f"need at least 2 sign quantizers, got {n_sq!r}")
     m = min(n + 1, math.floor(math.sqrt(power)))
@@ -201,10 +202,8 @@ class DitheredSchemeParams:
     flags: tuple = ()
 
     def __post_init__(self):
-        k = int(self.selected_count)
-        m = int(self.m_levels)
-        if k < 1:
-            raise ValueError(f"selected_count must be positive, got {k}")
+        k = _check_count(self.selected_count, "selected_count")
+        m = _check_count(self.m_levels, "m_levels")
         if m < 3:
             raise ValueError(f"dithered scheme needs at least 3 levels, got {m}")
         if self.spacing != self.dither_width:
@@ -264,11 +263,9 @@ def build_dithered_scheme(
         raise ValueError(f"antenna gains must be a finite 1-D vector, got shape {v.shape}")
     if not (power > 0 and math.isfinite(power)):
         raise ValueError(f"power must be positive and finite, got {power!r}")
-    n = int(n_sq)
-    if n < 1:
-        raise ValueError(f"quantizer budget must be positive, got {n_sq!r}")
-    k = int(k_select)
-    if not 1 <= k <= min(v.size, n):
+    n = _check_count(n_sq, "n_sq")
+    k = _check_count(k_select, "k_select")
+    if not k <= min(v.size, n):
         raise ValueError(
             f"k_select must lie in [1, min(n_antennas={v.size}, n_sq={n})], got {k_select!r}"
         )
@@ -334,7 +331,8 @@ def dithered_mi_estimate(
     n_cells = (m + 2) ** k
     if n_cells > _MAX_OUTPUT_CELLS:
         raise ValueError(f"output alphabet {n_cells} exceeds {_MAX_OUTPUT_CELLS}")
-    total = int(samples)
+    total = _check_count(samples, "samples")
+    seed = _check_seed(seed)
     if total < 10**4:
         raise ValueError(f"need at least 10^4 samples, got {samples!r}")
     if total < _SAMPLES_PER_CELL * n_cells:

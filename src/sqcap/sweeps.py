@@ -9,11 +9,11 @@ exactly instead of only statistically.  All randomness is counter-based
 (seed, trial), making every sweep reproducible byte for byte under any
 worker count.
 
-Vector sweeps are evaluated in blocks of contiguous trials: the array
-kernels of ``bounds`` run once per curve and grid point over prefix
-statistics of the block's stacked master draws.  Matrix sweeps evaluate
-their trials one by one.  ``run_sweep`` says how ``workers`` splits the
-trials.
+Sweeps are evaluated in blocks of contiguous trials: the array kernels of
+``bounds`` run once per curve and grid point over the block's stacked
+master draws, through prefix statistics for vector channels and one stacked
+SVD per grid point for matrix channels.  ``run_sweep`` says how ``workers``
+splits the trials.
 
 Figure presets:
 
@@ -34,16 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import _check_count, _check_seed
 from .bounds import (
     _capped_half_log,
-    _check_count,
     _multi_select_rates,
+    _relaxed_rates,
     _top_squares,
+    _waterfill_powers,
     mimo_sign_highsnr_bounds,
-    mimo_single_select_bounds,
-    waterfill_relaxed,
 )
-from .channel import _DRAW_ATTEMPTS, ChannelMatrix, RankDeficientError, gaussian_draw
+from .channel import _DRAW_ATTEMPTS, RANK_TOL, gaussian_draw
 
 __all__ = [
     "CurvePoint",
@@ -102,15 +102,13 @@ class SweepSpec:
         n_sq = _check_count(self.n_sq, "n_sq")
         n_tx = None if self.n_tx is None else _check_count(self.n_tx, "n_tx")
         trials = _check_count(self.trials, "trials")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in uint64, got {self.seed!r}")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "power_list", powers)
         object.__setattr__(self, "k_list", ks)
         object.__setattr__(self, "n_sq", n_sq)
         object.__setattr__(self, "n_tx", n_tx)
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,8 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     value is nondecreasing in ``k_cap`` for any fixed channel draw.
     """
     v = np.asarray(h, dtype=np.float64)
-    kmax = min(_check_count(k_cap, "k_cap"), v.size, int(n_sq))
+    n_sq = _check_count(n_sq, "n_sq")
+    kmax = min(_check_count(k_cap, "k_cap"), v.size, n_sq)
     rates = _multi_select_rates(_top_squares(v * v, kmax), power, n_sq)
     return max(0.0, float(np.max(rates)) - 2.0)
 
@@ -231,47 +230,50 @@ def _vector_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
                 out[:, c, i] = np.maximum(rates.max(axis=1) - 2.0, 0.0)
 
 
-def _matrix_trial(spec: SweepSpec, curves: list, trial: int) -> np.ndarray:
-    # a rank-deficient prefix (vanishingly rare) restarts the trial on the
-    # next counter block of the same stream, keeping prefixes nested
+def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
+    """``_vector_block`` for matrix channels: one stacked SVD per grid point
+    gives every trial's gains and ``ChannelMatrix`` rank test.  Only trials
+    with a rank-deficient prefix (vanishingly rare) are redrawn, each from
+    the next counter block of its stream, so prefixes stay nested.
+    """
+    pending = np.arange(t0, t1)
+    shape = (spec.axis[-1], spec.n_tx)
     for attempt in range(_DRAW_ATTEMPTS):
-        master = gaussian_draw(
-            spec.seed, trial, (spec.axis[-1], spec.n_tx), counter_block=attempt
+        master = np.stack(
+            [gaussian_draw(spec.seed, t, shape, counter_block=attempt) for t in pending]
         )
-        try:
-            return _matrix_trial_eval(spec, curves, master)
-        except RankDeficientError:
-            continue
-    raise RuntimeError(f"no full-rank channel after {_DRAW_ATTEMPTS} attempts in trial {trial}")
-
-
-def _matrix_trial_eval(spec: SweepSpec, curves: list, master: np.ndarray) -> np.ndarray:
-    out = np.empty((len(curves), len(spec.axis)))
-    proxy = None
-    for i, x in enumerate(spec.axis):
-        cm = ChannelMatrix(master[:x])
+        svals = [np.linalg.svd(master[:, :x], compute_uv=False) for x in spec.axis]
+        full = np.logical_and.reduce([s[:, -1] > RANK_TOL * s[:, 0] for s in svals])
+        rows, master = pending[full] - t0, master[full]
+        row_sq = np.maximum.accumulate(np.sum(master * master, axis=2), axis=1)
+        row_max = row_sq[:, np.asarray(spec.axis) - 1]
         for c, (_, kind, p, _k) in enumerate(curves):
             if kind == "mimo-single":
-                out[c, i] = mimo_single_select_bounds(cm, p, spec.n_sq).upper
+                out[rows, c] = _capped_half_log(1.0 + row_max * p, spec.n_sq)
             elif kind == "waterfill":
-                out[c, i] = waterfill_relaxed(cm.gains, p, spec.n_sq).rate
+                for i, s in enumerate(svals):
+                    g = np.square(s[full])
+                    powers, _ = _waterfill_powers(g, p)
+                    out[rows, c, i] = _relaxed_rates(g, powers, spec.n_sq)[0]
             else:
-                if proxy is None:
-                    proxy = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
-                out[c, i] = proxy
-    return out
+                out[rows, c] = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
+        pending = pending[~full]
+        if not pending.size:
+            return
+    raise RuntimeError(
+        f"no full-rank channel after {_DRAW_ATTEMPTS} attempts in trial {pending[0]}"
+    )
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Evaluate all configured curves, averaged over the trial ensemble.
 
     The trials are split into ``workers`` contiguous chunks, or into more
-    when needed so that no chunk exceeds ``BLOCK_TRIALS`` trials.  A vector
-    sweep evaluates each chunk as one block of array kernels; a matrix sweep
-    evaluates its trials one by one.  With ``workers > 1`` a thread pool
-    runs the chunks.  Each chunk writes its own rows of the trial-ordered
-    value array and every kernel works row by row, so the output is
-    identical for any ``workers`` value.
+    when needed so that no chunk exceeds ``BLOCK_TRIALS`` trials, and each
+    chunk is evaluated as one block of array kernels.  With ``workers > 1``
+    a thread pool runs the chunks.  Each chunk writes its own rows of the
+    trial-ordered value array and every kernel works row by row, so the
+    output is identical for any ``workers`` value.
     """
     workers = _check_count(workers, "workers")
     curves = _curve_labels(spec)
@@ -279,13 +281,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     n_chunks = max(workers, -(-spec.trials // BLOCK_TRIALS))
     chunks = [c for c in np.array_split(np.arange(spec.trials), n_chunks) if c.size]
 
+    block = _vector_block if spec.n_tx is None else _matrix_block
+
     def fill(chunk: np.ndarray):
         t0, t1 = int(chunk[0]), int(chunk[-1]) + 1
-        if spec.n_tx is None:
-            _vector_block(spec, curves, t0, t1, values[t0:t1])
-        else:
-            for t in range(t0, t1):
-                values[t] = _matrix_trial(spec, curves, t)
+        block(spec, curves, t0, t1, values[t0:t1])
 
     if workers == 1:
         for chunk in chunks:

@@ -17,6 +17,7 @@ from sqcap.bounds import (
     AllocationResult,
     BoundPair,
     BudgetError,
+    _waterfill_powers,
     allocate_integer_oracle,
     mimo_sign_highsnr_bounds,
     mimo_single_select_bounds,
@@ -214,8 +215,6 @@ def test_pair_ordering_and_claimed_gap(h, p, n_sq):
 def test_bound_pair_validation_and_csv():
     with pytest.raises(ValueError):
         BoundPair(2.0, 1.0, 0.5)
-    row = BoundPair(1.25, 2.0, 0.75, argmax_k=3, flags=("weak-gains",)).to_csv_row()
-    assert row == "1.25,2,0.75,3,weak-gains"
 
 
 def test_input_validation():
@@ -280,6 +279,23 @@ def test_relaxed_waterfill_branches():
     assert res2.branch is AllocationBranch.POWER_LIMITED
     want = np.sqrt(1.0 + res2.gains * res2.powers) - 1.0
     np.testing.assert_allclose(res2.quantizer_shares, want, rtol=1e-12)
+
+
+def test_waterfill_powers_rows_match_one_row_solves():
+    # powers and water levels of the scalar bisection on the gains of the
+    # CLI golden, at its power 12 and at 0.5, where the weakest stays dry
+    pinned = {
+        12.0: ([4.4761904787627, 4.2380952406674615, 3.285714288286509], 4.952380954953176),
+        0.5: ([0.36904761925827567, 0.13095238116303753, 0.0], 0.8452380954487518),
+    }
+    rng = np.random.default_rng(17)
+    g = np.vstack([[2.1, 1.4, 0.6], rng.uniform(0.05, 9.0, size=(40, 3))])
+    for p, (powers, level) in pinned.items():
+        rows, levels = _waterfill_powers(g, p)
+        for r in range(g.shape[0]):
+            alone, mu = _waterfill_powers(g[r : r + 1], p)
+            assert np.array_equal(alone[0], rows[r]) and mu[0] == levels[r]
+        assert rows[0].tolist() == powers and levels[0] == level
 
 
 def test_relaxed_waterfill_requires_sorted_gains():
@@ -427,5 +443,3 @@ def test_allocation_result_validation():
         AllocationResult(**{**ok, "active_count": 1})
     with pytest.raises(ValueError):
         AllocationResult(**{**ok, "water_level": -0.5})
-    row = AllocationResult(**ok).to_csv_row()
-    assert row.startswith("1,power-limited,2,1.5,")

@@ -81,6 +81,12 @@ def test_gaussian_draw_deterministic_and_keyed():
     assert not np.array_equal(a, gaussian_draw(4, 5, (4, 2)))
     assert not np.array_equal(a, gaussian_draw(3, 5, (4, 2), counter_block=1))
     assert np.all(np.isfinite(a))
+    np.testing.assert_array_equal(a, gaussian_draw(np.uint64(3), np.int32(5), (4, 2)))
+    for bad in (2.5, -1, 2**64, float("nan")):
+        with pytest.raises(ValueError, match="seed"):
+            gaussian_draw(bad, 5, (4, 2))
+        with pytest.raises(ValueError, match="stream"):
+            gaussian_draw(3, bad, (4, 2))
 
 
 def test_gaussian_draw_prefix_nesting():
@@ -139,3 +145,9 @@ def test_ensemble_spec_validation():
         ChannelEnsembleSpec(0, 3, seed=0, trials=1)
     with pytest.raises(ValueError):
         ChannelEnsembleSpec(3, 3, seed=0, trials=0)
+    with pytest.raises(ValueError, match="n_rx"):
+        ChannelEnsembleSpec(2.5, 2, seed=0)
+    for seed in (2.5, -1, 2**64, float("nan")):
+        with pytest.raises(ValueError, match="seed"):
+            ChannelEnsembleSpec(2, 2, seed=seed)
+    assert ChannelEnsembleSpec(2, 2, seed=np.uint64(2**63)).seed == 2**63

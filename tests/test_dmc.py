@@ -33,16 +33,12 @@ def test_transition_matrix_validation():
     assert w.n_inputs == 1 and w.n_outputs == 2
 
 
-def test_transition_matrix_csv():
-    text = BSC_011.to_csv()
-    rows = text.strip().splitlines()
-    assert len(rows) >= 2
-    assert "0.89" in text
-
-
 def test_input_distribution():
     u = InputDistribution.uniform(4)
     np.testing.assert_allclose(u.probs, 0.25)
+    for n in (0, 2.5):
+        with pytest.raises(ValueError, match="alphabet size"):
+            InputDistribution.uniform(n)
     with pytest.raises(ValueError):
         InputDistribution(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):

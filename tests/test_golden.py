@@ -3,7 +3,8 @@
 The sweep fixtures in ``tests/golden`` are the output of
 ``csv_text(run_sweep(figure_spec(fig, trials=n, seed=s)))``: n = 60, 60 and
 40 at seed 12 for ``fig2a.csv``, ``fig2b.csv`` and ``fig2c.csv``, and the
-paper's n = 1000 at seed 0 for ``fig2a-1000.csv`` and ``fig2b-1000.csv``.
+paper's n = 1000 at seed 0 for ``fig2a-1000.csv``, ``fig2b-1000.csv`` and
+``fig2c-1000.csv``.
 
 The CLI fixtures in ``tests/golden/cli`` hold the JSON that
 ``sqcap <argv>`` prints for each entry of ``CLI_CASES``, with the
@@ -73,7 +74,10 @@ def cli_golden_text(argv, capsys) -> str:
 
 @pytest.mark.parametrize(
     "figure, trials",
-    [("fig2a", 60), ("fig2b", 60), ("fig2c", 40), ("fig2a", 1000), ("fig2b", 1000)],
+    [
+        ("fig2a", 60), ("fig2b", 60), ("fig2c", 40),
+        ("fig2a", 1000), ("fig2b", 1000), ("fig2c", 1000),
+    ],
 )
 def test_figure_csv_matches_golden(figure, trials):
     seed, name = (0, f"{figure}-1000") if trials == 1000 else (12, figure)

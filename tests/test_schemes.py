@@ -61,6 +61,12 @@ def test_build_pam_scheme_sizing_and_gates():
         build_pam_scheme(6.0, 7)
     with pytest.raises(ValueError):
         build_pam_scheme(100.0, 1)
+    with pytest.raises(ValueError, match="n_sq"):
+        build_pam_scheme(100.0, 7.9)
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        pam_scheme_for_levels(1, 10.0)
+    with pytest.raises(ValueError, match="m_levels"):
+        pam_scheme_for_levels(3.6, 10.0)
 
 
 def test_pam_binary_rate_matches_closed_form():
@@ -143,6 +149,10 @@ def test_dithered_scheme_gates():
         build_dithered_scheme((1.0, 2.0), 50.0, 16, 0)
     with pytest.raises(ValueError, match="nonzero"):
         build_dithered_scheme((0.0, 0.0), 50.0, 16, 1)
+    with pytest.raises(ValueError, match="n_sq"):
+        build_dithered_scheme((1.0, 2.0), 50.0, 16.7, 2)
+    with pytest.raises(ValueError, match="k_select"):
+        build_dithered_scheme((1.0, 2.0), 50.0, 16, 2.5)
 
 
 def test_dithered_selects_strongest_antennas():
@@ -199,6 +209,11 @@ def test_dithered_mi_estimate_guards():
         dithered_mi_estimate(params, (1.2, 1.5), 5000, 0)
     with pytest.raises(ValueError, match="do not match"):
         dithered_mi_estimate(params, (1.2, 1.4), 10**4, 0)
+    with pytest.raises(ValueError, match="samples"):
+        dithered_mi_estimate(params, (1.2, 1.5), 20000.5, 0)
+    for seed in (2.5, -1, 2**64, float("nan")):
+        with pytest.raises(ValueError, match="seed"):
+            dithered_mi_estimate(params, (1.2, 1.5), 10**4, seed)
 
 
 def test_dithered_mi_needs_enough_samples_per_cell():
@@ -234,6 +249,9 @@ def test_dithered_params_validation():
     DitheredSchemeParams(**fields)
     with pytest.raises(ValueError, match="at least 3"):
         DitheredSchemeParams(**{**fields, "m_levels": 2})
+    for name in ("selected_count", "m_levels"):
+        with pytest.raises(ValueError, match=name):
+            DitheredSchemeParams(**{**fields, name: fields[name] + 0.5})
     with pytest.raises(ValueError, match="dither width"):
         DitheredSchemeParams(**{**fields, "dither_width": params.spacing * 2})
     with pytest.raises(ValueError, match="sorted nonincreasing"):

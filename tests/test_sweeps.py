@@ -9,6 +9,7 @@ from sqcap.bounds import (
     simo_linear_bounds,
     simo_multi_select_bounds,
     simo_single_select_bounds,
+    waterfill_relaxed,
 )
 from sqcap.channel import ChannelMatrix, gaussian_draw
 from sqcap.sweeps import (
@@ -38,9 +39,13 @@ def test_spec_validation():
         SweepSpec("custom", (1, 2), (1.0,), 4, trials=0)
     with pytest.raises(ValueError):
         SweepSpec("custom", (1, 2), (1.0,), 4, k_list=(4, 2))
-    spec = SweepSpec("custom", [1, 2, 5], [1, 10], 6, trials=3, seed=1)
+    for seed in (2.5, -1, 2**64, float("nan")):
+        with pytest.raises(ValueError, match="seed"):
+            SweepSpec("custom", (1, 2), (1.0,), 4, seed=seed)
+    spec = SweepSpec("custom", [1, 2, 5], [1, 10], 6, trials=3, seed=np.int64(1))
     assert spec.axis == (1, 2, 5)
     assert spec.power_list == (1.0, 10.0)
+    assert spec.seed == 1 and type(spec.seed) is int
 
 
 @pytest.mark.parametrize(
@@ -188,19 +193,23 @@ def test_multi_trial_curves_match_scalar_api():
 
 
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
-    spec = figure_spec("fig2b", trials=11, seed=5, axis=(1, 3, 40))
-    base = csv_text(run_sweep(spec))
-    monkeypatch.setattr(sqcap.sweeps, "BLOCK_TRIALS", 4)
-    blocks = []
-    real = sqcap.sweeps._vector_block
+    for name, spec in [
+        ("_vector_block", figure_spec("fig2b", trials=11, seed=5, axis=(1, 3, 40))),
+        ("_matrix_block", figure_spec("fig2c", trials=11, seed=5, axis=(5, 7, 12))),
+    ]:
+        base = csv_text(run_sweep(spec))
+        with monkeypatch.context() as patch:
+            patch.setattr(sqcap.sweeps, "BLOCK_TRIALS", 4)
+            blocks = []
+            real = getattr(sqcap.sweeps, name)
 
-    def block(spec, curves, t0, t1, out):
-        blocks.append((t0, t1))
-        real(spec, curves, t0, t1, out)
+            def block(spec, curves, t0, t1, out, real=real):
+                blocks.append((t0, t1))
+                real(spec, curves, t0, t1, out)
 
-    monkeypatch.setattr(sqcap.sweeps, "_vector_block", block)
-    assert csv_text(run_sweep(spec)) == base
-    assert blocks == [(0, 4), (4, 8), (8, 11)]
+            patch.setattr(sqcap.sweeps, name, block)
+            assert csv_text(run_sweep(spec)) == base
+        assert blocks == [(0, 4), (4, 8), (8, 11)]
 
 
 def test_per_draw_dominance_and_monotonicity():
@@ -246,27 +255,36 @@ def test_matrix_sweep_propagates_evaluation_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(sqcap.sweeps, "waterfill_relaxed", boom)
+    monkeypatch.setattr(sqcap.sweeps, "_waterfill_powers", boom)
     with pytest.raises(ValueError, match="boom"):
         run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
 
 
 def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
+    # only trial 0's first draw is rank deficient: it alone moves on to
+    # counter block 1, and trial 1 of the same block keeps its first draw
     real = sqcap.sweeps.gaussian_draw
 
     def draw(seed, stream, shape, counter_block=0):
         h = real(seed, stream, shape, counter_block)
-        if counter_block == 0:
+        if stream == 0 and counter_block == 0:
             h[:, 1] = h[:, 0]
         return h
 
     monkeypatch.setattr(sqcap.sweeps, "gaussian_draw", draw)
-    pts = run_sweep(figure_spec("fig2c", trials=1, seed=3, axis=(5, 6), power_list=(1.0,)))
-    master = real(3, 0, (6, 5), counter_block=1)
+    pts = run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6), power_list=(1.0,)))
+    masters = [real(3, 0, (6, 5), counter_block=1), real(3, 1, (6, 5))]
     got = {(p.curve_label, p.x): p.mean for p in pts}
     for x in (5, 6):
-        want = mimo_single_select_bounds(ChannelMatrix(master[:x]), 1.0, 5).upper
-        assert got[("mimo-single-select-upper:P=1", x)] == want
+        cms = [ChannelMatrix(m[:x]) for m in masters]
+        upper = [mimo_single_select_bounds(cm, 1.0, 5).upper for cm in cms]
+        rate = [waterfill_relaxed(cm.gains, 1.0, 5).rate for cm in cms]
+        assert got[("mimo-single-select-upper:P=1", x)] == np.mean(upper)
+        assert got[("waterfill-rate:P=1", x)] == np.mean(rate)
+
+    monkeypatch.setattr(sqcap.sweeps, "gaussian_draw", lambda *args, **kw: np.ones((6, 5)))
+    with pytest.raises(RuntimeError, match="attempts in trial 0"):
+        run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
 
 
 def test_matrix_sweep_factorizes_each_point_once(monkeypatch):
@@ -280,7 +298,8 @@ def test_matrix_sweep_factorizes_each_point_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8), include_highsnr_proxy=True)
     run_sweep(spec)
-    assert len(calls) == spec.trials * len(spec.axis)
+    # one stacked SVD per grid point for the block of all three trials
+    assert len(calls) == len(spec.axis)
 
 
 def test_run_sweep_deterministic_and_worker_invariant():
