@@ -1,6 +1,15 @@
-"""Integer argument checks shared by every module; imports nothing of ``sqcap``."""
+"""Argument checks and read-only arrays shared by every module; imports nothing of ``sqcap``."""
+
+import numpy as np
 
 __all__: list = []
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
 
 
 def _as_int(value):

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import _check_count
+from ._validate import _check_count, _frozen
 from .channel import ChannelMatrix
 from .tailmath import binary_entropy, q_function
 
@@ -45,9 +45,9 @@ _WF_MAX_BISECT = 200
 #: Exhaustive-search budget for the integer allocator.
 ORACLE_MAX_CHANNELS = 8
 ORACLE_MAX_QUANTIZERS = 64
-ORACLE_MAX_COMPOSITIONS = 10**6  # about 5 s at ~200k compositions/s on 2 x86 cores
+ORACLE_MAX_COMPOSITIONS = 10**6  # about 1.4 s unpruned at ~700k compositions/s on 2 x86 cores
 
-_ORACLE_CHUNK = 1 << 17
+_ORACLE_BLOCK = 1 << 15
 
 
 class BudgetError(ValueError):
@@ -99,9 +99,7 @@ class AllocationResult:
 
     def __post_init__(self):
         for name in ("gains", "powers", "quantizer_shares"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         if np.any(self.powers < 0) or np.any(self.quantizer_shares < 0):
             raise ValueError("allocations must be nonnegative")
         if self.powers.sum() > self.power_budget * (1 + _WF_TOL) + _WF_TOL:
@@ -264,11 +262,9 @@ def mimo_single_select_bounds(channel: ChannelMatrix, power: float, n_sq: int) -
 
 
 def _check_gains(gains) -> np.ndarray:
-    g = np.asarray(gains, dtype=np.float64)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError(f"gains must be a 1-D nonempty vector, got shape {g.shape}")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0):
-        raise ValueError("gains must be finite and positive")
+    g = _check_gain_vector(gains)
+    if np.any(g <= 0):
+        raise ValueError("gains must be positive")
     return g
 
 
@@ -337,60 +333,81 @@ def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
     return AllocationResult(g, p, m, powers, shares, k, float(mu[0]), float(rate[0]), branch)
 
 
-def _composition_chunks(total: int, slots: int, chunk: int = _ORACLE_CHUNK):
-    """Yield integer matrices whose rows are all compositions of ``total``.
+def _compositions(heads: np.ndarray, rem: np.ndarray, slots: int) -> np.ndarray:
+    """Rows ``heads`` each extended by every composition of its ``rem`` into
+    ``slots`` nonnegative parts, in descending lexicographic order.
 
-    Rows enumerate every way to write ``total`` as an ordered sum of
-    ``slots`` nonnegative integers, in descending lexicographic order.
+    Stars and bars, one part at a time: a row with r left repeats r + 1
+    times and takes the next part r, r - 1, ..., 0; the last part is the rest.
     """
-    buf = np.empty((chunk, slots), dtype=np.int64)
-    fill = 0
-    head = np.empty(slots, dtype=np.int64)
-
-    def rec(pos: int, remaining: int):
-        nonlocal fill
-        if pos == slots - 1:
-            head[pos] = remaining
-            buf[fill] = head
-            fill += 1
-            if fill == chunk:
-                yield buf.copy()
-                fill = 0
-            return
-        for v in range(remaining, -1, -1):
-            head[pos] = v
-            yield from rec(pos + 1, remaining - v)
-
-    yield from rec(0, total)
-    if fill:
-        yield buf[:fill].copy()
+    for _ in range(slots - 1):
+        counts = rem + 1
+        idx = np.repeat(np.arange(rem.size), counts)
+        part = rem[idx] - (np.arange(idx.size) - np.repeat(np.cumsum(counts) - counts, counts))
+        heads, rem = np.column_stack((heads[idx], part)), rem[idx] - part
+    return np.column_stack((heads, rem))
 
 
-def _capped_waterfill_rows(
-    g: np.ndarray, caps: np.ndarray, power: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized capped water-filling, one problem per row of ``caps``.
+def _composition_blocks(total: int, slots: int, limit: int = _ORACLE_BLOCK, head: tuple = ()):
+    """Yield integer matrices whose rows, after the fixed parts ``head``, are
+    all compositions of ``total`` into ``slots`` nonnegative parts, in
+    descending lexicographic order, at most ``limit`` rows per matrix.
 
-    Each subchannel absorbs at most caps[r, i] power; the water level is
-    bisected per row until the row's budget min(power, sum caps) is met.
-    Returns (rates in bits, water levels).
+    Blocks are built lazily by leading part: runs of leading parts are
+    grouped up to ``limit`` rows, and a leading part with more rows than
+    that is split by its next part.
+    """
+    if slots == 1:
+        yield np.array([head + (total,)])
+        return
+    run, rows = [], 0
+    for v in range(total, -2, -1):  # v = -1 only flushes the last run
+        count = math.comb(total - v + slots - 2, slots - 2) if v >= 0 else limit + 1
+        if run and rows + count > limit:
+            yield _compositions(np.array([head + (u,) for u in run]), total - np.array(run), slots - 1)
+            run, rows = [], 0
+        if count <= limit:
+            run, rows = run + [v], rows + count
+        elif v >= 0:
+            yield from _composition_blocks(total - v, slots - 1, limit, head + (v,))
+
+
+def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray, power: float) -> tuple:
+    """Exact capped water-filling, one problem per row of ``caps``.
+
+    Subchannel i takes p_i = min((mu - 1/g_i)^+, caps[r, i]), with the water
+    level mu of row r set so that the powers sum to min(power, sum caps);
+    ``caps = inf`` is plain water-filling.  Per row the breakpoints 1/g_i and
+    1/g_i + cap_i are sorted and the used power is scanned along them to the
+    linear segment that meets the budget.  mu is then recomputed from that
+    segment's free set F and capped set C as
+    (budget - sum_C cap_i + sum_F 1/g_i) / |F| by masked sums over the whole
+    row, so rows with the same sets get bitwise equal powers and rates.  When
+    every cap binds (sum caps <= power) any mu >= max_i 1/g_i + cap_i solves
+    the row, and the water level reported is max_i 1/g_i + power.
+    Returns (rates in bits, powers, water levels).
     """
     inv = 1.0 / g
-    target = np.minimum(power, caps.sum(axis=1))
-    lo = np.full(caps.shape[0], inv.min())
-    hi = inv.max() + power + np.zeros(caps.shape[0])
-    for _ in range(_WF_MAX_BISECT):
-        mu = 0.5 * (lo + hi)
-        used = np.minimum(np.maximum(mu[:, None] - inv, 0.0), caps).sum(axis=1)
-        over = used > target
-        hi = np.where(over, mu, hi)
-        lo = np.where(over, lo, mu)
-        if np.max(hi - lo) < 1e-13 * float(inv.max() + power):
-            break
-    mu = 0.5 * (lo + hi)
-    p = np.minimum(np.maximum(mu[:, None] - inv, 0.0), caps)
-    rates = 0.5 * np.log2(1.0 + g * p).sum(axis=1)
-    return rates, mu
+    cap_total = caps.sum(axis=1)
+    target = np.minimum(power, cap_total)
+    bp = np.concatenate((np.broadcast_to(inv, caps.shape), inv + caps), axis=1)
+    order = np.argsort(bp, axis=1, kind="stable")
+    bp = np.take_along_axis(bp, order, axis=1)
+    # the used power rises with slope #(1/g_i reached) - #(1/g_i + cap_i reached)
+    slope = np.cumsum(np.where(order < g.size, 1.0, -1.0), axis=1)
+    used = np.zeros(bp.shape)
+    with np.errstate(invalid="ignore"):  # inf - inf past the last finite breakpoint
+        np.cumsum(slope[:, :-1] * np.diff(bp, axis=1), axis=1, out=used[:, 1:])
+    k = np.count_nonzero(used <= target[:, None], axis=1) - 1
+    level = bp[np.arange(bp.shape[0]), k][:, None]
+    capped = inv + caps <= level
+    free = (inv <= level) & ~capped
+    n_free = np.count_nonzero(free, axis=1)
+    all_capped = (target >= cap_total) | (n_free == 0)
+    mu = target - np.where(capped, caps, 0.0).sum(axis=1) + np.where(free, inv, 0.0).sum(axis=1)
+    mu = np.where(all_capped, inv.max() + power, mu / np.maximum(n_free, 1))
+    p = np.where(all_capped[:, None], caps, np.minimum(np.maximum(mu[:, None] - inv, 0.0), caps))
+    return 0.5 * np.log2(1.0 + g * p).sum(axis=1), p, mu
 
 
 def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
@@ -420,26 +437,17 @@ def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
     order = np.argsort(-g_in, kind="stable")
     g = g_in[order]
 
-    best_rate = -1.0
-    best_comp = None
-    for comp in _composition_chunks(m, n):
+    rate, best = -1.0, None
+    for comp in _composition_blocks(m, n):
         # quantizer-only ceiling: rate <= sum log2(N_i + 1) even with free power
-        ceiling = np.log2(comp + 1.0).sum(axis=1)
-        live = ceiling > best_rate
-        if not np.any(live):
+        comp = comp[np.log2(comp + 1.0).sum(axis=1) > rate]
+        if not comp.size:
             continue
-        comp = comp[live]
-        caps = ((comp + 1.0) ** 2 - 1.0) / g
-        rates, _ = _capped_waterfill_rows(g, caps, p)
+        rates, powers, mu = _capped_waterfill_rows(g, ((comp + 1.0) ** 2 - 1.0) / g, p)
         j = int(np.argmax(rates))
-        if rates[j] > best_rate:
-            best_rate = float(rates[j])
-            best_comp = comp[j].copy()
-
-    caps = ((best_comp + 1.0) ** 2 - 1.0) / g
-    rates, mu = _capped_waterfill_rows(g, caps[None, :], p)
-    powers_sorted = np.minimum(np.maximum(mu[0] - 1.0 / g, 0.0), caps)
-    rate = float(rates[0])
+        if rates[j] > rate:
+            rate, best = float(rates[j]), (comp[j], powers[j], float(mu[j]))
+    comp, powers, mu = best
 
     # branch tag: quantizer-limited when the budget actually cost rate
     free_rate = _relaxed_rates(g[None], _waterfill_powers(g[None], p)[0], m)[2][0] if p else 0.0
@@ -448,19 +456,7 @@ def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
         if rate >= free_rate - 1e-9
         else AllocationBranch.QUANTIZER_LIMITED
     )
-
-    powers = np.empty(n)
-    shares = np.empty(n)
-    powers[order] = powers_sorted
-    shares[order] = best_comp.astype(np.float64)
-    return AllocationResult(
-        g_in,
-        p,
-        m,
-        powers,
-        shares,
-        int(np.count_nonzero(powers > 0)),
-        float(mu[0]),
-        rate,
-        branch,
-    )
+    back = np.argsort(order)
+    powers = powers[back]
+    k = int(np.count_nonzero(powers > 0))
+    return AllocationResult(g_in, p, m, powers, comp[back], k, mu, rate, branch)

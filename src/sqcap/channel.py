@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from ._validate import _check_count, _check_seed
+from ._validate import _check_count, _check_seed, _frozen
 
 __all__ = [
     "ChannelEnsembleSpec",
@@ -42,12 +42,6 @@ class RankDeficientError(ValueError):
     """A channel matrix failed the full-rank test relative to ``RANK_TOL``."""
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
     """Real channel matrix with receive antennas on rows.
@@ -64,7 +58,7 @@ class ChannelMatrix:
     gains: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries)
+        arr = _frozen(self.entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"channel matrix must be 2-D and nonempty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -76,7 +70,7 @@ class ChannelMatrix:
                 f"{svals[-1]:.3e}/{svals[0]:.3e}"
             )
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "gains", _frozen_array(svals * svals))
+        object.__setattr__(self, "gains", _frozen(svals * svals))
 
     @property
     def n_rx(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._validate import _check_count
+from ._validate import _check_count, _frozen
 from .tailmath import clamp_small_probabilities, q_array, q_diff_array
 
 __all__ = [
@@ -31,12 +31,6 @@ __all__ = [
 
 _ROW_SUM_TOL = 1e-12
 _LN2 = np.log(2.0)
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._validate import _check_count, _check_seed
+from ._validate import _check_count, _check_seed, _frozen
 from .bounds import _multi_select_flags
 from .dmc import (
     InputDistribution,
@@ -46,12 +46,6 @@ _POWER_RTOL = 1e-9
 _MI_BATCHES = 10
 _MAX_OUTPUT_CELLS = 10**6
 _SAMPLES_PER_CELL = 50
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 def _uniform_grid(m: int, spacing: float) -> np.ndarray:

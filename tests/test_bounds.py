@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,6 +18,8 @@ from sqcap.bounds import (
     AllocationResult,
     BoundPair,
     BudgetError,
+    _capped_waterfill_rows,
+    _composition_blocks,
     _waterfill_powers,
     allocate_integer_oracle,
     mimo_sign_highsnr_bounds,
@@ -303,6 +306,107 @@ def test_relaxed_waterfill_requires_sorted_gains():
         waterfill_relaxed((1.0, 2.0), 1.0, 4)
 
 
+def _random_capped_problems(rng, rows, n):
+    """Gains and ``rows`` rows of caps over ``n`` subchannels, some caps zero, some inf."""
+    g = rng.uniform(0.05, 9.0, size=n)
+    caps = rng.uniform(0.0, 6.0, size=(rows, n)) ** 2
+    caps[rng.random((rows, n)) < 0.15] = 0.0
+    caps[rng.random((rows, n)) < 0.15] = np.inf
+    return g, caps
+
+
+@pytest.mark.parametrize("power", [0.0, 1e-3, 0.7, 12.0, 150.0, 1e6])
+def test_capped_waterfill_kkt(power):
+    rng = np.random.default_rng(int(power * 1000) + 5)
+    for n in (1, 2, 3, 5, 8):
+        g, caps = _random_capped_problems(rng, 300, n)
+        rates, powers, mu = _capped_waterfill_rows(g, caps, power)
+        budget = np.minimum(power, caps.sum(axis=1))
+        # the budget min(P, sum caps) is met
+        np.testing.assert_allclose(powers.sum(axis=1), budget, rtol=1e-12, atol=1e-300)
+        # p_i = min((mu - 1/g_i)^+, cap_i) at the reported water level
+        want = np.minimum(np.maximum(mu[:, None] - 1.0 / g, 0.0), caps)
+        np.testing.assert_allclose(powers, want, rtol=1e-12, atol=1e-12 * max(1.0, power))
+        # a capped channel sits below the water level
+        at_cap = (powers == caps) & (caps > 0)
+        reach = np.broadcast_to(1.0 / g, caps.shape) + caps
+        assert np.all(mu[:, None] >= reach * (1 - 1e-12), where=at_cap)
+        np.testing.assert_allclose(rates, 0.5 * np.log2(1.0 + g * powers).sum(axis=1), rtol=1e-15)
+
+
+def _uncapped_sort_and_scan(g, power):
+    """Closed-form water-filling: the largest k with (P + sum_k 1/g) / k > 1/g_k."""
+    inv = np.sort(1.0 / g)
+    levels = (power + np.cumsum(inv)) / np.arange(1, inv.size + 1)
+    mu = levels[np.flatnonzero(levels > inv)[-1]]
+    return np.maximum(mu - 1.0 / g, 0.0), mu
+
+
+def test_capped_waterfill_without_caps_is_plain_waterfilling():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 4, 7):
+        for power in (0.01, 1.0, 33.0, 5e4):
+            g = rng.uniform(0.05, 9.0, size=n)
+            _, powers, mu = _capped_waterfill_rows(g, np.full((1, n), np.inf), power)
+            want, level = _uncapped_sort_and_scan(g, power)
+            assert mu[0] == pytest.approx(level, rel=1e-13)
+            np.testing.assert_allclose(powers[0], want, rtol=1e-12, atol=1e-12 * power)
+
+
+def test_capped_waterfill_all_caps_bind():
+    # every cap binds: no division by zero, powers are the caps, and the
+    # water level is max 1/g_i + P by convention, also where the scan along
+    # the breakpoints rounds past the sum of the caps
+    equal = (np.full(6, 1.0), np.array([[3.0, 3.0, 3.0, 3.0, 0.0, 0.0], [1, 2, 3, 4, 5, 6.0]]))
+    rng = np.random.default_rng(8)
+    for g, caps in [equal] + [_random_capped_problems(rng, 200, n) for n in (2, 4, 7)]:
+        caps[np.isinf(caps)] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates, powers, mu = _capped_waterfill_rows(g, caps, 1e8)
+        assert np.array_equal(powers, caps)
+        assert np.all(mu == 1.0 / g.min() + 1e8)
+        np.testing.assert_allclose(rates, 0.5 * np.log2(1.0 + g * caps).sum(axis=1), rtol=1e-15)
+
+
+def test_capped_waterfill_rows_score_alone_as_in_a_block():
+    rng = np.random.default_rng(41)
+    g = np.sort(rng.uniform(0.2, 4.0, size=5))[::-1]
+    comps = np.vstack(list(_composition_blocks(9, 5)))
+    caps = ((comps + 1.0) ** 2 - 1.0) / g
+    for power in (0.0, 0.3, 7.0, 60.0, 1e4):
+        rates, powers, mu = _capped_waterfill_rows(g, caps, power)
+        for r in range(caps.shape[0]):
+            alone = _capped_waterfill_rows(g, caps[r : r + 1], power)
+            assert alone[0][0] == rates[r] and mu[r] == alone[2][0]
+            assert np.array_equal(alone[1][0], powers[r])
+
+
+def _descending_compositions(total, slots):
+    return sorted(
+        (c for c in itertools.product(range(total + 1), repeat=slots) if sum(c) == total),
+        reverse=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "total, slots, limit",
+    [(0, 1, 4), (7, 1, 4), (0, 4, 4), (5, 2, 4), (6, 3, 1), (6, 3, 5), (9, 4, 10), (8, 5, 1 << 15)],
+)
+def test_composition_blocks_order_count_and_size(total, slots, limit):
+    blocks = list(_composition_blocks(total, slots, limit))
+    rows = np.vstack(blocks)
+    assert [tuple(r) for r in rows.tolist()] == _descending_compositions(total, slots)
+    assert rows.shape[0] == math.comb(total + slots - 1, slots - 1)
+    assert max(b.shape[0] for b in blocks) <= limit
+
+
+def test_composition_blocks_bound_the_oracle_working_set():
+    # the benchmark's largest size, 32 quantizers over 6 subchannels
+    sizes = [b.shape[0] for b in _composition_blocks(32, 6)]
+    assert sum(sizes) == math.comb(37, 5) and max(sizes) <= 1 << 15
+
+
 def _grid_capped_waterfill(g, caps, power, n_mu=4_000_000):
     """Independent check: scan the water level on a fine grid."""
     g = np.asarray(g)
@@ -346,6 +450,17 @@ def test_oracle_rate_is_capped_waterfill_of_winner():
     assert res.rate == pytest.approx(want, rel=1e-10)
     grid = _grid_capped_waterfill(np.array(g), ((comp + 1.0) ** 2 - 1.0) / np.array(g), 10.0)
     assert res.rate == pytest.approx(grid, abs=1e-5)
+
+
+def test_oracle_ties_go_to_the_first_composition():
+    # many compositions leave every cap slack and tie at the uncapped rate;
+    # the first of them in descending lexicographic order over the sorted
+    # gains wins, reported in input order
+    g = [3.50346, 0.509895, 2.39513, 0.873979, 1.40284]
+    res = allocate_integer_oracle(g, 14.169, 16)
+    assert res.quantizer_shares.tolist() == [10.0, 1.0, 2.0, 1.0, 2.0]
+    caps = ((res.quantizer_shares + 1.0) ** 2 - 1.0) / np.array(g)
+    assert np.all(res.powers < caps)
 
 
 def test_oracle_accepts_unsorted_gains():
@@ -397,7 +512,7 @@ def test_relaxed_dominates_oracle(n, p, m, seed):
     g = np.sort(rng.uniform(0.1, 8.0, size=n))[::-1]
     relaxed = waterfill_relaxed(g, p, m)
     oracle = allocate_integer_oracle(g, p, m)
-    # both solvers bisect their water level, so allow the combined slop
+    # the relaxed solver bisects its water level, so allow its slop
     assert relaxed.rate >= oracle.rate - 1e-8
     assert oracle.rate >= relaxed.rate - 2.0 * n
 
