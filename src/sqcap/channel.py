@@ -133,13 +133,13 @@ def gaussian_draw(seed: int, stream: int, shape, counter_block: int = 0) -> np.n
     block of the same stream, for deterministic redraws.
     """
     key = [_check_seed(seed), _check_seed(stream, "stream")]
-    gen = np.random.Generator(
-        np.random.Philox(
-            key=np.array(key, dtype=np.uint64),
-            counter=np.array([0, 0, 0, counter_block], dtype=np.uint64),
-        )
+    bits = np.random.Philox(
+        key=np.array(key, dtype=np.uint64),
+        counter=np.array([0, 0, 0, counter_block], dtype=np.uint64),
     )
-    k = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
+    # the top 53 bits of each raw word: what Generator.integers(0, 2**53)
+    # returns, since Lemire's method over a power-of-two range never rejects
+    k = bits.random_raw(shape) >> np.uint64(11)
     u = (k.astype(np.float64) + 0.5) * (2.0**-53)
     return special.ndtri(u)
 

@@ -19,7 +19,7 @@ from sqcap.bounds import (
     BoundPair,
     BudgetError,
     _capped_waterfill_rows,
-    _composition_blocks,
+    _nonincreasing_compositions,
     _waterfill_powers,
     allocate_integer_oracle,
     mimo_sign_highsnr_bounds,
@@ -372,7 +372,7 @@ def test_capped_waterfill_all_caps_bind():
 def test_capped_waterfill_rows_score_alone_as_in_a_block():
     rng = np.random.default_rng(41)
     g = np.sort(rng.uniform(0.2, 4.0, size=5))[::-1]
-    comps = np.vstack(list(_composition_blocks(9, 5)))
+    comps = np.array(_descending_compositions(9, 5))
     caps = ((comps + 1.0) ** 2 - 1.0) / g
     for power in (0.0, 0.3, 7.0, 60.0, 1e4):
         rates, powers, mu = _capped_waterfill_rows(g, caps, power)
@@ -390,21 +390,24 @@ def _descending_compositions(total, slots):
 
 
 @pytest.mark.parametrize(
-    "total, slots, limit",
-    [(0, 1, 4), (7, 1, 4), (0, 4, 4), (5, 2, 4), (6, 3, 1), (6, 3, 5), (9, 4, 10), (8, 5, 1 << 15)],
+    "total, slots", [(0, 1), (7, 1), (0, 4), (5, 2), (6, 3), (9, 4), (8, 5), (12, 6)]
 )
-def test_composition_blocks_order_count_and_size(total, slots, limit):
-    blocks = list(_composition_blocks(total, slots, limit))
-    rows = np.vstack(blocks)
-    assert [tuple(r) for r in rows.tolist()] == _descending_compositions(total, slots)
-    assert rows.shape[0] == math.comb(total + slots - 1, slots - 1)
-    assert max(b.shape[0] for b in blocks) <= limit
+def test_nonincreasing_compositions_order_and_rows(total, slots):
+    want = [c for c in _descending_compositions(total, slots) if list(c) == sorted(c, reverse=True)]
+    assert [tuple(r) for r in _nonincreasing_compositions(total, slots).tolist()] == want
 
 
-def test_composition_blocks_bound_the_oracle_working_set():
+def test_nonincreasing_compositions_bound_the_oracle_working_set():
     # the benchmark's largest size, 32 quantizers over 6 subchannels
-    sizes = [b.shape[0] for b in _composition_blocks(32, 6)]
-    assert sum(sizes) == math.comb(37, 5) and max(sizes) <= 1 << 15
+    assert _nonincreasing_compositions(32, 6).shape == (1540, 6)
+    # every size the guards let through fits in one block of rows
+    sizes = {
+        (n, m): _nonincreasing_compositions(m, n).shape[0]
+        for n in range(1, ORACLE_MAX_CHANNELS + 1)
+        for m in range(1, ORACLE_MAX_QUANTIZERS + 1)
+        if math.comb(m + n - 1, n - 1) <= ORACLE_MAX_COMPOSITIONS
+    }
+    assert max(sizes.values()) == sizes[5, 64] == 9027
 
 
 def _grid_capped_waterfill(g, caps, power, n_mu=4_000_000):
@@ -461,6 +464,38 @@ def test_oracle_ties_go_to_the_first_composition():
     assert res.quantizer_shares.tolist() == [10.0, 1.0, 2.0, 1.0, 2.0]
     caps = ((res.quantizer_shares + 1.0) ** 2 - 1.0) / np.array(g)
     assert np.all(res.powers < caps)
+
+
+def test_oracle_all_capped_tie_goes_to_the_stronger_channel():
+    # at P = 1e4 every cap binds, so [5, 4, 4], [4, 5, 4] and [4, 4, 5] tie
+    # exactly; rounding scores [4, 4, 5] 8.9e-16 bits higher, but only
+    # nonincreasing compositions are scored and the first of them wins
+    res = allocate_integer_oracle((4.0, 2.0, 1.0), 1e4, 13)
+    assert res.quantizer_shares.tolist() == [5.0, 4.0, 4.0]
+    assert res.rate == pytest.approx(math.log2(6) + 2 * math.log2(5), abs=4e-15)
+    res = allocate_integer_oracle((1.0, 4.0, 2.0), 1e4, 13)
+    assert res.quantizer_shares.tolist() == [4.0, 5.0, 4.0]
+
+
+@given(
+    st.integers(1, 4),
+    st.floats(-2.0, 5.0),
+    st.integers(1, 10),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=80, deadline=None)
+def test_oracle_is_the_best_composition_and_nonincreasing(n, log_p, m, seed):
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, 10.0, 1e6])  # coarse gains tie
+    g = np.ceil(rng.uniform(0.1, 6.0, size=n) * scale) / scale
+    p = 10.0**log_p
+    res = allocate_integer_oracle(g, p, m)
+    comps = np.array(_descending_compositions(m, n), dtype=float)
+    g_sorted = np.sort(g)[::-1]
+    rates = _capped_waterfill_rows(g_sorted, ((comps + 1.0) ** 2 - 1.0) / g_sorted, p)[0]
+    assert abs(res.rate - rates.max()) <= 4e-15
+    shares = res.quantizer_shares[np.argsort(-g, kind="stable")]
+    assert np.all(np.diff(shares) <= 0)
 
 
 def test_oracle_accepts_unsorted_gains():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import special
 
 import sqcap.channel
 from sqcap.channel import (
@@ -94,6 +95,22 @@ def test_gaussian_draw_prefix_nesting():
     big = gaussian_draw(0, 9, (10, 3))
     small = gaussian_draw(0, 9, (4, 3))
     np.testing.assert_array_equal(big[:4], small)
+
+
+@pytest.mark.parametrize("shape", [1, 5, 250, 1001, (4, 3)])
+@pytest.mark.parametrize("counter_block", [0, 3])
+def test_gaussian_draw_matches_generator_integers(shape, counter_block):
+    # the draw is pinned to the Generator.integers(0, 2**53) recipe it replaced
+    for seed, stream in [(0, 0), (12, 7), (2**63 + 5, 2**40)]:
+        gen = np.random.Generator(
+            np.random.Philox(
+                key=np.array([seed, stream], dtype=np.uint64),
+                counter=np.array([0, 0, 0, counter_block], dtype=np.uint64),
+            )
+        )
+        k = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
+        want = special.ndtri((k.astype(np.float64) + 0.5) * (2.0**-53))
+        np.testing.assert_array_equal(gaussian_draw(seed, stream, shape, counter_block), want)
 
 
 def test_gaussian_draw_moments():
