@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from ._validate import _check_count, _check_seed, _frozen
 
@@ -141,6 +140,8 @@ def gaussian_draw(seed: int, stream: int, shape, counter_block: int = 0) -> np.n
     # returns, since Lemire's method over a power-of-two range never rejects
     k = bits.random_raw(shape) >> np.uint64(11)
     u = (k.astype(np.float64) + 0.5) * (2.0**-53)
+    from scipy import special
+
     return special.ndtri(u)
 
 

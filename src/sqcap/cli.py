@@ -350,8 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument(
         "--workers", type=int, default=1,
-        help="threads, each evaluating a contiguous chunk of the trials; "
-        "the output is identical for any value",
+        help="contiguous chunks of the trials (at most one per trial), run on "
+        "this many threads but no more than the core count; the output is "
+        "identical for any value, and the JSON inputs record the value given",
     )
     s.add_argument("--axis", type=_ints, help="receive-antenna grid, comma-separated")
     s.add_argument("--powers", type=_floats)

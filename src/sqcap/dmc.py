@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._validate import _check_count, _frozen
 from .tailmath import clamp_small_probabilities, q_array, q_diff_array
@@ -206,6 +205,8 @@ def blahut_arimoto(
     r = np.full(n, 1.0 / n)
     rate_nats = 0.0
     gap_bits = np.inf
+    from scipy import special
+
     for _ in range(max_iters):
         # A row with current mass can only reach outputs with py > 0, so d
         # is finite on the support of r; rows starved to zero by underflow

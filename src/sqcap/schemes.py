@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._validate import _check_count, _check_seed, _frozen
 from .bounds import _multi_select_flags
@@ -128,7 +127,7 @@ def build_pam_scheme(power: float, n_sq: int) -> PamScheme:
     idle; that is deliberate, the rate analysis only needs this M.
     """
     if not (math.isfinite(power) and power > 6):
-        raise ValueError(f"power must exceed 6, got {power!r}")
+        raise ValueError(f"power must be finite and exceed 6, got {power!r}")
     n = _check_count(n_sq, "n_sq")
     if n < 2:
         raise ValueError(f"need at least 2 sign quantizers, got {n_sq!r}")
@@ -340,6 +339,8 @@ def dithered_mi_estimate(
 
     pooled = np.zeros((m, n_cells), dtype=np.int64)
     batch_vals = np.empty(_MI_BATCHES)
+    from scipy import special
+
     for b in range(_MI_BATCHES):
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         s_idx = gen.integers(0, m, size=per_batch)

@@ -29,6 +29,7 @@ Figure presets:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -269,17 +270,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Evaluate all configured curves, averaged over the trial ensemble.
 
     The trials are split into ``workers`` contiguous chunks, or into more
-    when needed so that no chunk exceeds ``BLOCK_TRIALS`` trials, and each
-    chunk is evaluated as one block of array kernels.  With ``workers > 1``
-    a thread pool runs the chunks.  Each chunk writes its own rows of the
+    when needed so that no chunk exceeds ``BLOCK_TRIALS`` trials, but never
+    into more chunks than there are trials; each chunk is evaluated as one
+    block of array kernels.  A thread pool of ``min(workers,
+    os.cpu_count())`` threads runs the chunks, or the calling thread runs
+    them in turn when that is one, so no request starts more threads than
+    the machine has cores.  Each chunk writes its own rows of the
     trial-ordered value array and every kernel works row by row, so the
     output is identical for any ``workers`` value.
     """
     workers = _check_count(workers, "workers")
+    threads = min(workers, os.cpu_count() or 1)
     curves = _curve_labels(spec)
     values = np.empty((spec.trials, len(curves), len(spec.axis)))
-    n_chunks = max(workers, -(-spec.trials // BLOCK_TRIALS))
-    chunks = [c for c in np.array_split(np.arange(spec.trials), n_chunks) if c.size]
+    n_chunks = min(max(workers, -(-spec.trials // BLOCK_TRIALS)), spec.trials)
+    chunks = np.array_split(np.arange(spec.trials), n_chunks)
 
     block = _vector_block if spec.n_tx is None else _matrix_block
 
@@ -287,11 +292,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
         t0, t1 = int(chunk[0]), int(chunk[-1]) + 1
         block(spec, curves, t0, t1, values[t0:t1])
 
-    if workers == 1:
+    if threads == 1:
         for chunk in chunks:
             fill(chunk)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, chunks))
 
     means = values.mean(axis=0)

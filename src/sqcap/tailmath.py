@@ -18,7 +18,6 @@ import math
 import threading
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "CLAMP_FLOOR",
@@ -80,6 +79,10 @@ def _deep_tail(x: float) -> float:
     # tail stays positive for every finite argument.
     t = 0.5 * x * x
     if t < 745.0:  # exp underflow threshold
+        # imported here, not above the test: q_array's rescue loop calls
+        # this per element, and nearly all of those return TAIL_TINY
+        from scipy import special
+
         v = 0.5 * special.erfcx(x * _INV_SQRT2) * math.exp(-t)
         if v > 0.0:
             return v
@@ -96,6 +99,8 @@ def q_function(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"q_function needs a finite argument, got {x!r}")
+    from scipy import special
+
     v = 0.5 * float(special.erfc(x * _INV_SQRT2))
     if v == 0.0:
         v = _deep_tail(x)
@@ -146,6 +151,8 @@ def q_array(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("q_array needs finite arguments")
+    from scipy import special
+
     # erfc returns a numpy scalar on 0-d input; the rescue needs an array
     v = np.asarray(0.5 * special.erfc(x * _INV_SQRT2))
     for i in np.flatnonzero(v == 0.0):
@@ -171,6 +178,8 @@ def q_diff_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     straddle = (a <= 0.0) & (b >= 0.0)
     if np.any(straddle):
+        from scipy import special
+
         out[straddle] = 0.5 * (
             special.erf(b[straddle] * _INV_SQRT2) - special.erf(a[straddle] * _INV_SQRT2)
         )

@@ -6,6 +6,7 @@ Tolerances are part of each check's contract and are not to be loosened.
 """
 
 import math
+import os
 import time
 
 import mpmath
@@ -309,7 +310,9 @@ def test_09_antenna_count_curves_and_regime():
     assert in_regime > 0
 
 
-def test_10_sweep_csv_identical_across_worker_counts():
+def test_10_sweep_csv_identical_across_worker_counts(monkeypatch):
+    # enough cores that every requested worker gets its own thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     start = time.monotonic()
     outputs = {}
     for fig, trials in (("fig2a", 60), ("fig2c", 40)):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON envelopes, CSV output."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -129,6 +130,9 @@ def test_pam_command(capsys):
     assert 0 < payload["result"]["inner_rate_bits"] <= 3.0
     code, _, err = run(capsys, "pam", "--power", "4", "--nsq", "7")
     assert code == 1 and "exceed 6" in err
+    for power in ("inf", "nan"):
+        code, _, err = run(capsys, "pam", "--power", power, "--nsq", "7")
+        assert code == 1 and f"must be finite and exceed 6, got {power}" in err
 
 
 def test_pam_fixed_levels(capsys):
@@ -190,7 +194,9 @@ def test_sweep_json_format(capsys):
     assert {"figure", "curve", "x", "mean", "std_err"} <= set(payload["result"][0])
 
 
-def test_sweep_worker_flag_gives_identical_bytes(capsys):
+def test_sweep_worker_flag_gives_identical_bytes(capsys, monkeypatch):
+    # enough cores that all four workers get their own thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     args = ("sweep", "--figure", "fig2c", "--trials", "4", "--seed", "5", "--axis", "5,8")
     _, a, _ = run(capsys, *args, "--workers", "1")
     _, b, _ = run(capsys, *args, "--workers", "4")

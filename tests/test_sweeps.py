@@ -302,7 +302,9 @@ def test_matrix_sweep_factorizes_each_point_once(monkeypatch):
     assert len(calls) == len(spec.axis)
 
 
-def test_run_sweep_deterministic_and_worker_invariant():
+def test_run_sweep_deterministic_and_worker_invariant(monkeypatch):
+    # enough cores that every requested worker gets its own thread
+    monkeypatch.setattr(sqcap.sweeps.os, "cpu_count", lambda: 16)
     spec = figure_spec("fig2a", trials=6, seed=8, axis=(1, 2, 3), power_list=(1.0,))
     base = csv_text(run_sweep(spec))
     assert base == csv_text(run_sweep(spec))
@@ -314,6 +316,37 @@ def test_run_sweep_deterministic_and_worker_invariant():
         assert csv_text(run_sweep(spec_u, workers=workers)) == base_u
     spec_b = figure_spec("fig2c", trials=6, seed=8, axis=(5, 7))
     assert csv_text(run_sweep(spec_b, workers=1)) == csv_text(run_sweep(spec_b, workers=5))
+
+
+@pytest.mark.parametrize("cores, pools", [(4, [(4, 3)]), (None, [])])
+def test_run_sweep_caps_threads_at_the_cores_and_chunks_at_the_trials(
+    monkeypatch, cores, pools
+):
+    seen = []
+
+    class SerialPool:
+        """ThreadPoolExecutor stand-in that records its size and chunk count, and maps serially."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            seen.append((self.max_workers, len(items)))
+            return map(fn, items)
+
+    monkeypatch.setattr(sqcap.sweeps, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(sqcap.sweeps.os, "cpu_count", lambda: cores)
+    spec = figure_spec("fig2a", trials=3, seed=8, axis=(1, 2, 3), power_list=(1.0,))
+    # a huge request neither builds 10^5 chunks nor asks for 10^5 threads
+    assert csv_text(run_sweep(spec, workers=10**5)) == csv_text(run_sweep(spec, workers=1))
+    assert seen == pools
 
 
 def test_std_err_shrinks_with_trials():
