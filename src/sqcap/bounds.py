@@ -41,6 +41,7 @@ __all__ = [
 _PAIR_TOL = 1e-12
 _WF_TOL = 1e-9
 _WF_MAX_BISECT = 200
+_WF_SLAB_ROWS = 4096
 
 #: Exhaustive-search budget for the integer allocator.
 ORACLE_MAX_CHANNELS = 8
@@ -272,25 +273,45 @@ def _waterfill_powers(g: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarr
     """Classic water-filling per row of gains: P_i = (mu - 1/g_i)^+ summing to the budget.
 
     Each row bisects its own water level mu and keeps the first midpoint
-    that meets the budget, so no row depends on another.  Returns (powers, mu).
+    that meets the budget, so no row depends on another and a row's result
+    is the same in any stack of rows.  The rows are bisected in slabs of at
+    most ``_WF_SLAB_ROWS``, which keeps a tall stack's working set in cache.
+    Returns (powers, mu).
     """
+    powers, mu = np.empty(g.shape), np.empty(g.shape[:-1])
+    for start in range(0, g.shape[0], _WF_SLAB_ROWS):
+        rows = slice(start, start + _WF_SLAB_ROWS)
+        mu[rows] = _waterfill_slab(g[rows], power, powers[rows])
+    return powers, mu
+
+
+def _waterfill_slab(g: np.ndarray, power: float, powers: np.ndarray) -> np.ndarray:
+    """Water levels of the rows of ``g``; their powers are written to ``powers``,
+    which also serves as the bisection's scratch buffer."""
     inv = 1.0 / g
     lo, hi = inv.min(axis=-1), inv.max(axis=-1) + power
     tol = _WF_TOL * max(1.0, power)
-    mu = lo
+    mu, mid, total = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
     live = np.ones(lo.shape, dtype=bool)
+    over = np.empty(lo.shape, dtype=bool)
     for _ in range(_WF_MAX_BISECT):
-        mu = np.where(live, 0.5 * (lo + hi), mu)
-        total = np.maximum(mu[..., None] - inv, 0.0).sum(axis=-1)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.copyto(mu, mid, where=live)
+        np.subtract(mu[:, None], inv, out=powers)
+        np.maximum(powers, 0.0, out=powers)
+        powers.sum(axis=-1, out=total)
         live &= np.abs(total - power) > tol
         if not live.any():
             break
-        over = total > power
-        hi = np.where(over, mu, hi)
-        lo = np.where(over, lo, mu)
+        np.greater(total, power, out=over)
+        np.copyto(hi, mu, where=over)
+        np.copyto(lo, mu, where=~over)
     if live.any():
         raise RuntimeError(f"water-filling failed to meet budget {power!r} in {live.sum()} rows")
-    return np.maximum(mu[..., None] - inv, 0.0), mu
+    np.subtract(mu[:, None], inv, out=powers)
+    np.maximum(powers, 0.0, out=powers)
+    return mu
 
 
 def _relaxed_rates(g: np.ndarray, powers: np.ndarray, n_sq: int) -> tuple:

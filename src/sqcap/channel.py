@@ -9,7 +9,10 @@ channel themselves.
 Ensemble draws are counter based: trial ``k`` of seed ``s`` always comes from
 the Philox stream keyed by (s, k), and normal variates are produced by the
 inverse CDF applied to 53-bit uniforms, so a draw is reproducible bit for bit
-regardless of platform, thread count, or evaluation order.
+regardless of platform, thread count, or evaluation order.  A sweep block
+draws all its trials' streams in one pass: one generator re-keyed per
+stream, then one shift, offset and inverse-CDF step over the whole block,
+with the same bits as one :func:`gaussian_draw` per stream.
 """
 
 from __future__ import annotations
@@ -131,18 +134,47 @@ def gaussian_draw(seed: int, stream: int, shape, counter_block: int = 0) -> np.n
     the same bits on every platform.  ``counter_block`` selects a disjoint
     block of the same stream, for deterministic redraws.
     """
-    key = [_check_seed(seed), _check_seed(stream, "stream")]
-    bits = np.random.Philox(
-        key=np.array(key, dtype=np.uint64),
-        counter=np.array([0, 0, 0, counter_block], dtype=np.uint64),
-    )
+    return _gaussian_rows(seed, (stream,), shape, counter_block)[0]
+
+
+def _gaussian_rows(seed: int, streams, shape, counter_block: int = 0) -> np.ndarray:
+    """:func:`gaussian_draw` of every stream in ``streams``, stacked on a new
+    first axis: row ``r`` holds the bits ``gaussian_draw(seed, streams[r],
+    shape, counter_block)`` returns.
+
+    One Philox generator serves all rows, re-keyed per stream, and the
+    shift, the uniform offsets and ``ndtri`` each run once over the block.
+    """
+    seed = _check_seed(seed)
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    raw = np.empty((len(streams),) + shape, dtype=np.uint64)
+    for row, stream in enumerate(streams):
+        key, counter = [seed, _check_seed(stream, "stream")], [0, 0, 0, counter_block]
+        if row:
+            # the state setter reads plain ints: re-keying costs far less
+            # than building a generator per stream
+            bits.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": counter, "key": key},
+                "buffer": [0, 0, 0, 0],
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        else:
+            bits = np.random.Philox(
+                key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64)
+            )
+        raw[row] = bits.random_raw(shape)
     # the top 53 bits of each raw word: what Generator.integers(0, 2**53)
     # returns, since Lemire's method over a power-of-two range never rejects
-    k = bits.random_raw(shape) >> np.uint64(11)
-    u = (k.astype(np.float64) + 0.5) * (2.0**-53)
+    np.right_shift(raw, np.uint64(11), out=raw)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     from scipy import special
 
-    return special.ndtri(u)
+    return special.ndtri(u, out=u)
 
 
 def draw_channel(spec: ChannelEnsembleSpec, trial_index: int) -> ChannelMatrix:

@@ -9,11 +9,13 @@ exactly instead of only statistically.  All randomness is counter-based
 (seed, trial), making every sweep reproducible byte for byte under any
 worker count.
 
-Sweeps are evaluated in blocks of contiguous trials: the array kernels of
-``bounds`` run once per curve and grid point over the block's stacked
-master draws, through prefix statistics for vector channels and one stacked
-SVD per grid point for matrix channels.  ``run_sweep`` says how ``workers``
-splits the trials.
+Sweeps are evaluated in blocks of contiguous trials.  A block draws its
+trials' master channels in one pass, and the array kernels of ``bounds``
+run once per curve and grid point over the stacked draws, through prefix
+statistics for vector channels and one stacked SVD per grid point for
+matrix channels; water-filling runs once per power and gain count over all
+grid points with that count.  ``run_sweep`` says how ``workers`` splits the
+trials.
 
 Figure presets:
 
@@ -44,7 +46,7 @@ from .bounds import (
     _waterfill_powers,
     mimo_sign_highsnr_bounds,
 )
-from .channel import _DRAW_ATTEMPTS, RANK_TOL, gaussian_draw
+from .channel import _DRAW_ATTEMPTS, RANK_TOL, _gaussian_rows
 
 __all__ = [
     "CurvePoint",
@@ -195,16 +197,15 @@ def _curve_labels(spec: SweepSpec) -> list:
 def _vector_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
     """Write the curve values of trials ``t0 <= t < t1`` into ``out``.
 
-    ``out`` has shape (trials, curves, grid points).  Every grid point reads
+    ``out`` has shape (trials, curves, grid points).  The block's master
+    draws come from one pass of the draw kernel.  Every grid point reads
     prefix statistics of each trial's master draw (the running max and the
     running sum of |h|^2, the strongest |h|^2 in order), so each bound
     kernel runs once per curve and grid point over the whole block.  Every
     operation acts row by row, so a trial's values do not depend on the
     block it is evaluated in.
     """
-    sq = np.empty((t1 - t0, spec.axis[-1]))
-    for row, t in enumerate(range(t0, t1)):
-        sq[row] = gaussian_draw(spec.seed, t, (spec.axis[-1],))
+    sq = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
     np.square(sq, out=sq)
     starts = (0,) + spec.axis[:-1]
     # squaring rounds monotonically, so max |h|^2 is the square of max |h|,
@@ -233,29 +234,39 @@ def _vector_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
 
 def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
     """``_vector_block`` for matrix channels: one stacked SVD per grid point
-    gives every trial's gains and ``ChannelMatrix`` rank test.  Only trials
-    with a rank-deficient prefix (vanishingly rare) are redrawn, each from
-    the next counter block of its stream, so prefixes stay nested.
+    gives every trial's gains and ``ChannelMatrix`` rank test, and the gains
+    of all grid points with the same count are water-filled in one stack
+    per power.  Only trials with a rank-deficient prefix (vanishingly rare)
+    are redrawn, each from the next counter block of its stream, so
+    prefixes stay nested.
     """
     pending = np.arange(t0, t1)
     shape = (spec.axis[-1], spec.n_tx)
+    # grid points by gain count, min(x, n_tx)
+    widths = {}
+    for i, x in enumerate(spec.axis):
+        widths.setdefault(min(x, spec.n_tx), []).append(i)
     for attempt in range(_DRAW_ATTEMPTS):
-        master = np.stack(
-            [gaussian_draw(spec.seed, t, shape, counter_block=attempt) for t in pending]
-        )
+        master = _gaussian_rows(spec.seed, pending, shape, attempt)
         svals = [np.linalg.svd(master[:, :x], compute_uv=False) for x in spec.axis]
         full = np.logical_and.reduce([s[:, -1] > RANK_TOL * s[:, 0] for s in svals])
         rows, master = pending[full] - t0, master[full]
         row_sq = np.maximum.accumulate(np.sum(master * master, axis=2), axis=1)
         row_max = row_sq[:, np.asarray(spec.axis) - 1]
+        # one row per grid point and trial, point by point: a point's trials
+        # share a conditioning, so they tend to leave the bisection together
+        gains = {
+            w: np.square(np.concatenate([svals[i][full] for i in points]))
+            for w, points in widths.items()
+        }
         for c, (_, kind, p, _k) in enumerate(curves):
             if kind == "mimo-single":
                 out[rows, c] = _capped_half_log(1.0 + row_max * p, spec.n_sq)
             elif kind == "waterfill":
-                for i, s in enumerate(svals):
-                    g = np.square(s[full])
-                    powers, _ = _waterfill_powers(g, p)
-                    out[rows, c, i] = _relaxed_rates(g, powers, spec.n_sq)[0]
+                for w, points in widths.items():
+                    powers, _ = _waterfill_powers(gains[w], p)
+                    rates = _relaxed_rates(gains[w], powers, spec.n_sq)[0]
+                    out[rows, c, np.array(points)[:, None]] = rates.reshape(len(points), rows.size)
             else:
                 out[rows, c] = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
         pending = pending[~full]
@@ -277,7 +288,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     them in turn when that is one, so no request starts more threads than
     the machine has cores.  Each chunk writes its own rows of the
     trial-ordered value array and every kernel works row by row, so the
-    output is identical for any ``workers`` value.
+    output is identical for any ``workers`` value.  Within a chunk the
+    channels are drawn in one pass and water-filled with one call per power
+    and gain count.
     """
     workers = _check_count(workers, "workers")
     threads = min(workers, os.cpu_count() or 1)

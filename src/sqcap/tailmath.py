@@ -48,6 +48,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 # Relative cancellation loss tolerated before q_diff switches to quadrature.
 _CANCEL_GUARD = 1e-6
 
+# x^2/2 from which exp(-x^2/2) underflows float64 and the tail is floored.
+_EXP_UNDERFLOW = 745.0
+
 
 class _ClampCounter:
     """Thread-safe count of probabilities clamped to zero."""
@@ -78,9 +81,7 @@ def _deep_tail(x: float) -> float:
     # range that plain erfc cannot; past that the value is floored so the
     # tail stays positive for every finite argument.
     t = 0.5 * x * x
-    if t < 745.0:  # exp underflow threshold
-        # imported here, not above the test: q_array's rescue loop calls
-        # this per element, and nearly all of those return TAIL_TINY
+    if t < _EXP_UNDERFLOW:
         from scipy import special
 
         v = 0.5 * special.erfcx(x * _INV_SQRT2) * math.exp(-t)
@@ -155,8 +156,14 @@ def q_array(x: np.ndarray) -> np.ndarray:
 
     # erfc returns a numpy scalar on 0-d input; the rescue needs an array
     v = np.asarray(0.5 * special.erfc(x * _INV_SQRT2))
-    for i in np.flatnonzero(v == 0.0):
-        v.flat[i] = _deep_tail(float(x.flat[i]))
+    zero = v == 0.0
+    if zero.any():
+        # past exp's underflow _deep_tail can only return the floor, so
+        # only the zeros short of it take the per-element erfcx form
+        floor = zero & (0.5 * x * x >= _EXP_UNDERFLOW)
+        v[floor] = TAIL_TINY
+        for i in np.flatnonzero(zero & ~floor):
+            v.flat[i] = _deep_tail(float(x.flat[i]))
     return v
 
 

@@ -2,8 +2,10 @@
 
 ``scipy.special`` is imported inside the functions that call it, so the
 commands that never reach one (``waterfill``, most ``bounds`` families,
-``--help`` and usage errors) start without loading scipy.  The tests here
-check module presence in a fresh interpreter; they time nothing.
+``--help`` and usage errors) start without loading scipy.  Likewise
+``numpy.random``, which ``import numpy`` defers, loads with the first draw,
+not with sqcap.  The tests here check module presence in a fresh
+interpreter; they time nothing.
 """
 
 import importlib
@@ -58,7 +60,7 @@ import contextlib, importlib, io, json, sys
 import sqcap, sqcap.cli
 for name in json.loads(sys.argv[1]):
     importlib.import_module("sqcap." + name)
-seen = {"import": "scipy.special" in sys.modules}
+seen = {"import": "scipy.special" in sys.modules, "numpy.random": "numpy.random" in sys.modules}
 for case, argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert sqcap.cli.cli_dispatch(argv) == 0
@@ -73,6 +75,7 @@ def test_import_and_scipy_free_commands_do_not_load_scipy():
     seen = json.loads(fresh_interpreter(_COLD_START, json.dumps(SUBMODULES), argvs))
     assert seen == {
         "import": False,
+        "numpy.random": False,
         "waterfill": False,
         "bounds-simo-linear": False,
         "bounds-mimo-highsnr": False,
@@ -90,6 +93,6 @@ sys.stdout.write(csv_text(run_sweep(figure_spec("fig2a", trials=60, seed=12), wo
 
 
 def test_first_scipy_use_from_two_sweep_threads_matches_golden():
-    # both pool threads reach gaussian_draw's first scipy import together
+    # both pool threads reach the first scipy import of their block's draw together
     out = fresh_interpreter(_FIRST_USE_ON_TWO_THREADS)
     assert out == (GOLDEN / "fig2a.csv").read_bytes()

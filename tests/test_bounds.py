@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqcap.bounds
 from sqcap.bounds import (
     ORACLE_MAX_CHANNELS,
     ORACLE_MAX_COMPOSITIONS,
@@ -299,6 +300,20 @@ def test_waterfill_powers_rows_match_one_row_solves():
             alone, mu = _waterfill_powers(g[r : r + 1], p)
             assert np.array_equal(alone[0], rows[r]) and mu[0] == levels[r]
         assert rows[0].tolist() == powers and levels[0] == level
+
+
+def test_waterfill_powers_slabs_match_one_stack(monkeypatch):
+    # a tall stack is bisected slab by slab; rows do not see the split
+    rng = np.random.default_rng(23)
+    g = -np.sort(-rng.exponential(2.0, size=(50, 4)), axis=1)
+    for p in (0.1, 7.0):
+        whole = _waterfill_powers(g, p)
+        monkeypatch.setattr(sqcap.bounds, "_WF_SLAB_ROWS", 7)
+        slabs = _waterfill_powers(g, p)
+        monkeypatch.undo()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, slabs))
+    empty_powers, empty_mu = _waterfill_powers(np.ones((0, 4)), 1.0)
+    assert empty_powers.shape == (0, 4) and empty_mu.shape == (0,)
 
 
 def test_relaxed_waterfill_requires_sorted_gains():

@@ -12,6 +12,7 @@ from sqcap.channel import (
     ChannelEnsembleSpec,
     ChannelMatrix,
     RankDeficientError,
+    _gaussian_rows,
     draw_channel,
     gaussian_draw,
 )
@@ -100,7 +101,8 @@ def test_gaussian_draw_prefix_nesting():
 @pytest.mark.parametrize("shape", [1, 5, 250, 1001, (4, 3)])
 @pytest.mark.parametrize("counter_block", [0, 3])
 def test_gaussian_draw_matches_generator_integers(shape, counter_block):
-    # the draw is pinned to the Generator.integers(0, 2**53) recipe it replaced
+    # the draw is pinned to the Generator.integers(0, 2**53) recipe it
+    # replaced, alone and as a row of the block kernel
     for seed, stream in [(0, 0), (12, 7), (2**63 + 5, 2**40)]:
         gen = np.random.Generator(
             np.random.Philox(
@@ -111,6 +113,31 @@ def test_gaussian_draw_matches_generator_integers(shape, counter_block):
         k = gen.integers(0, 1 << 53, size=shape, dtype=np.int64)
         want = special.ndtri((k.astype(np.float64) + 0.5) * (2.0**-53))
         np.testing.assert_array_equal(gaussian_draw(seed, stream, shape, counter_block), want)
+        rows = _gaussian_rows(seed, [7, stream, 0], shape, counter_block)
+        np.testing.assert_array_equal(rows[1], want)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (100,), (50, 5)])
+@pytest.mark.parametrize("counter_block", [0, 3, 2**63])
+def test_gaussian_rows_are_single_draws_stacked(shape, counter_block):
+    top = 2**64 - 1
+    for seed in (0, 9, top):
+        streams = [0, 5, top, 5, 2**40]
+        rows = _gaussian_rows(seed, streams, shape, counter_block)
+        assert rows.shape == (len(streams),) + shape and rows.dtype == np.float64
+        for row, stream in zip(rows, streams):
+            one = gaussian_draw(seed, stream, shape, counter_block)
+            assert np.shape(one) == shape
+            assert row.tobytes() == np.asarray(one).tobytes()
+    assert _gaussian_rows(3, [], shape, counter_block).shape == (0,) + shape
+
+
+def test_gaussian_rows_reject_any_bad_stream():
+    for streams in ([-1, 0, 1], [0, 2.5, 1], [0, 1, 2**64], [0, 1, float("nan")]):
+        with pytest.raises(ValueError, match="stream"):
+            _gaussian_rows(3, streams, (4,))
+    with pytest.raises(ValueError, match="seed"):
+        _gaussian_rows(-1, [0, 1], (4,))
 
 
 def test_gaussian_draw_moments():

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from sqcap import sweeps
 from sqcap.cli import cli_dispatch
 from sqcap.sweeps import csv_text, figure_spec, run_sweep
 
@@ -84,6 +85,14 @@ def test_figure_csv_matches_golden(figure, trials):
     want = (GOLDEN / f"{name}.csv").read_bytes()
     got = csv_text(run_sweep(figure_spec(figure, trials=trials, seed=seed))).encode("utf-8")
     assert got == want
+
+
+def test_fig2c_1000_matches_golden_on_two_workers(monkeypatch):
+    # two chunks of 500 trials, each water-filled as its own stack
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    want = (GOLDEN / "fig2c-1000.csv").read_bytes()
+    got = csv_text(run_sweep(figure_spec("fig2c", trials=1000, seed=0), workers=2))
+    assert got.encode("utf-8") == want
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

@@ -263,17 +263,22 @@ def test_matrix_sweep_propagates_evaluation_errors(monkeypatch):
 def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
     # only trial 0's first draw is rank deficient: it alone moves on to
     # counter block 1, and trial 1 of the same block keeps its first draw
-    real = sqcap.sweeps.gaussian_draw
+    real = sqcap.sweeps._gaussian_rows
+    drawn = []
 
-    def draw(seed, stream, shape, counter_block=0):
-        h = real(seed, stream, shape, counter_block)
-        if stream == 0 and counter_block == 0:
-            h[:, 1] = h[:, 0]
+    def draw(seed, streams, shape, counter_block=0):
+        drawn.append((list(streams), counter_block))
+        h = real(seed, streams, shape, counter_block)
+        for row, stream in enumerate(streams):
+            if stream == 0 and counter_block == 0:
+                h[row, :, 1] = h[row, :, 0]
         return h
 
-    monkeypatch.setattr(sqcap.sweeps, "gaussian_draw", draw)
+    monkeypatch.setattr(sqcap.sweeps, "_gaussian_rows", draw)
     pts = run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6), power_list=(1.0,)))
-    masters = [real(3, 0, (6, 5), counter_block=1), real(3, 1, (6, 5))]
+    # each attempt draws only the trials still pending
+    assert drawn == [([0, 1], 0), ([0], 1)]
+    masters = [gaussian_draw(3, 0, (6, 5), counter_block=1), gaussian_draw(3, 1, (6, 5))]
     got = {(p.curve_label, p.x): p.mean for p in pts}
     for x in (5, 6):
         cms = [ChannelMatrix(m[:x]) for m in masters]
@@ -282,7 +287,9 @@ def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
         assert got[("mimo-single-select-upper:P=1", x)] == np.mean(upper)
         assert got[("waterfill-rate:P=1", x)] == np.mean(rate)
 
-    monkeypatch.setattr(sqcap.sweeps, "gaussian_draw", lambda *args, **kw: np.ones((6, 5)))
+    monkeypatch.setattr(
+        sqcap.sweeps, "_gaussian_rows", lambda seed, streams, *args: np.ones((len(streams), 6, 5))
+    )
     with pytest.raises(RuntimeError, match="attempts in trial 0"):
         run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
 
@@ -300,6 +307,32 @@ def test_matrix_sweep_factorizes_each_point_once(monkeypatch):
     run_sweep(spec)
     # one stacked SVD per grid point for the block of all three trials
     assert len(calls) == len(spec.axis)
+
+
+def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
+    real = sqcap.sweeps._waterfill_powers
+    rows = []
+
+    def waterfill(g, power):
+        rows.append(g.shape)
+        return real(g, power)
+
+    monkeypatch.setattr(sqcap.sweeps, "_waterfill_powers", waterfill)
+    run_sweep(figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8)))
+    # every grid point has 5 gains: one stack of all points and trials per power
+    assert rows == [(3 * 3, 5)] * 2
+
+
+def test_mixed_width_waterfill_matches_scalar_api():
+    # gain counts 1, 2, 3, 6 and 7 (capped by n_tx): one stack per count
+    axis, trials, n_tx, n_sq = (1, 2, 3, 6, 9), 5, 7, 4
+    spec = SweepSpec("custom", axis, (0.3, 20.0), n_sq, n_tx=n_tx, trials=trials, seed=17)
+    got = {(p.curve_label, p.x): p.mean for p in run_sweep(spec)}
+    masters = [gaussian_draw(17, t, (axis[-1], n_tx)) for t in range(trials)]
+    for p in (0.3, 20.0):
+        for x in axis:
+            rates = [waterfill_relaxed(ChannelMatrix(m[:x]).gains, p, n_sq).rate for m in masters]
+            assert got[(f"waterfill-rate:P={p:g}", x)] == np.mean(rates)
 
 
 def test_run_sweep_deterministic_and_worker_invariant(monkeypatch):

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from sqcap.tailmath import (
     CLAMP_FLOOR,
+    TAIL_TINY,
+    _INV_SQRT2,
+    _deep_tail,
     binary_entropy,
     clamp_small_probabilities,
     q_array,
@@ -61,6 +65,26 @@ def test_q_array_matches_scalar():
         got = float(q_array(x))
         assert got > 0.0
         assert got == q_function(x)
+
+
+def _q_array_per_element(x):
+    # the rescue q_array replaced: every erfc zero through _deep_tail
+    x = np.asarray(x, dtype=np.float64)
+    v = np.asarray(0.5 * special.erfc(x * _INV_SQRT2))
+    for i in np.flatnonzero(v == 0.0):
+        v.flat[i] = _deep_tail(float(x.flat[i]))
+    return v
+
+
+def test_q_array_floor_matches_per_element_rescue():
+    edge = math.sqrt(1490.0)  # x^2/2 = 745, where exp(-x^2/2) underflows
+    xs = [37.5, 38.0, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf),
+          40.0, 1e3, -40.0, 0.0, 5.0]
+    for x in [np.array(xs), np.array(xs[::-1]).reshape(2, 5)] + [np.float64(v) for v in xs]:
+        got, want = q_array(x), _q_array_per_element(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert q_array(1e3) == TAIL_TINY and q_array(38.0) > TAIL_TINY
 
 
 def test_q_diff_well_separated():
