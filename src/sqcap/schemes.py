@@ -53,12 +53,8 @@ def _uniform_grid(m: int, spacing: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PamScheme:
-    """Uniform symmetric PAM constellation with its quantizer thresholds.
-
-    Two power conventions are accepted: the plain scheme has mean square
-    exactly the budget P, the dithered variant has mean square (1 - 1/M^2) P
-    so that adding the dither restores P.
-    """
+    """Uniform symmetric PAM constellation with its quantizer thresholds;
+    its mean square is the power budget P."""
 
     m_levels: int
     points: np.ndarray
@@ -84,12 +80,8 @@ class PamScheme:
             raise ValueError("thresholds must be a strictly increasing vector")
         mean_sq = float(np.mean(x * x))
         p = self.power_budget
-        alpha = 1.0 - self.spacing**2 / (12.0 * p)
-        if abs(mean_sq - p) > _POWER_RTOL * p and abs(mean_sq - alpha * p) > _POWER_RTOL * p:
-            raise ValueError(
-                f"mean square power {mean_sq!r} matches neither the budget {p!r} "
-                f"nor its dithered share {alpha * p!r}"
-            )
+        if abs(mean_sq - p) > _POWER_RTOL * p:
+            raise ValueError(f"mean square power {mean_sq!r} does not match the budget {p!r}")
         object.__setattr__(self, "m_levels", m)
         object.__setattr__(self, "points", x)
         object.__setattr__(self, "thresholds", t)

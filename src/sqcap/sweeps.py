@@ -40,10 +40,10 @@ import numpy as np
 from ._validate import _check_count, _check_seed
 from .bounds import (
     _capped_half_log,
+    _capped_waterfill_rows,
     _multi_select_rates,
     _relaxed_rates,
     _top_squares,
-    _waterfill_powers,
     mimo_sign_highsnr_bounds,
 )
 from .channel import _DRAW_ATTEMPTS, RANK_TOL, _gaussian_rows
@@ -253,8 +253,7 @@ def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
         rows, master = pending[full] - t0, master[full]
         row_sq = np.maximum.accumulate(np.sum(master * master, axis=2), axis=1)
         row_max = row_sq[:, np.asarray(spec.axis) - 1]
-        # one row per grid point and trial, point by point: a point's trials
-        # share a conditioning, so they tend to leave the bisection together
+        # one row per grid point and trial, point by point
         gains = {
             w: np.square(np.concatenate([svals[i][full] for i in points]))
             for w, points in widths.items()
@@ -264,7 +263,8 @@ def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
                 out[rows, c] = _capped_half_log(1.0 + row_max * p, spec.n_sq)
             elif kind == "waterfill":
                 for w, points in widths.items():
-                    powers, _ = _waterfill_powers(gains[w], p)
+                    inf = np.full(gains[w].shape, np.inf)
+                    powers = _capped_waterfill_rows(gains[w], inf, p)[1]
                     rates = _relaxed_rates(gains[w], powers, spec.n_sq)[0]
                     out[rows, c, np.array(points)[:, None]] = rates.reshape(len(points), rows.size)
             else:

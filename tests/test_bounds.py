@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sqcap.bounds
 from sqcap.bounds import (
     ORACLE_MAX_CHANNELS,
     ORACLE_MAX_COMPOSITIONS,
@@ -21,7 +20,6 @@ from sqcap.bounds import (
     BudgetError,
     _capped_waterfill_rows,
     _nonincreasing_compositions,
-    _waterfill_powers,
     allocate_integer_oracle,
     mimo_sign_highsnr_bounds,
     mimo_single_select_bounds,
@@ -285,35 +283,14 @@ def test_relaxed_waterfill_branches():
     np.testing.assert_allclose(res2.quantizer_shares, want, rtol=1e-12)
 
 
-def test_waterfill_powers_rows_match_one_row_solves():
-    # powers and water levels of the scalar bisection on the gains of the
-    # CLI golden, at its power 12 and at 0.5, where the weakest stays dry
-    pinned = {
-        12.0: ([4.4761904787627, 4.2380952406674615, 3.285714288286509], 4.952380954953176),
-        0.5: ([0.36904761925827567, 0.13095238116303753, 0.0], 0.8452380954487518),
-    }
-    rng = np.random.default_rng(17)
-    g = np.vstack([[2.1, 1.4, 0.6], rng.uniform(0.05, 9.0, size=(40, 3))])
-    for p, (powers, level) in pinned.items():
-        rows, levels = _waterfill_powers(g, p)
-        for r in range(g.shape[0]):
-            alone, mu = _waterfill_powers(g[r : r + 1], p)
-            assert np.array_equal(alone[0], rows[r]) and mu[0] == levels[r]
-        assert rows[0].tolist() == powers and levels[0] == level
-
-
-def test_waterfill_powers_slabs_match_one_stack(monkeypatch):
-    # a tall stack is bisected slab by slab; rows do not see the split
-    rng = np.random.default_rng(23)
-    g = -np.sort(-rng.exponential(2.0, size=(50, 4)), axis=1)
-    for p in (0.1, 7.0):
-        whole = _waterfill_powers(g, p)
-        monkeypatch.setattr(sqcap.bounds, "_WF_SLAB_ROWS", 7)
-        slabs = _waterfill_powers(g, p)
-        monkeypatch.undo()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, slabs))
-    empty_powers, empty_mu = _waterfill_powers(np.ones((0, 4)), 1.0)
-    assert empty_powers.shape == (0, 4) and empty_mu.shape == (0,)
+def test_relaxed_waterfill_meets_the_budget_exactly():
+    # the CLI golden's gains at P = 12: every subchannel is wet, so the water
+    # level is (P + sum 1/g_i) / 3 = 104/21 and the powers spend P exactly
+    res = waterfill_relaxed((2.1, 1.4, 0.6), 12.0, 6)
+    assert res.water_level == pytest.approx(104 / 21, rel=1e-15)
+    assert res.powers.sum() == pytest.approx(12.0, rel=1e-12)
+    # no cap binds at the oracle's best split, so both solvers reach one rate
+    assert res.rate == pytest.approx(allocate_integer_oracle(res.gains, 12.0, 6).rate, abs=1e-13)
 
 
 def test_relaxed_waterfill_requires_sorted_gains():
@@ -385,16 +362,26 @@ def test_capped_waterfill_all_caps_bind():
 
 
 def test_capped_waterfill_rows_score_alone_as_in_a_block():
+    # one gain vector shared by rows of caps, as the oracle scores them, and
+    # one row of gains per row of caps, as a sweep stacks its trials; every
+    # row solves as it would alone, also where caps bind and every cap binds
     rng = np.random.default_rng(41)
     g = np.sort(rng.uniform(0.2, 4.0, size=5))[::-1]
     comps = np.array(_descending_compositions(9, 5))
-    caps = ((comps + 1.0) ** 2 - 1.0) / g
-    for power in (0.0, 0.3, 7.0, 60.0, 1e4):
-        rates, powers, mu = _capped_waterfill_rows(g, caps, power)
-        for r in range(caps.shape[0]):
-            alone = _capped_waterfill_rows(g, caps[r : r + 1], power)
-            assert alone[0][0] == rates[r] and mu[r] == alone[2][0]
-            assert np.array_equal(alone[1][0], powers[r])
+    shared = (g, ((comps + 1.0) ** 2 - 1.0) / g)
+    g_rows = rng.uniform(0.05, 9.0, size=(60, 4))
+    caps = rng.uniform(0.0, 6.0, size=g_rows.shape) ** 2
+    caps[rng.random(caps.shape) < 0.15] = 0.0
+    caps[rng.random(caps.shape) < 0.25] = np.inf
+    stacked = (g_rows, caps)
+    for g, caps in (shared, stacked, (g_rows, np.full(g_rows.shape, np.inf))):
+        for power in (0.0, 0.3, 7.0, 60.0, 1e4):
+            rates, powers, mu = _capped_waterfill_rows(g, caps, power)
+            for r in range(caps.shape[0]):
+                g_r = g[r] if g.ndim == 2 else g
+                alone = _capped_waterfill_rows(g_r, caps[r : r + 1], power)
+                assert alone[0][0] == rates[r] and mu[r] == alone[2][0]
+                assert np.array_equal(alone[1][0], powers[r])
 
 
 def _descending_compositions(total, slots):
@@ -562,7 +549,7 @@ def test_relaxed_dominates_oracle(n, p, m, seed):
     g = np.sort(rng.uniform(0.1, 8.0, size=n))[::-1]
     relaxed = waterfill_relaxed(g, p, m)
     oracle = allocate_integer_oracle(g, p, m)
-    # the relaxed solver bisects its water level, so allow its slop
+    # allow the relaxed and oracle rates to round differently
     assert relaxed.rate >= oracle.rate - 1e-8
     assert oracle.rate >= relaxed.rate - 2.0 * n
 

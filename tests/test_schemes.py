@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sqcap.bounds import siso_sign_capacity
 from sqcap.schemes import (
     DitheredSchemeParams,
+    PamScheme,
     _plugin_mi_bits,
     build_dithered_scheme,
     build_pam_scheme,
@@ -52,6 +53,20 @@ def test_pam_power_and_symmetry(m, power):
     assert np.mean(sch.points**2) == pytest.approx(power, rel=1e-12)
     np.testing.assert_allclose(sch.points, -sch.points[::-1], atol=1e-12)
     assert sch.thresholds.size == m - 1
+
+
+def test_pam_scheme_power_is_the_budget():
+    # a grid whose mean square is the dithered share (1 - 1/M^2) P is rejected
+    m, power = 4, 20.0
+    plain, dithered = math.sqrt(12 * power / (m * m - 1)), math.sqrt(12 * power) / m
+    for spacing, ok in [(plain, True), (dithered, False)]:
+        points = spacing * (np.arange(m) - (m - 1) / 2)
+        args = (m, points, spacing, (points[:-1] + points[1:]) / 2, power)
+        if ok:
+            assert np.mean(PamScheme(*args).points ** 2) == pytest.approx(power, rel=1e-12)
+        else:
+            with pytest.raises(ValueError, match="does not match the budget"):
+                PamScheme(*args)
 
 
 def test_build_pam_scheme_sizing_and_gates():

@@ -255,7 +255,7 @@ def test_matrix_sweep_propagates_evaluation_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(sqcap.sweeps, "_waterfill_powers", boom)
+    monkeypatch.setattr(sqcap.sweeps, "_capped_waterfill_rows", boom)
     with pytest.raises(ValueError, match="boom"):
         run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
 
@@ -310,14 +310,14 @@ def test_matrix_sweep_factorizes_each_point_once(monkeypatch):
 
 
 def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
-    real = sqcap.sweeps._waterfill_powers
+    real = sqcap.sweeps._capped_waterfill_rows
     rows = []
 
-    def waterfill(g, power):
+    def waterfill(g, caps, power):
         rows.append(g.shape)
-        return real(g, power)
+        return real(g, caps, power)
 
-    monkeypatch.setattr(sqcap.sweeps, "_waterfill_powers", waterfill)
+    monkeypatch.setattr(sqcap.sweeps, "_capped_waterfill_rows", waterfill)
     run_sweep(figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8)))
     # every grid point has 5 gains: one stack of all points and trials per power
     assert rows == [(3 * 3, 5)] * 2
