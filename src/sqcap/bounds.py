@@ -11,7 +11,7 @@ relaxed water-filling and one by exhaustive integer search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -21,6 +21,9 @@ from .channel import ChannelMatrix
 from .tailmath import binary_entropy, q_function
 
 __all__ = [
+    "ORACLE_MAX_CHANNELS",
+    "ORACLE_MAX_COMPOSITIONS",
+    "ORACLE_MAX_QUANTIZERS",
     "AllocationBranch",
     "AllocationResult",
     "BoundPair",
@@ -84,7 +87,8 @@ class AllocationResult:
     """Power and quantizer split across parallel subchannels.
 
     ``quantizer_shares`` are real for the relaxed solver and integers for
-    the exhaustive one; ``active_count`` counts strictly positive powers.
+    the exhaustive one; ``active_count``, derived from ``powers``, counts
+    the strictly positive ones.
     """
 
     gains: np.ndarray
@@ -92,7 +96,7 @@ class AllocationResult:
     quantizer_budget: int
     powers: np.ndarray
     quantizer_shares: np.ndarray
-    active_count: int
+    active_count: int = field(init=False)
     water_level: float
     rate: float
     branch: AllocationBranch
@@ -111,13 +115,9 @@ class AllocationResult:
                 f"quantizer shares sum to {self.quantizer_shares.sum()!r}, "
                 f"over budget {self.quantizer_budget}"
             )
-        if self.active_count != int(np.count_nonzero(self.powers > 0)):
-            raise ValueError(
-                f"active_count {self.active_count} does not match "
-                f"{np.count_nonzero(self.powers > 0)} positive powers"
-            )
         if self.water_level < 0:
             raise ValueError(f"water level must be nonnegative, got {self.water_level!r}")
+        object.__setattr__(self, "active_count", int(np.count_nonzero(self.powers > 0)))
 
 
 def _check_power(power: float) -> float:
@@ -303,12 +303,12 @@ def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
         powers, mu = np.zeros((1, g.size)), 1.0 / g[:1]
     rate, capped, demand = _relaxed_rates(g[None], powers, m)
     powers = powers[0]
-    k = int(np.count_nonzero(powers))
     if capped[0]:
+        k = np.count_nonzero(powers)
         shares, branch = np.where(powers > 0, m / k, 0.0), AllocationBranch.QUANTIZER_LIMITED
     else:
         shares, branch = demand[0], AllocationBranch.POWER_LIMITED
-    return AllocationResult(g, p, m, powers, shares, k, float(mu[0]), float(rate[0]), branch)
+    return AllocationResult(g, p, m, powers, shares, float(mu[0]), float(rate[0]), branch)
 
 
 def _nonincreasing_compositions(total: int, slots: int) -> np.ndarray:
@@ -439,6 +439,4 @@ def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
         else AllocationBranch.QUANTIZER_LIMITED
     )
     back = np.argsort(order)
-    powers = powers[back]
-    k = int(np.count_nonzero(powers > 0))
-    return AllocationResult(g_in, p, m, powers, comp[back], k, mu, rate, branch)
+    return AllocationResult(g_in, p, m, powers[back], comp[back], mu, rate, branch)

@@ -106,6 +106,11 @@ def _load_channel(text: str) -> ChannelMatrix:
     return ChannelMatrix.from_json(text)
 
 
+def _echo(args) -> dict:
+    """The subcommand's parsed arguments, as the ``inputs`` its JSON echoes."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")}
+
+
 def _require(args, names):
     missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
@@ -143,16 +148,7 @@ def _cmd_bounds(args) -> dict:
         result = _pair_dict(
             mimo_single_select_bounds(_load_channel(args.channel), args.power, args.nsq)
         )
-    inputs = {
-        "family": fam,
-        "power": args.power,
-        "nsq": args.nsq,
-        "h": None if args.h is None else list(args.h),
-        "nrx": args.nrx,
-        "ntx": args.ntx,
-        "channel": args.channel,
-    }
-    return {"command": "bounds", "inputs": inputs, "result": result}
+    return {"command": "bounds", "inputs": _echo(args), "result": result}
 
 
 def _cmd_waterfill(args) -> dict:
@@ -178,31 +174,22 @@ def _build_scheme(args):
 
 def _cmd_pam(args) -> dict:
     scheme = _build_scheme(args)
-    inputs = {"power": args.power, "nsq": args.nsq, "levels": args.levels, "gain": args.gain}
     result = {
         "scheme": json.loads(scheme.to_json()),
         "inner_rate_bits": pam_inner_rate(scheme, args.gain),
     }
-    return {"command": "pam", "inputs": inputs, "result": result}
+    return {"command": "pam", "inputs": _echo(args), "result": result}
 
 
 def _cmd_dither(args) -> dict:
     params = build_dithered_scheme(args.h, args.power, args.nsq, args.k)
     mi, err = dithered_mi_estimate(params, args.h, args.samples, args.seed)
-    inputs = {
-        "h": list(args.h),
-        "power": args.power,
-        "nsq": args.nsq,
-        "k": args.k,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     result = {
         "scheme": json.loads(params.to_json()),
         "mi_estimate_bits": mi,
         "std_err_bits": err,
     }
-    return {"command": "dither", "inputs": inputs, "result": result}
+    return {"command": "dither", "inputs": _echo(args), "result": result}
 
 
 def _cmd_ba(args) -> dict:
@@ -210,21 +197,13 @@ def _cmd_ba(args) -> dict:
     channel = _pam_channel(scheme, args.gain)
     capacity, dist = blahut_arimoto(channel, args.tolerance, args.max_iters)
     uniform_rate = pam_inner_rate(scheme, args.gain)
-    inputs = {
-        "power": args.power,
-        "nsq": args.nsq,
-        "levels": args.levels,
-        "gain": args.gain,
-        "tolerance": args.tolerance,
-        "max_iters": args.max_iters,
-    }
     result = {
         "scheme": json.loads(scheme.to_json()),
         "capacity_bits": capacity,
         "uniform_input_rate_bits": uniform_rate,
         "input_distribution": list(map(float, dist.probs)),
     }
-    return {"command": "ba", "inputs": inputs, "result": result}
+    return {"command": "ba", "inputs": _echo(args), "result": result}
 
 
 def _sweep_spec(args) -> SweepSpec:

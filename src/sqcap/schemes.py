@@ -8,18 +8,23 @@ the constellation, selects the K strongest antennas, and spends M + 1
 quantizers per selected antenna (the midpoints plus one threshold beyond
 each end point), which makes the per-antenna quantization error uniform and
 independent of the data.
+
+Both scheme types take only the parameters a caller chooses (M and P, and
+for the dithered scheme the selected gains and the quantizer budget) and
+derive the spacing, points and thresholds from them on construction, so a
+scheme cannot hold a grid that disagrees with its parameters.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._validate import _check_count, _check_seed, _frozen
-from .bounds import _multi_select_flags
+from .bounds import _check_gain_vector, _multi_select_flags
 from .dmc import (
     InputDistribution,
     TransitionMatrix,
@@ -40,8 +45,6 @@ __all__ = [
     "entropy_spotchecks",
 ]
 
-_GRID_TOL = 1e-12
-_POWER_RTOL = 1e-9
 _MI_BATCHES = 10
 _MAX_OUTPUT_CELLS = 10**6
 _SAMPLES_PER_CELL = 50
@@ -51,40 +54,39 @@ def _uniform_grid(m: int, spacing: float) -> np.ndarray:
     return spacing * (np.arange(m) - (m - 1) / 2.0)
 
 
+def _check_budget(power) -> float:
+    if not (power > 0 and math.isfinite(power)):
+        raise ValueError(f"power must be positive and finite, got {power!r}")
+    return float(power)
+
+
 @dataclass(frozen=True, eq=False)
 class PamScheme:
-    """Uniform symmetric PAM constellation with its quantizer thresholds;
-    its mean square is the power budget P."""
+    """M-point uniform PAM, symmetric about zero with mean square exactly P.
+
+    Only ``m_levels`` and ``power_budget`` are given; the ``spacing``
+    sqrt(12 P / (M^2 - 1)), the ``points`` and the M - 1 midpoint
+    ``thresholds`` are derived from them.
+    """
 
     m_levels: int
-    points: np.ndarray
-    spacing: float
-    thresholds: np.ndarray
     power_budget: float
+    spacing: float = field(init=False)
+    points: np.ndarray = field(init=False)
+    thresholds: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        x = _frozen(self.points)
-        t = _frozen(self.thresholds)
         m = _check_count(self.m_levels, "m_levels")
-        if m < 2 or x.shape != (m,):
-            raise ValueError(f"need at least 2 points matching m_levels, got {x.shape} for {m}")
-        if not (self.spacing > 0 and math.isfinite(self.spacing)):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
-        if not (self.power_budget > 0 and math.isfinite(self.power_budget)):
-            raise ValueError(f"power budget must be positive, got {self.power_budget!r}")
-        if np.any(np.abs(np.diff(x) - self.spacing) > _GRID_TOL):
-            raise ValueError("points must be uniformly spaced by the stated spacing")
-        if np.any(np.abs(x + x[::-1]) > _GRID_TOL * max(1.0, float(np.max(np.abs(x))))):
-            raise ValueError("points must be symmetric about zero")
-        if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be a strictly increasing vector")
-        mean_sq = float(np.mean(x * x))
-        p = self.power_budget
-        if abs(mean_sq - p) > _POWER_RTOL * p:
-            raise ValueError(f"mean square power {mean_sq!r} does not match the budget {p!r}")
+        if m < 2:
+            raise ValueError(f"need at least 2 levels, got {self.m_levels!r}")
+        p = _check_budget(self.power_budget)
+        spacing = math.sqrt(12.0 * p / (m * m - 1.0))
+        points = _uniform_grid(m, spacing)
         object.__setattr__(self, "m_levels", m)
-        object.__setattr__(self, "points", x)
-        object.__setattr__(self, "thresholds", t)
+        object.__setattr__(self, "power_budget", p)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "points", _frozen(points))
+        object.__setattr__(self, "thresholds", _frozen(0.5 * (points[:-1] + points[1:])))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -101,15 +103,7 @@ class PamScheme:
 
 def pam_scheme_for_levels(m_levels: int, power: float) -> PamScheme:
     """M-point PAM meeting ``power`` exactly, with midpoint thresholds."""
-    m = _check_count(m_levels, "m_levels")
-    if m < 2:
-        raise ValueError(f"need at least 2 levels, got {m_levels!r}")
-    if not (power > 0 and math.isfinite(power)):
-        raise ValueError(f"power must be positive and finite, got {power!r}")
-    spacing = math.sqrt(12.0 * power / (m * m - 1.0))
-    points = _uniform_grid(m, spacing)
-    mids = 0.5 * (points[:-1] + points[1:])
-    return PamScheme(m, points, spacing, mids, float(power))
+    return PamScheme(m_levels, power)
 
 
 def build_pam_scheme(power: float, n_sq: int) -> PamScheme:
@@ -166,49 +160,63 @@ def entropy_spotchecks(scheme: PamScheme, gain: float) -> tuple[float, float]:
 class DitheredSchemeParams:
     """Dithered PAM over the K strongest antennas.
 
-    Each selected antenna gets M + 1 thresholds: the gain-scaled midpoints
-    plus one threshold half a step beyond each end point, so the quantizer
-    cell index behaves like a uniform quantizer of the antenna output.
+    Only the ``selected_gains`` (positive, nonincreasing), ``m_levels``,
+    ``power_budget`` and ``quantizer_budget`` are given; the rest is derived.
+    The M points are spaced sqrt(12 P) / M, which is also the width of the
+    uniform dither, so symbol plus dither has mean square P.  Each selected
+    antenna gets M + 1 thresholds: the gain-scaled midpoints plus one
+    threshold half a step beyond each end point, so the quantizer cell index
+    behaves like a uniform quantizer of the antenna output.
     ``effective_noise_bound`` is the variance of the equivalent additive
     noise after combining (at most 2 when every selected gain exceeds one).
     """
 
-    selected_count: int
-    m_levels: int
-    spacing: float
-    dither_width: float
-    points: np.ndarray
-    base_thresholds: np.ndarray
-    antenna_thresholds: np.ndarray
     selected_gains: np.ndarray
-    effective_noise_bound: float
+    m_levels: int
     power_budget: float
     quantizer_budget: int
-    flags: tuple = ()
+    selected_count: int = field(init=False)
+    spacing: float = field(init=False)
+    points: np.ndarray = field(init=False)
+    base_thresholds: np.ndarray = field(init=False)
+    antenna_thresholds: np.ndarray = field(init=False)
+    effective_noise_bound: float = field(init=False)
+    flags: tuple = field(init=False)
 
     def __post_init__(self):
-        k = _check_count(self.selected_count, "selected_count")
+        g = _frozen(self.selected_gains)
+        if g.ndim != 1 or g.size < 1 or not np.all((g > 0) & (g < np.inf)):
+            raise ValueError("selected gains must be a vector of positive finite values")
+        if np.any(np.diff(g) > 0):
+            raise ValueError("selected gains must be sorted nonincreasing")
         m = _check_count(self.m_levels, "m_levels")
         if m < 3:
             raise ValueError(f"dithered scheme needs at least 3 levels, got {m}")
-        if self.spacing != self.dither_width:
-            raise ValueError("dither width must equal the constellation spacing")
-        g = _frozen(self.selected_gains)
-        if g.shape != (k,) or np.any(g <= 0) or np.any(np.diff(g) > 0):
-            raise ValueError("selected gains must be positive and sorted nonincreasing")
-        at = _frozen(self.antenna_thresholds)
-        if at.shape != (k, m + 1):
-            raise ValueError(f"need {k}x{m + 1} antenna thresholds, got {at.shape}")
-        if np.any(np.diff(at, axis=1) <= 0):
-            raise ValueError("antenna thresholds must be strictly increasing")
-        if k * (m + 1) > self.quantizer_budget:
-            raise ValueError(
-                f"scheme uses {k * (m + 1)} sign quantizers, over budget {self.quantizer_budget}"
-            )
-        object.__setattr__(self, "points", _frozen(self.points))
-        object.__setattr__(self, "base_thresholds", _frozen(self.base_thresholds))
-        object.__setattr__(self, "antenna_thresholds", at)
-        object.__setattr__(self, "selected_gains", g)
+        p = _check_budget(self.power_budget)
+        n = _check_count(self.quantizer_budget, "quantizer_budget")
+        k = g.size
+        if k * (m + 1) > n:
+            raise ValueError(f"scheme uses {k * (m + 1)} sign quantizers, over budget {n}")
+        spacing = math.sqrt(12.0 * p) / m
+        base = spacing * (np.arange(m + 1) - m / 2.0)
+        sq = g * g
+        derived = {
+            "selected_gains": g,
+            "m_levels": m,
+            "power_budget": p,
+            "quantizer_budget": n,
+            "selected_count": k,
+            "spacing": spacing,
+            "points": _frozen(_uniform_grid(m, spacing)),
+            "base_thresholds": _frozen(base),
+            "antenna_thresholds": _frozen(g[:, None] * base[None, :]),
+            "effective_noise_bound": float(
+                (sq.sum() + (spacing**2 / 12.0) * np.sum(sq * sq)) / sq.sum() ** 2
+            ),
+            "flags": _multi_select_flags(g, p, n),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def quantizers_used(self) -> int:
@@ -220,7 +228,7 @@ class DitheredSchemeParams:
                 "selected_count": self.selected_count,
                 "m_levels": self.m_levels,
                 "spacing": self.spacing,
-                "dither_width": self.dither_width,
+                "dither_width": self.spacing,
                 "points": list(map(float, self.points)),
                 "base_thresholds": list(map(float, self.base_thresholds)),
                 "selected_gains": list(map(float, self.selected_gains)),
@@ -243,11 +251,8 @@ def build_dithered_scheme(
     floor(min(n_sq / K, ||h_K|| sqrt(P)) - 1), which keeps the budget
     K (M + 1) <= n_sq; below 3 levels the construction is rejected.
     """
-    v = np.asarray(h, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)):
-        raise ValueError(f"antenna gains must be a finite 1-D vector, got shape {v.shape}")
-    if not (power > 0 and math.isfinite(power)):
-        raise ValueError(f"power must be positive and finite, got {power!r}")
+    v = _check_gain_vector(h)
+    _check_budget(power)
     n = _check_count(n_sq, "n_sq")
     k = _check_count(k_select, "k_select")
     if not k <= min(v.size, n):
@@ -264,25 +269,7 @@ def build_dithered_scheme(
             f"constellation would have {m} levels; needs at least 3 "
             f"(raise the budget or power, or lower k_select)"
         )
-    spacing = math.sqrt(12.0 * power) / m
-    points = _uniform_grid(m, spacing)
-    base = spacing * (np.arange(m + 1) - m / 2.0)
-    sq = gains * gains
-    gamma = float((sq.sum() + (spacing**2 / 12.0) * np.sum(sq * sq)) / sq.sum() ** 2)
-    return DitheredSchemeParams(
-        k,
-        m,
-        spacing,
-        spacing,
-        points,
-        base,
-        gains[:, None] * base[None, :],
-        gains,
-        gamma,
-        float(power),
-        n,
-        _multi_select_flags(gains, power, n),
-    )
+    return DitheredSchemeParams(gains, m, power, n)
 
 
 def _plugin_mi_bits(counts: np.ndarray) -> float:
@@ -305,7 +292,7 @@ def dithered_mi_estimate(
     pooled plug-in estimate with a batch-means standard error over 10
     batches.  Deterministic for a given seed on every platform.
     """
-    v = np.asarray(h, dtype=np.float64)
+    v = _check_gain_vector(h)
     k = params.selected_count
     m = params.m_levels
     expect = np.sort(np.abs(v))[::-1][:k]
@@ -337,7 +324,7 @@ def dithered_mi_estimate(
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         s_idx = gen.integers(0, m, size=per_batch)
         u = (gen.integers(0, 1 << 53, size=per_batch, dtype=np.int64) + 0.5) * 2.0**-53
-        x = params.points[s_idx] + (u - 0.5) * params.dither_width
+        x = params.points[s_idx] + (u - 0.5) * params.spacing
         zu = (gen.integers(0, 1 << 53, size=(k, per_batch), dtype=np.int64) + 0.5) * 2.0**-53
         z = special.ndtri(zu)
         cells = np.empty((k, per_batch), dtype=np.int64)

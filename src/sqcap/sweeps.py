@@ -41,6 +41,8 @@ from ._validate import _check_count, _check_seed
 from .bounds import (
     _capped_half_log,
     _capped_waterfill_rows,
+    _check_gain_vector,
+    _check_power,
     _multi_select_rates,
     _relaxed_rates,
     _top_squares,
@@ -159,7 +161,8 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     Maximizes over selection counts up to min(k_cap, antennas, n_sq), so the
     value is nondecreasing in ``k_cap`` for any fixed channel draw.
     """
-    v = np.asarray(h, dtype=np.float64)
+    v = _check_gain_vector(h)
+    power = _check_power(power)
     n_sq = _check_count(n_sq, "n_sq")
     kmax = min(_check_count(k_cap, "k_cap"), v.size, n_sq)
     rates = _multi_select_rates(_top_squares(v * v, kmax), power, n_sq)

@@ -93,19 +93,13 @@ def _deep_tail(x: float) -> float:
 def q_function(x: float) -> float:
     """Standard Gaussian upper-tail probability Q(x) = P[Z > x].
 
-    Relative error is about 1e-13 or better wherever the value is
-    representable.  For finite x so deep in the tail that the value
-    underflows float64 the smallest positive subnormal is returned.
+    Scalar entry point of :func:`q_array`, which states the accuracy and
+    the deep-tail floor.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"q_function needs a finite argument, got {x!r}")
-    from scipy import special
-
-    v = 0.5 * float(special.erfc(x * _INV_SQRT2))
-    if v == 0.0:
-        v = _deep_tail(x)
-    return v
+    return float(q_array(x))
 
 
 def _interval_mass_quad(a: float, b: float) -> float:
@@ -148,7 +142,12 @@ def binary_entropy(p: float) -> float:
 
 
 def q_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`q_function` over a finite float array."""
+    """Q(x) = P[Z > x] elementwise over a finite float array.
+
+    Relative error is about 1e-13 or better wherever the value is
+    representable.  For finite x so deep in the tail that the value
+    underflows float64 the smallest positive subnormal is returned.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("q_array needs finite arguments")

@@ -30,6 +30,32 @@ def test_package_all_resolves():
     assert len(set(sqcap.__all__)) == len(sqcap.__all__)
 
 
+# every name the package exported when it listed them by hand
+_EXPORTED = """
+    ORACLE_MAX_CHANNELS ORACLE_MAX_COMPOSITIONS ORACLE_MAX_QUANTIZERS AllocationBranch
+    AllocationResult BoundPair BudgetError ChannelEnsembleSpec ChannelMatrix ConvergenceError
+    CurvePoint DitheredSchemeParams InputDistribution PamScheme RankDeficientError SweepSpec
+    TransitionMatrix UnsupportedCurveError allocate_integer_oracle binary_entropy
+    blahut_arimoto build_dithered_scheme build_pam_scheme csv_text dithered_mi_estimate
+    draw_channel emit_csv entropy_bits entropy_spotchecks figure_spec gaussian_draw
+    mimo_sign_highsnr_bounds mimo_single_select_bounds miso_sign_capacity
+    multi_select_lower_capped mutual_information output_marginal pam_inner_rate
+    pam_scheme_for_levels q_array q_diff q_diff_array q_function quantizer_transition
+    run_sweep simo_linear_bounds simo_multi_select_bounds simo_sign_highsnr_bounds
+    simo_single_select_bounds siso_multilevel_bounds siso_sign_capacity underflow_clamps
+    waterfill_relaxed __version__
+""".split()
+
+
+def test_package_all_keeps_every_earlier_export():
+    assert len(_EXPORTED) == 54
+    assert not set(_EXPORTED) - set(sqcap.__all__)
+    assert len(set(sqcap.__all__)) == len(sqcap.__all__)
+    # re-exported from their modules' lists
+    for name in ("RANK_TOL", "TAIL_TINY", "CLAMP_FLOOR", "clamp_small_probabilities"):
+        assert name in sqcap.__all__
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_all_resolves(name):
     mod = importlib.import_module(f"sqcap.{name}")

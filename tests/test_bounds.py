@@ -579,19 +579,19 @@ def test_allocation_result_validation():
         quantizer_budget=4,
         powers=np.array([1.0, 1.0]),
         quantizer_shares=np.array([2.0, 2.0]),
-        active_count=2,
         water_level=1.5,
         rate=1.0,
         branch=AllocationBranch.POWER_LIMITED,
     )
-    AllocationResult(**ok)
+    assert AllocationResult(**ok).active_count == 2
+    assert AllocationResult(**{**ok, "powers": np.array([2.0, 0.0])}).active_count == 1
     with pytest.raises(ValueError):
         AllocationResult(**{**ok, "powers": np.array([-1.0, 1.0])})
     with pytest.raises(ValueError):
         AllocationResult(**{**ok, "powers": np.array([5.0, 1.0])})
     with pytest.raises(ValueError):
         AllocationResult(**{**ok, "quantizer_shares": np.array([3.0, 2.0])})
-    with pytest.raises(ValueError):
-        AllocationResult(**{**ok, "active_count": 1})
+    with pytest.raises(TypeError):
+        AllocationResult(**ok, active_count=2)
     with pytest.raises(ValueError):
         AllocationResult(**{**ok, "water_level": -0.5})

@@ -56,17 +56,24 @@ def test_pam_power_and_symmetry(m, power):
 
 
 def test_pam_scheme_power_is_the_budget():
-    # a grid whose mean square is the dithered share (1 - 1/M^2) P is rejected
+    # the grid is derived from (M, P): its mean square is P itself, not the
+    # dithered share (1 - 1/M^2) P
     m, power = 4, 20.0
-    plain, dithered = math.sqrt(12 * power / (m * m - 1)), math.sqrt(12 * power) / m
-    for spacing, ok in [(plain, True), (dithered, False)]:
-        points = spacing * (np.arange(m) - (m - 1) / 2)
-        args = (m, points, spacing, (points[:-1] + points[1:]) / 2, power)
-        if ok:
-            assert np.mean(PamScheme(*args).points ** 2) == pytest.approx(power, rel=1e-12)
-        else:
-            with pytest.raises(ValueError, match="does not match the budget"):
-                PamScheme(*args)
+    sch = PamScheme(m, power)
+    assert sch.spacing == math.sqrt(12 * power / (m * m - 1))
+    assert np.mean(sch.points**2) == pytest.approx(power, rel=1e-12)
+    np.testing.assert_array_equal(sch.thresholds, (sch.points[:-1] + sch.points[1:]) / 2)
+    assert not sch.points.flags.writeable and not sch.thresholds.flags.writeable
+    assert pam_scheme_for_levels(m, power).to_json() == sch.to_json()
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        PamScheme(1, power)
+    with pytest.raises(ValueError, match="m_levels"):
+        PamScheme(3.5, power)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="power"):
+            PamScheme(m, bad)
+    with pytest.raises(TypeError):
+        PamScheme(m, power, spacing=1.0)
 
 
 def test_build_pam_scheme_sizing_and_gates():
@@ -135,7 +142,6 @@ def test_dithered_scheme_example():
     assert params.quantizers_used == 16
     np.testing.assert_allclose(params.selected_gains, [1.5, 1.2])
     assert params.spacing == pytest.approx(3.499271061118826, rel=1e-14)
-    assert params.dither_width == params.spacing
     assert params.base_thresholds.shape == (8,)
     assert params.antenna_thresholds.shape == (2, 8)
     np.testing.assert_allclose(
@@ -144,7 +150,7 @@ def test_dithered_scheme_example():
     # symbol power: M-point grid with spacing sqrt(12 P)/M has second
     # moment P (1 - 1/M^2); the dither restores the remaining 1/M^2
     sym = np.mean(params.points**2)
-    dither = params.dither_width**2 / 12.0
+    dither = params.spacing**2 / 12.0
     assert sym + dither == pytest.approx(50.0, rel=1e-12)
 
 
@@ -238,6 +244,13 @@ def test_dithered_mi_needs_enough_samples_per_cell():
         dithered_mi_estimate(params, (1.5, 1.4, 1.3), 10**4, 0)
 
 
+@pytest.mark.parametrize("h", [(np.nan, 1.2), (1.5, np.inf), ((1.5, 1.2),)])
+def test_dithered_mi_rejects_nonfinite_or_matrix_gains(h):
+    params = build_dithered_scheme((1.2, 1.5), 50.0, 16, 2)
+    with pytest.raises(ValueError, match="gain vector"):
+        dithered_mi_estimate(params, h, 20000, 1)
+
+
 def test_dithered_mi_tightens_with_samples():
     params = build_dithered_scheme((1.2, 1.5), 50.0, 16, 2)
     _, se_small = dithered_mi_estimate(params, (1.2, 1.5), 2 * 10**4, 3)
@@ -248,29 +261,31 @@ def test_dithered_mi_tightens_with_samples():
 def test_dithered_params_validation():
     params = build_dithered_scheme((1.2, 1.5), 50.0, 16, 2)
     fields = {
-        "selected_count": params.selected_count,
-        "m_levels": params.m_levels,
-        "spacing": params.spacing,
-        "dither_width": params.dither_width,
-        "points": params.points,
-        "base_thresholds": params.base_thresholds,
-        "antenna_thresholds": params.antenna_thresholds,
         "selected_gains": params.selected_gains,
-        "effective_noise_bound": params.effective_noise_bound,
+        "m_levels": params.m_levels,
         "power_budget": params.power_budget,
         "quantizer_budget": params.quantizer_budget,
-        "flags": params.flags,
     }
-    DitheredSchemeParams(**fields)
+    again = DitheredSchemeParams(**fields)
+    assert again.to_json() == params.to_json()
+    np.testing.assert_array_equal(again.antenna_thresholds, params.antenna_thresholds)
     with pytest.raises(ValueError, match="at least 3"):
         DitheredSchemeParams(**{**fields, "m_levels": 2})
-    for name in ("selected_count", "m_levels"):
+    for name in ("m_levels", "quantizer_budget"):
         with pytest.raises(ValueError, match=name):
             DitheredSchemeParams(**{**fields, name: fields[name] + 0.5})
-    with pytest.raises(ValueError, match="dither width"):
-        DitheredSchemeParams(**{**fields, "dither_width": params.spacing * 2})
     with pytest.raises(ValueError, match="sorted nonincreasing"):
         DitheredSchemeParams(**{**fields, "selected_gains": np.array([1.2, 1.5])})
+    for gains in ([1.5, 0.0], [1.5, -1.2], [np.nan, 1.2], [np.inf, 1.2], [[1.5, 1.2]]):
+        with pytest.raises(ValueError, match="positive finite"):
+            DitheredSchemeParams(**{**fields, "selected_gains": np.array(gains)})
+    with pytest.raises(ValueError, match="over budget 15"):
+        DitheredSchemeParams(**{**fields, "quantizer_budget": 15})
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="power"):
+            DitheredSchemeParams(**{**fields, "power_budget": bad})
+    with pytest.raises(TypeError):
+        DitheredSchemeParams(**fields, spacing=params.spacing)
     payload = json.loads(params.to_json())
     assert payload["m_levels"] == 7
     assert payload["quantizers_used"] == 16

@@ -76,6 +76,25 @@ def test_k_cap_and_workers_must_be_counts():
             run_sweep(spec, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "h, power, match",
+    [
+        ((np.nan, 1.0), 10.0, "finite"),
+        ((np.inf, 1.0), 10.0, "finite"),
+        (((1.0, 2.0), (0.5, 1.5)), 10.0, "1-D"),
+        ((), 10.0, "1-D"),
+        ((1.0, 2.0), -5.0, "power"),
+        ((1.0, 2.0), np.nan, "power"),
+        ((1.0, 2.0), np.inf, "power"),
+    ],
+    ids=["nan-gain", "inf-gain", "2-d-gains", "no-gains", "negative-power", "nan-power",
+         "inf-power"],
+)
+def test_multi_select_lower_capped_rejects_bad_inputs(h, power, match):
+    with pytest.raises(ValueError, match=match):
+        multi_select_lower_capped(h, power, 8, 2)
+
+
 def test_figure_presets():
     a = figure_spec("fig2a", trials=10, seed=1)
     assert a.n_sq == 10 and a.n_tx is None

@@ -84,6 +84,8 @@ def test_q_array_floor_matches_per_element_rescue():
         got, want = q_array(x), _q_array_per_element(x)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        if x.ndim == 0:  # q_function is the scalar entry of q_array
+            assert type(q_function(x)) is float and q_function(x) == float(want)
     assert q_array(1e3) == TAIL_TINY and q_array(38.0) > TAIL_TINY
 
 
