@@ -2,9 +2,12 @@
 
 A receiver observes W = H X + Z with H a real n_rx x n_tx matrix.
 ``ChannelMatrix`` validates H (finite entries, full rank) and keeps its
-gains, the squared singular values, from the one SVD it takes; the bound
-families in ``bounds`` read the entries or the gains and never factorize a
-channel themselves.
+gains, the squared singular values; the bound families in ``bounds`` read
+the entries or the gains and never factorize a channel themselves.  One
+spectrum kernel, ``_prefix_gains``, gives the gains and the rank verdict of
+``ChannelMatrix`` and of every row prefix a matrix sweep evaluates: the
+eigenvalues of running sums of row outer products, with the SVD kept only
+for the ill-conditioned prefixes a Gram matrix cannot resolve.
 
 Ensemble draws are counter based: trial ``k`` of seed ``s`` always comes from
 the Philox stream keyed by (s, k), and normal variates are produced by the
@@ -39,6 +42,16 @@ RANK_TOL = 1e-10
 # Counter blocks a draw may try before giving up on a full-rank channel.
 _DRAW_ATTEMPTS = 8
 
+# Smallest eigenvalue ratio of a Gram matrix trusted as full rank.  Its
+# eigenvalues carry absolute errors near 1e-16 of the largest, so RANK_TOL
+# squared (1e-20) is out of reach; a prefix at or below this ratio takes the
+# SVD, which then decides its rank and gains.
+_GRAM_RATIO = 1e-6
+
+# Most grid-point Gram entries the spectrum kernel holds at once (16 MB): a
+# 1024-trial fig2c block, 46 grid points of 5x5 matrices, takes one pass.
+_GRAM_ENTRIES = 1 << 21
+
 
 class RankDeficientError(ValueError):
     """A channel matrix failed the full-rank test relative to ``RANK_TOL``."""
@@ -51,8 +64,10 @@ class ChannelMatrix:
     Entries must be finite and the matrix must have full rank relative to
     ``RANK_TOL``.  ``gains`` holds the min(n_rx, n_tx) squared singular
     values, nonincreasing and read-only: the nonzero eigenvalues of H H^T,
-    from the SVD the rank test takes.  ``provenance`` optionally records how
-    the draw was made (seed, trial index, redraw count).
+    from the spectrum kernel the matrix sweeps share, so a sweep's gains at
+    a grid point equal those of ``ChannelMatrix`` on the same prefix bit for
+    bit.  ``provenance`` optionally records how the draw was made (seed,
+    trial index, redraw count).
     """
 
     entries: np.ndarray
@@ -65,14 +80,17 @@ class ChannelMatrix:
             raise ValueError(f"channel matrix must be 2-D and nonempty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("channel matrix entries must be finite")
-        svals = np.linalg.svd(arr, compute_uv=False)
-        if svals[-1] <= RANK_TOL * svals[0]:
+        (gains,), full = _prefix_gains(arr[None], (arr.shape[0],))
+        if not full[0]:
+            # rank deficient prefixes keep the squared singular values of
+            # the fallback SVD
+            low, high = np.sqrt(gains[0, [-1, 0]])
             raise RankDeficientError(
                 f"channel matrix is rank deficient: min/max singular value "
-                f"{svals[-1]:.3e}/{svals[0]:.3e}"
+                f"{low:.3e}/{high:.3e}"
             )
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "gains", _frozen(svals * svals))
+        object.__setattr__(self, "gains", _frozen(gains[0]))
 
     @property
     def n_rx(self) -> int:
@@ -109,6 +127,56 @@ class ChannelMatrix:
                 f"entry count {entries.size} does not match shape {n_rx}x{n_tx}"
             )
         return cls(entries.reshape(n_rx, n_tx), payload.get("provenance"))
+
+
+def _prefix_gains(h: np.ndarray, counts) -> tuple:
+    """Gains of the row prefixes ``h[:, :x]`` of stacked matrices, for every
+    ``x`` in the increasing ``counts``, and the full-rank verdict.
+
+    ``h`` has shape (trials, rows, n_tx).  Returns ``(gains, full)``:
+    ``gains[i]`` has shape (trials, min(counts[i], n_tx)) and holds each
+    trial's nonincreasing squared singular values of its prefix, and
+    ``full`` (trials,) is True where every prefix of the trial has full rank
+    relative to ``RANK_TOL``.
+
+    Prefixes with at least n_tx rows read one running sum of row outer
+    products, H[:x]^T H[:x], kept only at those prefixes, and one stacked
+    ``eigvalsh`` gives all their gains (one per ``_GRAM_ENTRIES`` slice of
+    trials); shorter prefixes take ``eigvalsh`` of H[:x] H[:x]^T.  A prefix
+    whose smallest eigenvalue is at most ``_GRAM_RATIO`` times its largest
+    takes the SVD instead, which decides its rank as ``ChannelMatrix``
+    always has and gives its gains.  Every step acts on one matrix at a
+    time, so a trial's gains do not depend on the stack it sits in.
+    """
+    trials, _, n_tx = h.shape
+    gains = [None] * len(counts)
+    tall = [i for i, x in enumerate(counts) if x >= n_tx]
+    if tall:
+        ends = {counts[i]: j for j, i in enumerate(tall)}
+        eig = np.empty((trials, len(tall), n_tx))
+        step = max(1, _GRAM_ENTRIES // (len(tall) * n_tx * n_tx))
+        for t in range(0, trials, step):
+            part = h[t : t + step]
+            gram = np.zeros((part.shape[0], n_tx, n_tx))
+            grams = np.empty((part.shape[0], len(tall), n_tx, n_tx))
+            for r in range(counts[tall[-1]]):
+                gram += part[:, r, :, None] * part[:, r, None, :]
+                if r + 1 in ends:
+                    grams[:, ends[r + 1]] = gram
+            eig[t : t + step] = np.linalg.eigvalsh(grams)
+        for j, i in enumerate(tall):
+            gains[i] = eig[:, j, ::-1]
+    for i, x in enumerate(counts):
+        if x < n_tx:
+            wide = h[:, :x]
+            gains[i] = np.linalg.eigvalsh(wide @ wide.transpose(0, 2, 1))[:, ::-1]
+    full = np.ones(trials, dtype=bool)
+    for g, x in zip(gains, counts):
+        for t in np.flatnonzero(~(g[:, -1] > _GRAM_RATIO * g[:, 0])):
+            s = np.linalg.svd(h[t, :x], compute_uv=False)
+            g[t] = s * s
+            full[t] &= s[-1] > RANK_TOL * s[0]
+    return gains, full
 
 
 @dataclass(frozen=True)

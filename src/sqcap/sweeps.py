@@ -12,10 +12,11 @@ worker count.
 Sweeps are evaluated in blocks of contiguous trials.  A block draws its
 trials' master channels in one pass, and the array kernels of ``bounds``
 run once per curve and grid point over the stacked draws, through prefix
-statistics for vector channels and one stacked SVD per grid point for
-matrix channels; water-filling runs once per power and gain count over all
-grid points with that count.  ``run_sweep`` says how ``workers`` splits the
-trials.
+statistics for vector channels and, for matrix channels, the spectrum
+kernel ``ChannelMatrix`` uses, which reads every grid point's gains from
+running sums of row outer products in one stacked ``eigvalsh``;
+water-filling runs once per power and gain count over all grid points with
+that count.  ``run_sweep`` says how ``workers`` splits the trials.
 
 Figure presets:
 
@@ -48,7 +49,7 @@ from .bounds import (
     _top_squares,
     mimo_sign_highsnr_bounds,
 )
-from .channel import _DRAW_ATTEMPTS, RANK_TOL, _gaussian_rows
+from .channel import _DRAW_ATTEMPTS, _gaussian_rows, _prefix_gains
 
 __all__ = [
     "CurvePoint",
@@ -236,12 +237,14 @@ def _vector_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
 
 
 def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
-    """``_vector_block`` for matrix channels: one stacked SVD per grid point
-    gives every trial's gains and ``ChannelMatrix`` rank test, and the gains
-    of all grid points with the same count are water-filled in one stack
-    per power.  Only trials with a rank-deficient prefix (vanishingly rare)
-    are redrawn, each from the next counter block of its stream, so
-    prefixes stay nested.
+    """``_vector_block`` for matrix channels: the spectrum kernel of
+    ``ChannelMatrix`` gives every trial's gains and rank test at every grid
+    point, from one stacked ``eigvalsh`` over the running sums of row outer
+    products, bit for bit the gains ``ChannelMatrix`` keeps for the same
+    prefix.  The gains of all grid points with the same count are
+    water-filled in one stack per power.  Only trials with a rank-deficient
+    prefix (vanishingly rare) are redrawn, each from the next counter block
+    of its stream, so prefixes stay nested.
     """
     pending = np.arange(t0, t1)
     shape = (spec.axis[-1], spec.n_tx)
@@ -251,15 +254,13 @@ def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
         widths.setdefault(min(x, spec.n_tx), []).append(i)
     for attempt in range(_DRAW_ATTEMPTS):
         master = _gaussian_rows(spec.seed, pending, shape, attempt)
-        svals = [np.linalg.svd(master[:, :x], compute_uv=False) for x in spec.axis]
-        full = np.logical_and.reduce([s[:, -1] > RANK_TOL * s[:, 0] for s in svals])
+        prefix, full = _prefix_gains(master, spec.axis)
         rows, master = pending[full] - t0, master[full]
         row_sq = np.maximum.accumulate(np.sum(master * master, axis=2), axis=1)
         row_max = row_sq[:, np.asarray(spec.axis) - 1]
         # one row per grid point and trial, point by point
         gains = {
-            w: np.square(np.concatenate([svals[i][full] for i in points]))
-            for w, points in widths.items()
+            w: np.concatenate([prefix[i][full] for i in points]) for w, points in widths.items()
         }
         for c, (_, kind, p, _k) in enumerate(curves):
             if kind == "mimo-single":
@@ -292,8 +293,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     the machine has cores.  Each chunk writes its own rows of the
     trial-ordered value array and every kernel works row by row, so the
     output is identical for any ``workers`` value.  Within a chunk the
-    channels are drawn in one pass and water-filled with one call per power
-    and gain count.
+    channels are drawn in one pass, a matrix chunk's spectra come from one
+    stacked ``eigvalsh`` over its grid points, and the gains are
+    water-filled with one call per power and gain count.
     """
     workers = _check_count(workers, "workers")
     threads = min(workers, os.cpu_count() or 1)

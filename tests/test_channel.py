@@ -13,6 +13,7 @@ from sqcap.channel import (
     ChannelMatrix,
     RankDeficientError,
     _gaussian_rows,
+    _prefix_gains,
     draw_channel,
     gaussian_draw,
 )
@@ -31,8 +32,9 @@ def test_channel_matrix_rejects_bad_input():
         ChannelMatrix(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ChannelMatrix(np.array([[1.0, np.inf]]))
-    with pytest.raises(RankDeficientError):
-        ChannelMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))  # rank deficient
+    # rank deficient; the fallback SVD gives the singular values reported
+    with pytest.raises(RankDeficientError, match=r"min/max singular value \S+/5\.000e\+00$"):
+        ChannelMatrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     # near-deficient relative to scale
     with pytest.raises(RankDeficientError):
         ChannelMatrix(np.array([[1.0, 1.0], [1.0, 1.0 + 0.1 * RANK_TOL]]))
@@ -60,7 +62,7 @@ def test_channel_matrix_from_json_rejects_malformed_payloads():
 
 
 def test_decompose_matches_eigendecomposition():
-    # ChannelMatrix keeps the squared singular values of its one SVD as gains
+    # ChannelMatrix keeps the squared singular values as gains
     rng = np.random.default_rng(11)
     for n_rx, n_tx in [(4, 4), (6, 3), (3, 6), (1, 5), (5, 1)]:
         h = rng.standard_normal((n_rx, n_tx))
@@ -73,6 +75,24 @@ def test_decompose_matches_eigendecomposition():
         np.testing.assert_allclose(gains, eig, rtol=1e-10, atol=1e-12)
         with pytest.raises(ValueError):
             gains[0] = 1.0
+
+
+def test_prefix_gains_match_squared_singular_values():
+    # tall, square and wide prefixes of each stack, against the SVD: within
+    # 16 ulps of the largest gain (fig2c at 1000 trials peaks near 13)
+    rng = np.random.default_rng(12)
+    eps = np.finfo(np.float64).eps
+    for n_tx in range(1, 9):
+        rows = 3 * n_tx + 2
+        h = rng.standard_normal((40, rows, n_tx))
+        counts = tuple(range(1, rows + 1))
+        gains, full = _prefix_gains(h, counts)
+        assert full.all()
+        for x, g in zip(counts, gains):
+            want = np.linalg.svd(h[:, :x], compute_uv=False) ** 2
+            assert g.shape == want.shape
+            assert np.all(np.diff(g, axis=1) <= 0)
+            assert np.all(np.abs(g - want) <= 16 * eps * want[:, :1])
 
 
 def test_gaussian_draw_deterministic_and_keyed():

@@ -11,7 +11,7 @@ from sqcap.bounds import (
     simo_single_select_bounds,
     waterfill_relaxed,
 )
-from sqcap.channel import ChannelMatrix, gaussian_draw
+from sqcap.channel import RANK_TOL, ChannelMatrix, gaussian_draw
 from sqcap.sweeps import (
     CurvePoint,
     SweepSpec,
@@ -313,19 +313,62 @@ def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
         run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
 
 
-def test_matrix_sweep_factorizes_each_point_once(monkeypatch):
-    real = np.linalg.svd
+def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
     calls = []
 
-    def svd(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(sqcap.sweeps.os, "cpu_count", lambda: 1)
     spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8), include_highsnr_proxy=True)
-    run_sweep(spec)
-    # one stacked SVD per grid point for the block of all three trials
-    assert len(calls) == len(spec.axis)
+    run_sweep(spec, workers=2)
+    # two blocks of well-conditioned draws: one stacked eigvalsh each, no SVD
+    assert calls == ["eigvalsh", "eigvalsh"]
+
+
+def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
+    # trial 0's column 1 nearly repeats column 0: its prefixes have full rank
+    # but a Gram eigenvalue ratio below what the Gram path trusts
+    real_draw, real_svd = sqcap.sweeps._gaussian_rows, np.linalg.svd
+    drawn, factorized = [], []
+
+    def tilt(h):
+        noise = gaussian_draw(5, 0, h.shape[0])
+        h[:, 1] = h[:, 0] + 1e-5 * noise
+        return h
+
+    def draw(seed, streams, shape, counter_block=0):
+        drawn.append((list(streams), counter_block))
+        h = real_draw(seed, streams, shape, counter_block)
+        tilt(h[0])
+        return h
+
+    def svd(a, *args, **kwargs):
+        factorized.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(sqcap.sweeps, "_gaussian_rows", draw)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    pts = run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6), power_list=(1.0,)))
+    assert drawn == [([0, 1], 0)]
+    assert factorized == [(5, 5), (6, 5)]
+    masters = [tilt(gaussian_draw(3, 0, (6, 5))), gaussian_draw(3, 1, (6, 5))]
+    got = {(p.curve_label, p.x): p.mean for p in pts}
+    for x in (5, 6):
+        s = real_svd(masters[0][:x], compute_uv=False)
+        assert s[-1] ** 2 < 1e-6 * s[0] ** 2 and s[-1] > 1e3 * RANK_TOL * s[0]
+        cms = [ChannelMatrix(m[:x]) for m in masters]
+        np.testing.assert_array_equal(cms[0].gains, s * s)
+        rate = [waterfill_relaxed(cm.gains, 1.0, 5).rate for cm in cms]
+        assert got[("waterfill-rate:P=1", x)] == np.mean(rate)
 
 
 def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
