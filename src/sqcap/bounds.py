@@ -268,13 +268,13 @@ def _check_gains(gains) -> np.ndarray:
     return g
 
 
-def _relaxed_rates(g: np.ndarray, powers: np.ndarray, n_sq: int) -> tuple:
+def _relaxed_rates(g: np.ndarray, powers: np.ndarray, free: np.ndarray, n_sq: int) -> tuple:
     """Relaxed-allocation rates per row of gains and water-filled powers, as
-    ``waterfill_relaxed`` states them.  Returns (rates, quantizer-limited
-    flags, per-subchannel quantizer demands).
+    ``waterfill_relaxed`` states them; ``free`` is each row's unquantized
+    rate, as ``_capped_waterfill_rows`` returns it.  Returns (rates,
+    quantizer-limited flags, per-subchannel quantizer demands).
     """
     snr = 1.0 + g * powers
-    free = np.sum(0.5 * np.log2(snr), axis=-1)
     demand = np.sqrt(snr) - 1.0
     k = np.count_nonzero(powers > 0, axis=-1)
     split = [j * math.log2(n_sq / j + 1.0) if j else 0.0 for j in range(g.shape[-1] + 1)]
@@ -298,10 +298,10 @@ def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
     if p:
-        _, powers, mu = _capped_waterfill_rows(g[None], np.full((1, g.size), np.inf), p)
+        free, powers, mu = _capped_waterfill_rows(g[None], np.full((1, g.size), np.inf), p)
     else:  # with tied top gains the kernel's level sum/|F| can be an ulp off 1/g_max
-        powers, mu = np.zeros((1, g.size)), 1.0 / g[:1]
-    rate, capped, demand = _relaxed_rates(g[None], powers, m)
+        free, powers, mu = np.zeros(1), np.zeros((1, g.size)), 1.0 / g[:1]
+    rate, capped, demand = _relaxed_rates(g[None], powers, free, m)
     powers = powers[0]
     if capped[0]:
         k = np.count_nonzero(powers)

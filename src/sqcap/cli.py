@@ -8,6 +8,7 @@ from the output alone.  Exit codes: 0 success, 1 runtime failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .bounds import (
     waterfill_relaxed,
 )
 from .channel import ChannelMatrix
-from .dmc import ConvergenceError, blahut_arimoto
+from .dmc import blahut_arimoto
 from .schemes import (
     _pam_channel,
     build_dithered_scheme,
@@ -37,28 +38,22 @@ from .schemes import (
     pam_inner_rate,
     pam_scheme_for_levels,
 )
-from .sweeps import (
-    SweepSpec,
-    UnsupportedCurveError,
-    csv_text,
-    emit_csv,
-    figure_spec,
-    run_sweep,
-)
+from .sweeps import FIGURES, SweepSpec, csv_text, emit_csv, figure_spec, run_sweep
 
 __all__ = ["cli_dispatch", "main"]
 
-BOUND_FAMILIES = (
-    "siso-sign",
-    "miso-sign",
-    "simo-highsnr",
-    "mimo-highsnr",
-    "siso-multilevel",
-    "simo-single-select",
-    "simo-multi-select",
-    "simo-linear",
-    "mimo-single-select",
-)
+#: ``bounds --family`` name -> (its function, the flags it takes in call order).
+BOUND_FAMILIES = {
+    "siso-sign": (siso_sign_capacity, ("power",)),
+    "miso-sign": (miso_sign_capacity, ("h", "power")),
+    "simo-highsnr": (simo_sign_highsnr_bounds, ("nrx",)),
+    "mimo-highsnr": (mimo_sign_highsnr_bounds, ("nsq", "ntx")),
+    "siso-multilevel": (siso_multilevel_bounds, ("power", "nsq")),
+    "simo-single-select": (simo_single_select_bounds, ("h", "power", "nsq")),
+    "simo-multi-select": (simo_multi_select_bounds, ("h", "power", "nsq")),
+    "simo-linear": (simo_linear_bounds, ("h", "power", "nsq")),
+    "mimo-single-select": (mimo_single_select_bounds, ("channel", "power", "nsq")),
+}
 
 
 def _floats(text: str) -> tuple:
@@ -111,59 +106,31 @@ def _echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")}
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+def _cmd_bounds(args) -> dict:
+    func, flags = BOUND_FAMILIES[args.family]
+    values = {f: getattr(args, f) for f in flags}
+    missing = [f for f, v in values.items() if v is None]
     if missing:
         raise ValueError(f"--{missing[0]} is required for family {args.family}")
-
-
-def _cmd_bounds(args) -> dict:
-    fam = args.family
-    if fam == "siso-sign":
-        _require(args, ["power"])
-        result = {"capacity_bits": siso_sign_capacity(args.power)}
-    elif fam == "miso-sign":
-        _require(args, ["h", "power"])
-        result = {"capacity_bits": miso_sign_capacity(args.h, args.power)}
-    elif fam == "simo-highsnr":
-        _require(args, ["nrx"])
-        result = _pair_dict(simo_sign_highsnr_bounds(args.nrx))
-    elif fam == "mimo-highsnr":
-        _require(args, ["nsq", "ntx"])
-        result = _pair_dict(mimo_sign_highsnr_bounds(args.nsq, args.ntx))
-    elif fam == "siso-multilevel":
-        _require(args, ["power", "nsq"])
-        result = _pair_dict(siso_multilevel_bounds(args.power, args.nsq))
-    elif fam == "simo-single-select":
-        _require(args, ["h", "power", "nsq"])
-        result = _pair_dict(simo_single_select_bounds(args.h, args.power, args.nsq))
-    elif fam == "simo-multi-select":
-        _require(args, ["h", "power", "nsq"])
-        result = _pair_dict(simo_multi_select_bounds(args.h, args.power, args.nsq))
-    elif fam == "simo-linear":
-        _require(args, ["h", "power", "nsq"])
-        result = _pair_dict(simo_linear_bounds(args.h, args.power, args.nsq))
-    else:
-        _require(args, ["channel", "power", "nsq"])
-        result = _pair_dict(
-            mimo_single_select_bounds(_load_channel(args.channel), args.power, args.nsq)
-        )
+    if "channel" in values:
+        values["channel"] = _load_channel(values["channel"])
+    value = func(*values.values())
+    result = {"capacity_bits": value} if isinstance(value, float) else _pair_dict(value)
     return {"command": "bounds", "inputs": _echo(args), "result": result}
 
 
 def _cmd_waterfill(args) -> dict:
-    gains = tuple(sorted(args.gains, reverse=True))
-    relaxed = waterfill_relaxed(gains, args.power, args.nsq)
+    args.gains = tuple(sorted(args.gains, reverse=True))
+    relaxed = waterfill_relaxed(args.gains, args.power, args.nsq)
     try:
-        oracle = _alloc_dict(allocate_integer_oracle(gains, args.power, args.nsq))
+        oracle = _alloc_dict(allocate_integer_oracle(args.gains, args.power, args.nsq))
         skipped = None
     except BudgetError as exc:
         oracle, skipped = None, str(exc)
-    inputs = {"gains": list(gains), "power": args.power, "nsq": args.nsq}
     result = {"relaxed": _alloc_dict(relaxed), "oracle": oracle}
     if skipped:
         result["oracle_skipped"] = skipped
-    return {"command": "waterfill", "inputs": inputs, "result": result}
+    return {"command": "waterfill", "inputs": _echo(args), "result": result}
 
 
 def _build_scheme(args):
@@ -207,17 +174,11 @@ def _cmd_ba(args) -> dict:
 
 
 def _sweep_spec(args) -> SweepSpec:
-    overrides = {}
-    if args.axis is not None:
-        overrides["axis"] = args.axis
-    if args.powers is not None:
-        overrides["power_list"] = args.powers
-    if args.nsq is not None:
-        overrides["n_sq"] = args.nsq
-    if args.ntx is not None:
-        overrides["n_tx"] = args.ntx
-    if args.k_list is not None:
-        overrides["k_list"] = args.k_list
+    # sweep flag -> the SweepSpec field it overrides
+    fields = {
+        "axis": "axis", "powers": "power_list", "nsq": "n_sq", "ntx": "n_tx", "k_list": "k_list",
+    }
+    overrides = {f: getattr(args, a) for a, f in fields.items() if getattr(args, a) is not None}
     overrides["include_highsnr_proxy"] = args.include_highsnr_proxy
     overrides["include_sign_select_finite_snr"] = args.include_sign_select_finite_snr
     if args.figure == "custom":
@@ -263,6 +224,7 @@ def _cmd_sweep(args):
     return {"command": "sweep", "inputs": inputs, "result": result}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqcap",
@@ -278,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     b = sub.add_parser("bounds", help="evaluate a closed-form capacity value or bound pair")
-    b.add_argument("--family", choices=BOUND_FAMILIES, required=True)
+    b.add_argument("--family", choices=tuple(BOUND_FAMILIES), required=True)
     b.add_argument("--power", type=float)
     b.add_argument("--nsq", type=int)
     b.add_argument("--h", type=_floats, help="comma-separated antenna gains")
@@ -324,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.set_defaults(handler=_cmd_ba)
 
     s = sub.add_parser("sweep", help="Monte-Carlo averaged figure curves to CSV")
-    s.add_argument("--figure", choices=("fig2a", "fig2b", "fig2c", "custom"), required=True)
+    s.add_argument("--figure", choices=FIGURES, required=True)
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument(
@@ -354,14 +316,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         payload = args.handler(args)
-    except (
-        ValueError,
-        RuntimeError,
-        OSError,
-        BudgetError,
-        ConvergenceError,
-        UnsupportedCurveError,
-    ) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if payload is None:

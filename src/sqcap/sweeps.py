@@ -268,8 +268,8 @@ def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
             elif kind == "waterfill":
                 for w, points in widths.items():
                     inf = np.full(gains[w].shape, np.inf)
-                    powers = _capped_waterfill_rows(gains[w], inf, p)[1]
-                    rates = _relaxed_rates(gains[w], powers, spec.n_sq)[0]
+                    free, powers, _ = _capped_waterfill_rows(gains[w], inf, p)
+                    rates = _relaxed_rates(gains[w], powers, free, spec.n_sq)[0]
                     out[rows, c, np.array(points)[:, None]] = rates.reshape(len(points), rows.size)
             else:
                 out[rows, c] = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower

@@ -61,7 +61,7 @@ def test_channel_matrix_from_json_rejects_malformed_payloads():
         ChannelMatrix.from_json("not json at all")
 
 
-def test_decompose_matches_eigendecomposition():
+def test_channel_gains_are_eigenvalues_of_h_ht():
     # ChannelMatrix keeps the squared singular values as gains
     rng = np.random.default_rng(11)
     for n_rx, n_tx in [(4, 4), (6, 3), (3, 6), (1, 5), (5, 1)]:

@@ -1,14 +1,16 @@
 """Command-line interface: exit codes, JSON envelopes, CSV output."""
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
+from test_golden import CLI_CASES
 
-from sqcap import __version__
+from sqcap import __version__, cli
 from sqcap.channel import ChannelEnsembleSpec, draw_channel
-from sqcap.cli import cli_dispatch
+from sqcap.cli import BOUND_FAMILIES, cli_dispatch
 
 
 def run(capsys, *argv):
@@ -33,6 +35,32 @@ def test_version_flag(capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert run(capsys)[0] == 2
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # only the top-level parser adds subparsers, once per build
+    built, add_subparsers = [], argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli._build_parser.cache_clear()
+    try:
+        for power in ("1", "2"):
+            run_json(capsys, "bounds", "--family", "siso-sign", "--power", power)
+        assert built == ["sqcap"]
+        # the cached parser still exits as a fresh one does
+        code, out, _ = run(capsys, "--version")
+        assert code == 0 and __version__ in out
+        assert run(capsys)[0] == 2
+        code, _, err = run(capsys, "bounds", "--family", "bogus")
+        assert code == 2 and "invalid choice" in err
+        run_json(capsys, "bounds", "--family", "siso-sign", "--power", "3")
+        assert built == ["sqcap"]
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_bounds_families(capsys):
@@ -104,6 +132,16 @@ def test_bounds_missing_argument_is_runtime_error(capsys):
     code, _, err = run(capsys, "bounds", "--family", "miso-sign", "--power", "1")
     assert code == 1
     assert "--h is required" in err
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_FAMILIES))
+def test_bounds_family_without_flags_names_its_first_flag(capsys, family):
+    first = BOUND_FAMILIES[family][1][0]
+    code, out, err = run(capsys, "bounds", "--family", family)
+    assert code == 1 and out == ""
+    assert err == f"error: --{first} is required for family {family}\n"
+    # and every family has a golden
+    assert CLI_CASES[f"bounds-{family}"][:3] == ["bounds", "--family", family]
 
 
 def test_waterfill_includes_both_solvers(capsys):
