@@ -207,22 +207,23 @@ def _multi_select_flags(gains: np.ndarray, power: float, n_sq: int) -> tuple:
     return tuple(name for name, ok in holds.items() if not ok)
 
 
-def siso_multilevel_bounds(power: float, n_sq: int) -> BoundPair:
-    """Scalar channel with a budget of n_sq sign quantizers, gap one bit."""
+def _capped_pair(gain_sq: float, power: float, n_sq: int, gap: float) -> BoundPair:
+    """Upper bound 0.5 log2 min(1 + gain_sq P, (n_sq + 1)^2), lower ``gap`` below, at least 0."""
     p = _check_power(power)
     m = _check_count(n_sq, "n_sq")
-    upper = float(_capped_half_log(p + 1.0, m))
-    return BoundPair(max(upper - 1.0, 0.0), upper, 1.0)
+    upper = float(_capped_half_log(1.0 + gain_sq * p, m))
+    return BoundPair(max(upper - gap, 0.0), upper, gap)
+
+
+def siso_multilevel_bounds(power: float, n_sq: int) -> BoundPair:
+    """Scalar channel with a budget of n_sq sign quantizers, gap one bit."""
+    return _capped_pair(1.0, power, n_sq, 1.0)
 
 
 def simo_single_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     """All quantizers on one receive antenna, best antenna chosen."""
-    v = _check_gain_vector(h)
-    p = _check_power(power)
-    m = _check_count(n_sq, "n_sq")
-    h_max = float(np.max(np.abs(v)))
-    upper = float(_capped_half_log(1.0 + h_max * h_max * p, m))
-    return BoundPair(max(upper - 0.5, 0.0), upper, 0.5)
+    h_max = float(np.max(np.abs(_check_gain_vector(h))))
+    return _capped_pair(h_max * h_max, power, n_sq, 0.5)
 
 
 def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
@@ -246,19 +247,13 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
 def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
     """Maximal-ratio combining before quantization, gap half a bit."""
     v = _check_gain_vector(h)
-    p = _check_power(power)
-    m = _check_count(n_sq, "n_sq")
-    upper = float(_capped_half_log(1.0 + float(v @ v) * p, m))
-    return BoundPair(max(upper - 0.5, 0.0), upper, 0.5)
+    return _capped_pair(float(v @ v), power, n_sq, 0.5)
 
 
 def mimo_single_select_bounds(channel: ChannelMatrix, power: float, n_sq: int) -> BoundPair:
     """All quantizers on the receive antenna with the largest row norm."""
-    p = _check_power(power)
-    m = _check_count(n_sq, "n_sq")
     row_sq = np.sum(channel.entries * channel.entries, axis=1)
-    upper = float(_capped_half_log(1.0 + float(np.max(row_sq)) * p, m))
-    return BoundPair(max(upper - 2.0, 0.0), upper, 2.0)
+    return _capped_pair(float(np.max(row_sq)), power, n_sq, 2.0)
 
 
 def _check_gains(gains) -> np.ndarray:

@@ -112,6 +112,10 @@ def _cmd_bounds(args) -> dict:
     missing = [f for f, v in values.items() if v is None]
     if missing:
         raise ValueError(f"--{missing[0]} is required for family {args.family}")
+    names = (f for _, fam_flags in BOUND_FAMILIES.values() for f in fam_flags)
+    extra = [f for f in names if f not in flags and getattr(args, f) is not None]
+    if extra:
+        raise ValueError(f"--{extra[0]} is not used by family {args.family}")
     if "channel" in values:
         values["channel"] = _load_channel(values["channel"])
     value = func(*values.values())
@@ -332,3 +336,7 @@ def cli_dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -9,14 +9,16 @@ exactly instead of only statistically.  All randomness is counter-based
 (seed, trial), making every sweep reproducible byte for byte under any
 worker count.
 
-Sweeps are evaluated in blocks of contiguous trials.  A block draws its
-trials' master channels in one pass, and the array kernels of ``bounds``
-run once per curve and grid point over the stacked draws, through prefix
-statistics for vector channels and, for matrix channels, the spectrum
-kernel ``ChannelMatrix`` uses, which reads every grid point's gains from
-running sums of row outer products in one stacked ``eigvalsh``;
-water-filling runs once per power and gain count over all grid points with
-that count.  ``run_sweep`` says how ``workers`` splits the trials.
+Sweeps are evaluated in blocks of contiguous trials, and one block kernel
+serves vector and matrix channels alike: a vector channel is a matrix
+channel with one transmit antenna.  A block draws its trials' master
+channels in one pass and reads prefix statistics of their squared row
+norms; a matrix block also reads every grid point's gains from the spectrum
+kernel ``ChannelMatrix`` uses, running sums of row outer products in one
+stacked ``eigvalsh``.  The array kernels of ``bounds`` then run once per
+curve and grid point over the stacked draws, and water-filling once per
+power and gain count.  ``run_sweep`` says how ``workers`` splits the
+trials.
 
 Figure presets:
 
@@ -191,29 +193,56 @@ def _curve_labels(spec: SweepSpec) -> list:
         if spec.k_list:
             raise ValueError("k_list curves are only defined for vector (n_tx=None) sweeps")
         for p in spec.power_list:
-            curves.append((f"mimo-single-select-upper:P={p:g}", "mimo-single", p, 0))
+            curves.append((f"mimo-single-select-upper:P={p:g}", "single", p, 0))
             curves.append((f"waterfill-rate:P={p:g}", "waterfill", p, 0))
         if spec.include_highsnr_proxy:
             curves.append(("highsnr-proxy", "proxy", 0.0, 0))
     return curves
 
 
-def _vector_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
+def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
     """Write the curve values of trials ``t0 <= t < t1`` into ``out``.
 
     ``out`` has shape (trials, curves, grid points).  The block's master
-    draws come from one pass of the draw kernel.  Every grid point reads
-    prefix statistics of each trial's master draw (the running max and the
-    running sum of |h|^2, the strongest |h|^2 in order), so each bound
-    kernel runs once per curve and grid point over the whole block.  Every
-    operation acts row by row, so a trial's values do not depend on the
-    block it is evaluated in.
+    draws, a vector or an ``n_tx``-column matrix per trial, come from one
+    pass of the draw kernel.  For matrices the spectrum kernel of
+    ``ChannelMatrix`` then gives every trial's gains and rank test at every
+    grid point, bit for bit the gains ``ChannelMatrix`` keeps for the same
+    prefix; only trials with a rank-deficient prefix (vanishingly rare) are
+    redrawn, each from the next counter block of its stream so prefixes stay
+    nested, and the kernel reruns over the block.  Every grid point reads
+    prefix statistics of the squared row norms (the running max, the running
+    sum, the strongest in order), so each bound kernel runs once per curve
+    and grid point over the whole block, and water-filling once per power
+    and gain count.  Every operation acts row by row, so a trial's values do
+    not depend on the block it is evaluated in.
     """
-    sq = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
-    np.square(sq, out=sq)
+    shape = (spec.axis[-1],) if spec.n_tx is None else (spec.axis[-1], spec.n_tx)
+    h = _gaussian_rows(spec.seed, range(t0, t1), shape)
+    if spec.n_tx is None:
+        sq = np.square(h, out=h)
+    else:
+        for attempt in range(_DRAW_ATTEMPTS):
+            if attempt:
+                h[~full] = _gaussian_rows(spec.seed, t0 + np.flatnonzero(~full), shape, attempt)
+            prefix, full = _prefix_gains(h, spec.axis)
+            if full.all():
+                break
+        else:
+            raise RuntimeError(
+                f"no full-rank channel after {_DRAW_ATTEMPTS} attempts in trial "
+                f"{t0 + np.flatnonzero(~full)[0]}"
+            )
+        sq = np.sum(h * h, axis=2)
+        # grid points by gain count, min(x, n_tx), with one row per grid
+        # point and trial, point by point
+        widths = {}
+        for i, x in enumerate(spec.axis):
+            widths.setdefault(min(x, spec.n_tx), []).append(i)
+        gains = {w: np.concatenate([prefix[i] for i in points]) for w, points in widths.items()}
     starts = (0,) + spec.axis[:-1]
-    # squaring rounds monotonically, so max |h|^2 is the square of max |h|,
-    # the statistic the single-select bound squares
+    # squaring rounds monotonically, so a vector's max |h|^2 is the square
+    # of max |h|, the statistic the single-select bound squares
     max_sq = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
     tops = []
     if spec.k_list:
@@ -230,55 +259,18 @@ def _vector_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarr
             out[:, c] = _capped_half_log(1.0 + max_sq * p, spec.n_sq)
         elif kind == "linear":
             out[:, c] = _capped_half_log(1.0 + sum_sq * p, spec.n_sq)
-        else:
+        elif kind == "multi":
             for i, top in enumerate(tops):
                 rates = _multi_select_rates(top[:, :k], p, spec.n_sq)
                 out[:, c, i] = np.maximum(rates.max(axis=1) - 2.0, 0.0)
-
-
-def _matrix_block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
-    """``_vector_block`` for matrix channels: the spectrum kernel of
-    ``ChannelMatrix`` gives every trial's gains and rank test at every grid
-    point, from one stacked ``eigvalsh`` over the running sums of row outer
-    products, bit for bit the gains ``ChannelMatrix`` keeps for the same
-    prefix.  The gains of all grid points with the same count are
-    water-filled in one stack per power.  Only trials with a rank-deficient
-    prefix (vanishingly rare) are redrawn, each from the next counter block
-    of its stream, so prefixes stay nested.
-    """
-    pending = np.arange(t0, t1)
-    shape = (spec.axis[-1], spec.n_tx)
-    # grid points by gain count, min(x, n_tx)
-    widths = {}
-    for i, x in enumerate(spec.axis):
-        widths.setdefault(min(x, spec.n_tx), []).append(i)
-    for attempt in range(_DRAW_ATTEMPTS):
-        master = _gaussian_rows(spec.seed, pending, shape, attempt)
-        prefix, full = _prefix_gains(master, spec.axis)
-        rows, master = pending[full] - t0, master[full]
-        row_sq = np.maximum.accumulate(np.sum(master * master, axis=2), axis=1)
-        row_max = row_sq[:, np.asarray(spec.axis) - 1]
-        # one row per grid point and trial, point by point
-        gains = {
-            w: np.concatenate([prefix[i][full] for i in points]) for w, points in widths.items()
-        }
-        for c, (_, kind, p, _k) in enumerate(curves):
-            if kind == "mimo-single":
-                out[rows, c] = _capped_half_log(1.0 + row_max * p, spec.n_sq)
-            elif kind == "waterfill":
-                for w, points in widths.items():
-                    inf = np.full(gains[w].shape, np.inf)
-                    free, powers, _ = _capped_waterfill_rows(gains[w], inf, p)
-                    rates = _relaxed_rates(gains[w], powers, free, spec.n_sq)[0]
-                    out[rows, c, np.array(points)[:, None]] = rates.reshape(len(points), rows.size)
-            else:
-                out[rows, c] = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
-        pending = pending[~full]
-        if not pending.size:
-            return
-    raise RuntimeError(
-        f"no full-rank channel after {_DRAW_ATTEMPTS} attempts in trial {pending[0]}"
-    )
+        elif kind == "waterfill":
+            for w, points in widths.items():
+                inf = np.full(gains[w].shape, np.inf)
+                free, powers, _ = _capped_waterfill_rows(gains[w], inf, p)
+                rates = _relaxed_rates(gains[w], powers, free, spec.n_sq)[0]
+                out[:, c, points] = rates.reshape(len(points), -1).T
+        else:
+            out[:, c] = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
@@ -292,10 +284,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     them in turn when that is one, so no request starts more threads than
     the machine has cores.  Each chunk writes its own rows of the
     trial-ordered value array and every kernel works row by row, so the
-    output is identical for any ``workers`` value.  Within a chunk the
-    channels are drawn in one pass, a matrix chunk's spectra come from one
-    stacked ``eigvalsh`` over its grid points, and the gains are
-    water-filled with one call per power and gain count.
+    output is identical for any ``workers`` value.  One block kernel serves
+    vector and matrix sweeps: within a chunk the channels are drawn in one
+    pass, a matrix chunk's spectra come from one stacked ``eigvalsh`` over
+    its grid points, and the gains are water-filled with one call per power
+    and gain count.
     """
     workers = _check_count(workers, "workers")
     threads = min(workers, os.cpu_count() or 1)
@@ -304,11 +297,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     n_chunks = min(max(workers, -(-spec.trials // BLOCK_TRIALS)), spec.trials)
     chunks = np.array_split(np.arange(spec.trials), n_chunks)
 
-    block = _vector_block if spec.n_tx is None else _matrix_block
-
     def fill(chunk: np.ndarray):
         t0, t1 = int(chunk[0]), int(chunk[-1]) + 1
-        block(spec, curves, t0, t1, values[t0:t1])
+        _block(spec, curves, t0, t1, values[t0:t1])
 
     if threads == 1:
         for chunk in chunks:

@@ -3,11 +3,15 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_golden import CLI_CASES
 
+import sqcap
 from sqcap import __version__, cli
 from sqcap.channel import ChannelEnsembleSpec, draw_channel
 from sqcap.cli import BOUND_FAMILIES, cli_dispatch
@@ -31,6 +35,17 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert __version__ in out
+
+
+def test_module_entry_point_reaches_main():
+    path = [str(Path(sqcap.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "sqcap.cli", "--version"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stdout == f"sqcap {__version__}\n"
 
 
 def test_no_command_is_usage_error(capsys):
@@ -142,6 +157,26 @@ def test_bounds_family_without_flags_names_its_first_flag(capsys, family):
     assert err == f"error: --{first} is required for family {family}\n"
     # and every family has a golden
     assert CLI_CASES[f"bounds-{family}"][:3] == ["bounds", "--family", family]
+
+
+#: A value of each ``bounds`` flag, for passing it to a family that does not take it.
+_FLAG_VALUES = {"power": "1", "nsq": "5", "h": "1,2", "nrx": "3", "ntx": "2", "channel": "{}"}
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_FAMILIES))
+def test_bounds_family_rejects_flags_it_does_not_take(capsys, family):
+    flags = BOUND_FAMILIES[family][1]
+    assert set(flags) <= _FLAG_VALUES.keys()
+    for flag in sorted(_FLAG_VALUES.keys() - set(flags)):
+        argv = [*CLI_CASES[f"bounds-{family}"], f"--{flag}", _FLAG_VALUES[flag]]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: --{flag} is not used by family {family}\n"
+
+
+def test_bounds_names_the_first_unused_flag(capsys):
+    argv = ("bounds", "--family", "siso-sign", "--power", "1", "--nsq", "5", "--ntx", "9")
+    assert run(capsys, *argv) == (1, "", "error: --nsq is not used by family siso-sign\n")
 
 
 def test_waterfill_includes_both_solvers(capsys):

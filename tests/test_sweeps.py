@@ -212,23 +212,41 @@ def test_multi_trial_curves_match_scalar_api():
 
 
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
-    for name, spec in [
-        ("_vector_block", figure_spec("fig2b", trials=11, seed=5, axis=(1, 3, 40))),
-        ("_matrix_block", figure_spec("fig2c", trials=11, seed=5, axis=(5, 7, 12))),
+    real = sqcap.sweeps._block
+    for spec in [
+        figure_spec("fig2b", trials=11, seed=5, axis=(1, 3, 40)),
+        figure_spec("fig2c", trials=11, seed=5, axis=(5, 7, 12)),
     ]:
         base = csv_text(run_sweep(spec))
         with monkeypatch.context() as patch:
             patch.setattr(sqcap.sweeps, "BLOCK_TRIALS", 4)
             blocks = []
-            real = getattr(sqcap.sweeps, name)
 
-            def block(spec, curves, t0, t1, out, real=real):
+            def block(spec, curves, t0, t1, out):
                 blocks.append((t0, t1))
                 real(spec, curves, t0, t1, out)
 
-            patch.setattr(sqcap.sweeps, name, block)
+            patch.setattr(sqcap.sweeps, "_block", block)
             assert csv_text(run_sweep(spec)) == base
         assert blocks == [(0, 4), (4, 8), (8, 11)]
+
+
+def test_one_transmit_antenna_sweep_matches_the_vector_sweep():
+    # a vector channel is a matrix channel with one transmit antenna: the
+    # same draws, the best row is the strongest entry, and the one gain
+    # water-filled is the combined |h|^2 of maximal-ratio combining
+    axis, powers = (1, 2, 4, 9, 30), (0.2, 5.0, 300.0)
+    vector = SweepSpec("custom", axis, powers, 7, trials=23, seed=13)
+    matrix = SweepSpec("custom", axis, powers, 7, n_tx=1, trials=23, seed=13)
+    vec = {(p.curve_label, p.x): p.mean for p in run_sweep(vector)}
+    mat = {(p.curve_label, p.x): p.mean for p in run_sweep(matrix)}
+    assert len(mat) == len(vec) == 2 * len(powers) * len(axis)
+    for p in powers:
+        for x in axis:
+            single = f"single-select-upper:P={p:g}"
+            assert mat[("mimo-" + single, x)] == vec[(single, x)]
+            rate = mat[(f"waterfill-rate:P={p:g}", x)]
+            assert rate == pytest.approx(vec[(f"linear-upper:P={p:g}", x)], rel=0, abs=1e-12)
 
 
 def test_per_draw_dominance_and_monotonicity():
