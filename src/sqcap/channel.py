@@ -234,15 +234,24 @@ def _gaussian_rows(seed: int, streams, shape, counter_block: int = 0) -> np.ndar
                 key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64)
             )
         raw[row] = bits.random_raw(shape)
-    # the top 53 bits of each raw word: what Generator.integers(0, 2**53)
-    # returns, since Lemire's method over a power-of-two range never rejects
-    np.right_shift(raw, np.uint64(11), out=raw)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
+    u = _uniforms(raw)
     from scipy import special
 
     return special.ndtri(u, out=u)
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The 53-bit uniforms (k + 0.5) / 2**53 of raw Philox words, strictly
+    inside (0, 1), where k is the top 53 bits of each word: what
+    ``Generator.integers(0, 2**53)`` returns, since Lemire's method over a
+    power-of-two range never rejects.  Shifts ``raw`` in place.
+    """
+    np.right_shift(raw, np.uint64(11), out=raw)
+    # k < 2**53 reads the same as int64, which converts faster than uint64
+    u = raw.view(np.int64).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def draw_channel(spec: ChannelEnsembleSpec, trial_index: int) -> ChannelMatrix:

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._validate import _check_count, _check_seed, _frozen
 from .bounds import _check_gain_vector, _multi_select_flags
+from .channel import _uniforms
 from .dmc import (
     InputDistribution,
     TransitionMatrix,
@@ -281,6 +282,27 @@ def _plugin_mi_bits(counts: np.ndarray) -> float:
     return _mi_bits(n_x[seen] / n_x.sum(), rows)
 
 
+def _cell_index(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(t, w, side="right")`` for finite ``w`` and a
+    threshold row ``t`` on a uniform grid, such as a row of
+    ``DitheredSchemeParams.antenna_thresholds``.
+
+    The grid step gives each index to within one, (w - t_0) / step + 1,
+    clipped to [0, len(t)] before the integer cast so that huge ``w`` cannot
+    overflow it; one exact comparison each way against the row padded with
+    -inf and +inf then settles it.
+    """
+    pad = np.concatenate(([-np.inf], t, [np.inf]))
+    est = w - t[0]
+    est *= (t.size - 1) / (t[-1] - t[0])
+    est += 1.0
+    np.clip(est, 0.0, t.size, out=est)
+    idx = est.astype(np.int64)
+    idx -= pad[idx] > w
+    idx += pad[1:][idx] <= w
+    return idx
+
+
 def dithered_mi_estimate(
     params: DitheredSchemeParams, h, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -290,7 +312,10 @@ def dithered_mi_estimate(
     counter-based substreams (one per batch), builds the empirical joint
     histogram over the m_levels x (m_levels + 2)^K alphabet, and returns the
     pooled plug-in estimate with a batch-means standard error over 10
-    batches.  Deterministic for a given seed on every platform.
+    batches, so ``samples`` must be a multiple of 10.  Each antenna's cell
+    is read off its uniform threshold grid by arithmetic, then checked
+    exactly against its two neighbouring thresholds.  Deterministic for a
+    given seed on every platform.
     """
     v = _check_gain_vector(h)
     k = params.selected_count
@@ -307,31 +332,37 @@ def dithered_mi_estimate(
     seed = _check_seed(seed)
     if total < 10**4:
         raise ValueError(f"need at least 10^4 samples, got {samples!r}")
+    if total % _MI_BATCHES:
+        raise ValueError(
+            f"samples must be a multiple of the batch count {_MI_BATCHES}, got {total}"
+        )
     if total < _SAMPLES_PER_CELL * n_cells:
         raise ValueError(
             f"need at least {_SAMPLES_PER_CELL} samples per output cell "
             f"({_SAMPLES_PER_CELL * n_cells} total), got {total}"
         )
     per_batch = total // _MI_BATCHES
-    gains = params.selected_gains
-    cell_weight = (m + 2) ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
     pooled = np.zeros((m, n_cells), dtype=np.int64)
     batch_vals = np.empty(_MI_BATCHES)
     from scipy import special
 
     for b in range(_MI_BATCHES):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        s_idx = gen.integers(0, m, size=per_batch)
-        u = (gen.integers(0, 1 << 53, size=per_batch, dtype=np.int64) + 0.5) * 2.0**-53
-        x = params.points[s_idx] + (u - 0.5) * params.spacing
-        zu = (gen.integers(0, 1 << 53, size=(k, per_batch), dtype=np.int64) + 0.5) * 2.0**-53
-        z = special.ndtri(zu)
-        cells = np.empty((k, per_batch), dtype=np.int64)
+        bits = np.random.Philox(key=np.array([seed, b], dtype=np.uint64))
+        code = np.random.Generator(bits).integers(0, m, size=per_batch)
+        # the dither row, then one noise row per antenna: the words
+        # Generator.integers(0, 2**53) would take next
+        u = _uniforms(bits.random_raw((k + 1, per_batch)))
+        x = u[0]
+        x -= 0.5
+        x *= params.spacing
+        x += params.points[code]
+        z = special.ndtri(u[1:], out=u[1:])
         for j in range(k):
-            w = gains[j] * x + z[j]
-            cells[j] = np.searchsorted(params.antenna_thresholds[j], w, side="right")
-        code = s_idx * n_cells + cell_weight @ cells
+            w = params.selected_gains[j] * x
+            w += z[j]
+            code *= m + 2
+            code += _cell_index(params.antenna_thresholds[j], w)
         counts = np.bincount(code, minlength=m * n_cells).reshape(m, n_cells)
         pooled += counts
         batch_vals[b] = _plugin_mi_bits(counts)

@@ -61,6 +61,14 @@ CLI_CASES = {
         "dither", "--h", "2.0,2.5,1.8", "--power", "200", "--nsq", "12",
         "--k", "2", "--samples", "20000", "--seed", "7",
     ],
+    "dither-k1": [
+        "dither", "--h", "1.7,0.9", "--power", "300", "--nsq", "40",
+        "--k", "1", "--samples", "20000", "--seed", "7",
+    ],
+    "dither-k3": [
+        "dither", "--h", "1.5,1.4,1.3", "--power", "200", "--nsq", "24",
+        "--k", "3", "--samples", "40000", "--seed", "7",
+    ],
     "waterfill": ["waterfill", "--gains", "2.1,1.4,0.6", "--power", "12", "--nsq", "6"],
 }
 

@@ -12,6 +12,7 @@ from sqcap.bounds import siso_sign_capacity
 from sqcap.schemes import (
     DitheredSchemeParams,
     PamScheme,
+    _cell_index,
     _plugin_mi_bits,
     build_dithered_scheme,
     build_pam_scheme,
@@ -235,6 +236,25 @@ def test_dithered_mi_estimate_guards():
     for seed in (2.5, -1, 2**64, float("nan")):
         with pytest.raises(ValueError, match="seed"):
             dithered_mi_estimate(params, (1.2, 1.5), 10**4, seed)
+    # every batch draws the same count, so none may be dropped
+    with pytest.raises(ValueError, match="multiple of the batch count 10"):
+        dithered_mi_estimate(params, (1.2, 1.5), 10009, 7)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cell_index_is_searchsorted_right(k):
+    rng = np.random.default_rng(k)
+    gains = np.array([2.3, 1.1, 0.37])[:k]
+    for m in range(3, 51):
+        params = DitheredSchemeParams(gains, m, 7.0 * m * m, k * (m + 1))
+        for t in params.antenna_thresholds:
+            span = t[-1] - t[0]
+            w = np.concatenate([
+                t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                [0.0, -0.0, 1e300, -1e300],
+                rng.uniform(t[0] - span, t[-1] + span, 10**5),
+            ])
+            np.testing.assert_array_equal(_cell_index(t, w), np.searchsorted(t, w, side="right"))
 
 
 def test_dithered_mi_needs_enough_samples_per_cell():
