@@ -1,4 +1,12 @@
-"""Argument checks and read-only arrays shared by every module; imports nothing of ``sqcap``."""
+"""Argument checks and read-only arrays shared by every module; imports nothing of ``sqcap``.
+
+Each argument rule is stated here once: a positive integer count, a Philox
+seed word, a finite nonnegative (or positive) real, a nonempty 1-D finite
+vector (positive, and in nonincreasing order, if asked), and a finite
+nonnegative probability array.
+"""
+
+import math
 
 import numpy as np
 
@@ -34,3 +42,36 @@ def _check_seed(value, name: str = "seed") -> int:
     if n is None or not 0 <= n < 2**64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return n
+
+
+def _check_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float, above 0 if ``positive`` is set, else at least 0."""
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0 if positive else x >= 0)):
+        kind = "positive and finite" if positive else "finite and nonnegative"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return x
+
+
+def _check_vector(
+    values, name: str, positive: bool = False, nonincreasing: bool = False
+) -> np.ndarray:
+    """``values`` as a 1-D, nonempty, finite float64 array, positive and
+    sorted nonincreasing if asked."""
+    v = np.asarray(values, dtype=np.float64)
+    kind = "positive finite" if positive else "finite"
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"{name} must be 1-D, nonempty and {kind}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)) or (positive and np.any(v <= 0)):
+        raise ValueError(f"{name} must be {kind}")
+    if nonincreasing and np.any(np.diff(v) > 0):
+        raise ValueError(f"{name} must be sorted nonincreasing")
+    return v
+
+
+def _check_probabilities(values, name: str) -> np.ndarray:
+    """``values`` as a finite, nonnegative float64 array."""
+    p = np.asarray(values, dtype=np.float64)
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return p

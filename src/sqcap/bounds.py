@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._validate import _check_count, _frozen
+from ._validate import _check_count, _check_real, _check_vector, _frozen
 from .channel import ChannelMatrix
 from .tailmath import binary_entropy, q_function
 
@@ -43,7 +43,6 @@ __all__ = [
 
 _PAIR_TOL = 1e-12
 _WF_TOL = 1e-9
-_WF_MAX_BISECT = 200
 
 #: Exhaustive-search budget for the integer allocator.
 ORACLE_MAX_CHANNELS = 8
@@ -120,32 +119,16 @@ class AllocationResult:
         object.__setattr__(self, "active_count", int(np.count_nonzero(self.powers > 0)))
 
 
-def _check_power(power: float) -> float:
-    p = float(power)
-    if not (math.isfinite(p) and p >= 0):
-        raise ValueError(f"power must be finite and nonnegative, got {power!r}")
-    return p
-
-
-def _check_gain_vector(h) -> np.ndarray:
-    v = np.asarray(h, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"gain vector must be 1-D and nonempty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("gain vector must be finite")
-    return v
-
-
 def siso_sign_capacity(power: float) -> float:
     """Capacity in bits of a unit-noise scalar channel seen through one sign."""
-    p = _check_power(power)
+    p = _check_real(power, "power")
     return 1.0 - binary_entropy(q_function(math.sqrt(p)))
 
 
 def miso_sign_capacity(h, power: float) -> float:
     """Transmit beamforming onto a single sign quantizer: gain ||h||_2."""
-    v = _check_gain_vector(h)
-    p = _check_power(power)
+    v = _check_vector(h, "gain vector")
+    p = _check_real(power, "power")
     return 1.0 - binary_entropy(q_function(float(np.linalg.norm(v)) * math.sqrt(p)))
 
 
@@ -209,7 +192,7 @@ def _multi_select_flags(gains: np.ndarray, power: float, n_sq: int) -> tuple:
 
 def _capped_pair(gain_sq: float, power: float, n_sq: int, gap: float) -> BoundPair:
     """Upper bound 0.5 log2 min(1 + gain_sq P, (n_sq + 1)^2), lower ``gap`` below, at least 0."""
-    p = _check_power(power)
+    p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
     upper = float(_capped_half_log(1.0 + gain_sq * p, m))
     return BoundPair(max(upper - gap, 0.0), upper, gap)
@@ -222,7 +205,7 @@ def siso_multilevel_bounds(power: float, n_sq: int) -> BoundPair:
 
 def simo_single_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     """All quantizers on one receive antenna, best antenna chosen."""
-    h_max = float(np.max(np.abs(_check_gain_vector(h))))
+    h_max = float(np.max(np.abs(_check_vector(h, "gain vector"))))
     return _capped_pair(h_max * h_max, power, n_sq, 0.5)
 
 
@@ -234,8 +217,8 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     P > log2(n_sq) > 2 and every antenna gain above one; inputs outside
     that regime get advisory ``flags`` instead of an error.
     """
-    v = _check_gain_vector(h)
-    p = _check_power(power)
+    v = _check_vector(h, "gain vector")
+    p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
     rates = _multi_select_rates(_top_squares(v * v, min(v.size, m)), p, m)
     best = int(np.argmax(rates))
@@ -246,7 +229,7 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
 
 def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
     """Maximal-ratio combining before quantization, gap half a bit."""
-    v = _check_gain_vector(h)
+    v = _check_vector(h, "gain vector")
     return _capped_pair(float(v @ v), power, n_sq, 0.5)
 
 
@@ -254,13 +237,6 @@ def mimo_single_select_bounds(channel: ChannelMatrix, power: float, n_sq: int) -
     """All quantizers on the receive antenna with the largest row norm."""
     row_sq = np.sum(channel.entries * channel.entries, axis=1)
     return _capped_pair(float(np.max(row_sq)), power, n_sq, 2.0)
-
-
-def _check_gains(gains) -> np.ndarray:
-    g = _check_gain_vector(gains)
-    if np.any(g <= 0):
-        raise ValueError("gains must be positive")
-    return g
 
 
 def _relaxed_rates(g: np.ndarray, powers: np.ndarray, free: np.ndarray, n_sq: int) -> tuple:
@@ -287,10 +263,8 @@ def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
     evenly over the K active subchannels and the rate is
     K log2(n_sq / K + 1) (quantizer-limited).
     """
-    g = _check_gains(gains)
-    if np.any(np.diff(g) > 0):
-        raise ValueError("gains must be sorted nonincreasing")
-    p = _check_power(power)
+    g = _check_vector(gains, "gains", positive=True, nonincreasing=True)
+    p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
     if p:
         free, powers, mu = _capped_waterfill_rows(g[None], np.full((1, g.size), np.inf), p)
@@ -374,19 +348,22 @@ def _bisected_free_rate(g: np.ndarray, power: float) -> float:
     1.16262 at P = 11.7929 and 8 quantizers was decided on this rate, which
     overspends the budget by up to ``_WF_TOL * max(1, P)``; the exact rate
     ``_capped_waterfill_rows(g[None], inf, P)[0][0]`` replaces it when that
-    reference is re-recorded.  The first midpoint within tolerance wins.
+    reference is re-recorded.  The first midpoint within tolerance wins; it
+    gives up only once a midpoint is not strictly inside the bracket, which
+    a dead subchannel (gain 1e-60) opens to about 1e60.
     """
     inv = 1.0 / g
     lo, hi = inv.min(), inv.max() + power
     tol = _WF_TOL * max(1.0, power)
-    for _ in range(_WF_MAX_BISECT):
+    while True:
         mu = (lo + hi) * 0.5
         powers = np.maximum(mu - inv, 0.0)
         total = powers.sum()
         if not abs(total - power) > tol:
             return float(np.sum(0.5 * np.log2(1.0 + g * powers)))
+        if not lo < mu < hi:
+            raise RuntimeError(f"water-filling failed to meet budget {power!r}")
         lo, hi = (lo, mu) if total > power else (mu, hi)
-    raise RuntimeError(f"water-filling failed to meet budget {power!r}")
 
 
 def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
@@ -404,8 +381,8 @@ def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
     with the most quantizers on the strongest channels.  Gains may come in any order (a stable sort
     settles equal gains); results line up with the input order.
     """
-    g_in = _check_gains(gains)
-    p = _check_power(power)
+    g_in = _check_vector(gains, "gains", positive=True)
+    p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
     n = g_in.size
     if (

@@ -210,29 +210,21 @@ def _gaussian_rows(seed: int, streams, shape, counter_block: int = 0) -> np.ndar
     first axis: row ``r`` holds the bits ``gaussian_draw(seed, streams[r],
     shape, counter_block)`` returns.
 
-    One Philox generator serves all rows, re-keyed per stream, and the
-    shift, the uniform offsets and ``ndtri`` each run once over the block.
+    One Philox generator serves all rows, keyed per stream through its state
+    setter, and the shift, the uniform offsets and ``ndtri`` each run once
+    over the block.
     """
     seed = _check_seed(seed)
     shape = tuple(shape) if np.iterable(shape) else (shape,)
     raw = np.empty((len(streams),) + shape, dtype=np.uint64)
+    bits = np.random.Philox(key=seed)
+    # the state setter reads plain ints: re-keying costs far less than
+    # building a generator per stream
+    state = bits.state
     for row, stream in enumerate(streams):
-        key, counter = [seed, _check_seed(stream, "stream")], [0, 0, 0, counter_block]
-        if row:
-            # the state setter reads plain ints: re-keying costs far less
-            # than building a generator per stream
-            bits.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": counter, "key": key},
-                "buffer": [0, 0, 0, 0],
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        else:
-            bits = np.random.Philox(
-                key=np.array(key, dtype=np.uint64), counter=np.array(counter, dtype=np.uint64)
-            )
+        key = [seed, _check_seed(stream, "stream")]
+        state["state"] = {"counter": [0, 0, 0, counter_block], "key": key}
+        bits.state = state
         raw[row] = bits.random_raw(shape)
     u = _uniforms(raw)
     from scipy import special
@@ -254,21 +246,43 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
+def _full_rank_rows(seed: int, streams, shape, counts) -> tuple:
+    """:func:`_gaussian_rows` of ``streams`` with every rank-deficient draw
+    redrawn, and the gains of the row prefixes ``_prefix_gains`` reads at
+    the increasing row ``counts``.
+
+    Attempt ``a`` redraws only the streams still pending, whole, from
+    counter block ``a`` of each stream (so prefixes stay nested), and
+    reruns the spectrum kernel over the stack.  Returns ``(draws, gains,
+    redraws)``, with ``redraws[r]`` the counter block row ``r`` came from.
+    """
+    h = _gaussian_rows(seed, streams, shape)
+    redraws = np.zeros(len(streams), dtype=np.int64)
+    for attempt in range(_DRAW_ATTEMPTS):
+        if attempt:
+            pending = np.flatnonzero(~full)
+            h[pending] = _gaussian_rows(seed, [streams[r] for r in pending], shape, attempt)
+            redraws[pending] = attempt
+        gains, full = _prefix_gains(h, counts)
+        if full.all():
+            return h, gains, redraws
+    raise RuntimeError(
+        f"no full-rank channel after {_DRAW_ATTEMPTS} attempts in trial "
+        f"{streams[np.flatnonzero(~full)[0]]}"
+    )
+
+
 def draw_channel(spec: ChannelEnsembleSpec, trial_index: int) -> ChannelMatrix:
     """Deterministic per-trial channel draw with full-rank rejection.
 
-    The draw is :func:`gaussian_draw` on stream ``trial_index``.  A
-    rank-deficient draw (relative tolerance ``RANK_TOL``) is redrawn from the
-    next counter block of the same stream; the redraw count is kept in the
-    returned matrix's provenance.
+    The draw is :func:`gaussian_draw` on stream ``trial_index``, redrawn by
+    :func:`_full_rank_rows` from the next counter block while it is rank
+    deficient (relative tolerance ``RANK_TOL``); the redraw count is kept
+    in the returned matrix's provenance.
     """
     if not 0 <= trial_index < spec.trials:
         raise ValueError(f"trial_index {trial_index} outside [0, {spec.trials})")
-    for block in range(_DRAW_ATTEMPTS):
-        h = gaussian_draw(spec.seed, trial_index, (spec.n_rx, spec.n_tx), counter_block=block)
-        provenance = {"seed": int(spec.seed), "trial_index": int(trial_index), "redraws": block}
-        try:
-            return ChannelMatrix(h, provenance=provenance)
-        except RankDeficientError:
-            continue
-    raise RuntimeError(f"no full-rank draw after {_DRAW_ATTEMPTS} attempts for trial {trial_index}")
+    shape = (spec.n_rx, spec.n_tx)
+    (h,), _, (redraws,) = _full_rank_rows(spec.seed, (trial_index,), shape, (spec.n_rx,))
+    provenance = {"seed": int(spec.seed), "trial_index": int(trial_index), "redraws": int(redraws)}
+    return ChannelMatrix(h, provenance=provenance)

@@ -29,7 +29,7 @@ from .bounds import (
     waterfill_relaxed,
 )
 from .channel import ChannelMatrix
-from .dmc import blahut_arimoto
+from .dmc import InputDistribution, blahut_arimoto, mutual_information
 from .schemes import (
     _pam_channel,
     build_dithered_scheme,
@@ -167,7 +167,8 @@ def _cmd_ba(args) -> dict:
     scheme = _build_scheme(args)
     channel = _pam_channel(scheme, args.gain)
     capacity, dist = blahut_arimoto(channel, args.tolerance, args.max_iters)
-    uniform_rate = pam_inner_rate(scheme, args.gain)
+    # pam_inner_rate, on the transition matrix already built
+    uniform_rate = mutual_information(InputDistribution.uniform(scheme.m_levels), channel)
     result = {
         "scheme": json.loads(scheme.to_json()),
         "capacity_bits": capacity,
@@ -243,6 +244,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write output to this path instead of stdout")
 
+    def scheme_flags(p):
+        p.add_argument("--power", type=float, required=True)
+        p.add_argument("--nsq", type=int, default=2)
+        p.add_argument("--levels", type=int, help="fix the constellation size directly")
+        p.add_argument("--gain", type=float, default=1.0)
+
     b = sub.add_parser("bounds", help="evaluate a closed-form capacity value or bound pair")
     b.add_argument("--family", choices=tuple(BOUND_FAMILIES), required=True)
     b.add_argument("--power", type=float)
@@ -262,10 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.set_defaults(handler=_cmd_waterfill)
 
     p = sub.add_parser("pam", help="build a PAM scheme and its exact achievable rate")
-    p.add_argument("--power", type=float, required=True)
-    p.add_argument("--nsq", type=int, default=2)
-    p.add_argument("--levels", type=int, help="fix the constellation size directly")
-    p.add_argument("--gain", type=float, default=1.0)
+    scheme_flags(p)
     common(p)
     p.set_defaults(handler=_cmd_pam)
 
@@ -280,10 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.set_defaults(handler=_cmd_dither)
 
     a = sub.add_parser("ba", help="capacity of the scheme-induced channel by Blahut-Arimoto")
-    a.add_argument("--power", type=float, required=True)
-    a.add_argument("--nsq", type=int, default=2)
-    a.add_argument("--levels", type=int)
-    a.add_argument("--gain", type=float, default=1.0)
+    scheme_flags(a)
     a.add_argument("--tolerance", type=float, default=1e-9)
     a.add_argument("--max-iters", type=int, default=10_000)
     common(a)

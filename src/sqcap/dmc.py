@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import _check_count, _frozen
+from ._validate import _check_count, _check_probabilities, _check_real, _check_vector, _frozen
 from .tailmath import clamp_small_probabilities, q_array, q_diff_array
 
 __all__ = [
@@ -42,8 +42,7 @@ class TransitionMatrix:
         p = _frozen(self.probs)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
             raise ValueError(f"transition matrix must be 2-D and nonempty, got shape {p.shape}")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("transition probabilities must be finite and nonnegative")
+        _check_probabilities(p, "transition probabilities")
         worst = np.max(np.abs(p.sum(axis=1) - 1.0))
         if worst > _ROW_SUM_TOL:
             raise ValueError(f"row sums deviate from 1 by {worst:.3e} > {_ROW_SUM_TOL:.1e}")
@@ -68,8 +67,7 @@ class InputDistribution:
         p = _frozen(self.probs)
         if p.ndim != 1 or p.size < 1:
             raise ValueError(f"input distribution must be a nonempty vector, got shape {p.shape}")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
-            raise ValueError("input probabilities must be finite and nonnegative")
+        _check_probabilities(p, "input probabilities")
         if abs(p.sum() - 1.0) > _ROW_SUM_TOL:
             raise ValueError(f"input probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "probs", p)
@@ -105,18 +103,11 @@ def quantizer_transition(
     as Gaussian tail differences, so entries keep relative accuracy even
     when the matrix is nearly deterministic.
     """
-    x = np.asarray(points, dtype=np.float64)
-    t = np.asarray(thresholds, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"points must be a nonempty vector, got shape {x.shape}")
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError(f"thresholds must be a nonempty vector, got shape {t.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-        raise ValueError("points and thresholds must be finite")
+    x = _check_vector(points, "points")
+    t = _check_vector(thresholds, "thresholds")
     if np.any(np.diff(t) <= 0):
         raise ValueError("thresholds must be strictly increasing")
-    if not noise_std > 0:
-        raise ValueError(f"noise_std must be positive, got {noise_std}")
+    noise_std = _check_real(noise_std, "noise_std", positive=True)
     if not np.isfinite(gain):
         raise ValueError(f"gain must be finite, got {gain}")
 
@@ -140,9 +131,7 @@ def output_marginal(input_dist: InputDistribution, channel: TransitionMatrix) ->
 
 def entropy_bits(probs: np.ndarray) -> float:
     """Shannon entropy of a probability vector; zero entries contribute zero."""
-    p = np.asarray(probs, dtype=np.float64)
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("entropy needs finite nonnegative probabilities")
+    p = _check_probabilities(probs, "probabilities")
     live = p[p > 0]
     return float(-np.sum(live * np.log2(live)))
 
@@ -192,10 +181,8 @@ def blahut_arimoto(
     Raises ConvergenceError carrying the best iterate if the gap is still
     above tolerance after ``max_iters`` updates.
     """
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
+    tolerance = _check_real(tolerance, "tolerance", positive=True)
+    max_iters = _check_count(max_iters, "max_iters")
     w_full = channel.probs
     reachable = w_full.sum(axis=0) > 0
     w = w_full[:, reachable]

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validate import _check_count, _check_seed, _frozen
-from .bounds import _check_gain_vector, _multi_select_flags
+from ._validate import _check_count, _check_real, _check_seed, _check_vector, _frozen
+from .bounds import _multi_select_flags
 from .channel import _uniforms
 from .dmc import (
     InputDistribution,
@@ -55,12 +55,6 @@ def _uniform_grid(m: int, spacing: float) -> np.ndarray:
     return spacing * (np.arange(m) - (m - 1) / 2.0)
 
 
-def _check_budget(power) -> float:
-    if not (power > 0 and math.isfinite(power)):
-        raise ValueError(f"power must be positive and finite, got {power!r}")
-    return float(power)
-
-
 @dataclass(frozen=True, eq=False)
 class PamScheme:
     """M-point uniform PAM, symmetric about zero with mean square exactly P.
@@ -80,7 +74,7 @@ class PamScheme:
         m = _check_count(self.m_levels, "m_levels")
         if m < 2:
             raise ValueError(f"need at least 2 levels, got {self.m_levels!r}")
-        p = _check_budget(self.power_budget)
+        p = _check_real(self.power_budget, "power", positive=True)
         spacing = math.sqrt(12.0 * p / (m * m - 1.0))
         points = _uniform_grid(m, spacing)
         object.__setattr__(self, "m_levels", m)
@@ -129,8 +123,7 @@ def _pam_channel(scheme: PamScheme, gain: float) -> TransitionMatrix:
 
     Thresholds are placed at the received (gain-scaled) midpoints.
     """
-    if not (gain > 0 and math.isfinite(gain)):
-        raise ValueError(f"gain must be positive and finite, got {gain!r}")
+    gain = _check_real(gain, "gain", positive=True)
     return quantizer_transition(scheme.points, gain * scheme.thresholds, gain, 1.0)
 
 
@@ -185,15 +178,12 @@ class DitheredSchemeParams:
     flags: tuple = field(init=False)
 
     def __post_init__(self):
-        g = _frozen(self.selected_gains)
-        if g.ndim != 1 or g.size < 1 or not np.all((g > 0) & (g < np.inf)):
-            raise ValueError("selected gains must be a vector of positive finite values")
-        if np.any(np.diff(g) > 0):
-            raise ValueError("selected gains must be sorted nonincreasing")
+        g = self.selected_gains
+        g = _frozen(_check_vector(g, "selected gains", positive=True, nonincreasing=True))
         m = _check_count(self.m_levels, "m_levels")
         if m < 3:
             raise ValueError(f"dithered scheme needs at least 3 levels, got {m}")
-        p = _check_budget(self.power_budget)
+        p = _check_real(self.power_budget, "power", positive=True)
         n = _check_count(self.quantizer_budget, "quantizer_budget")
         k = g.size
         if k * (m + 1) > n:
@@ -252,8 +242,8 @@ def build_dithered_scheme(
     floor(min(n_sq / K, ||h_K|| sqrt(P)) - 1), which keeps the budget
     K (M + 1) <= n_sq; below 3 levels the construction is rejected.
     """
-    v = _check_gain_vector(h)
-    _check_budget(power)
+    v = _check_vector(h, "gain vector")
+    _check_real(power, "power", positive=True)
     n = _check_count(n_sq, "n_sq")
     k = _check_count(k_select, "k_select")
     if not k <= min(v.size, n):
@@ -317,7 +307,7 @@ def dithered_mi_estimate(
     exactly against its two neighbouring thresholds.  Deterministic for a
     given seed on every platform.
     """
-    v = _check_gain_vector(h)
+    v = _check_vector(h, "gain vector")
     k = params.selected_count
     m = params.m_levels
     expect = np.sort(np.abs(v))[::-1][:k]

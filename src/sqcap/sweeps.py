@@ -40,18 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validate import _check_count, _check_seed
+from ._validate import _check_count, _check_real, _check_seed, _check_vector
 from .bounds import (
     _capped_half_log,
     _capped_waterfill_rows,
-    _check_gain_vector,
-    _check_power,
     _multi_select_rates,
     _relaxed_rates,
     _top_squares,
     mimo_sign_highsnr_bounds,
 )
-from .channel import _DRAW_ATTEMPTS, _gaussian_rows, _prefix_gains
+from .channel import _full_rank_rows, _gaussian_rows
 
 __all__ = [
     "CurvePoint",
@@ -101,9 +99,9 @@ class SweepSpec:
         axis = tuple(_check_count(x, "each axis count") for x in self.axis)
         if not axis or any(b <= a for a, b in zip(axis, axis[1:])):
             raise ValueError(f"axis must be a strictly increasing grid of counts, got {axis}")
-        powers = tuple(float(p) for p in self.power_list)
-        if not powers or any(not (math.isfinite(p) and p > 0) for p in powers):
-            raise ValueError(f"power_list must be nonempty positive reals, got {powers}")
+        powers = tuple(_check_real(p, "each power", positive=True) for p in self.power_list)
+        if not powers:
+            raise ValueError("power_list must be nonempty")
         ks = tuple(_check_count(k, "each k_list count") for k in self.k_list)
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(f"k_list must be strictly increasing positive, got {ks}")
@@ -164,8 +162,8 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     Maximizes over selection counts up to min(k_cap, antennas, n_sq), so the
     value is nondecreasing in ``k_cap`` for any fixed channel draw.
     """
-    v = _check_gain_vector(h)
-    power = _check_power(power)
+    v = _check_vector(h, "gain vector")
+    power = _check_real(power, "power")
     n_sq = _check_count(n_sq, "n_sq")
     kmax = min(_check_count(k_cap, "k_cap"), v.size, n_sq)
     rates = _multi_select_rates(_top_squares(v * v, kmax), power, n_sq)
@@ -205,34 +203,21 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
 
     ``out`` has shape (trials, curves, grid points).  The block's master
     draws, a vector or an ``n_tx``-column matrix per trial, come from one
-    pass of the draw kernel.  For matrices the spectrum kernel of
-    ``ChannelMatrix`` then gives every trial's gains and rank test at every
-    grid point, bit for bit the gains ``ChannelMatrix`` keeps for the same
-    prefix; only trials with a rank-deficient prefix (vanishingly rare) are
-    redrawn, each from the next counter block of its stream so prefixes stay
-    nested, and the kernel reruns over the block.  Every grid point reads
-    prefix statistics of the squared row norms (the running max, the running
+    pass of the draw kernel; matrices from ``channel._full_rank_rows``, which
+    redraws the rank-deficient ones and gives every grid point's gains, bit
+    for bit those ``ChannelMatrix`` keeps for the same prefix.  Every grid
+    point reads prefix statistics of the squared row norms (the running max, the running
     sum, the strongest in order), so each bound kernel runs once per curve
     and grid point over the whole block, and water-filling once per power
     and gain count.  Every operation acts row by row, so a trial's values do
     not depend on the block it is evaluated in.
     """
-    shape = (spec.axis[-1],) if spec.n_tx is None else (spec.axis[-1], spec.n_tx)
-    h = _gaussian_rows(spec.seed, range(t0, t1), shape)
     if spec.n_tx is None:
+        h = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
         sq = np.square(h, out=h)
     else:
-        for attempt in range(_DRAW_ATTEMPTS):
-            if attempt:
-                h[~full] = _gaussian_rows(spec.seed, t0 + np.flatnonzero(~full), shape, attempt)
-            prefix, full = _prefix_gains(h, spec.axis)
-            if full.all():
-                break
-        else:
-            raise RuntimeError(
-                f"no full-rank channel after {_DRAW_ATTEMPTS} attempts in trial "
-                f"{t0 + np.flatnonzero(~full)[0]}"
-            )
+        shape = (spec.axis[-1], spec.n_tx)
+        h, prefix, _ = _full_rank_rows(spec.seed, range(t0, t1), shape, spec.axis)
         sq = np.sum(h * h, axis=2)
         # grid points by gain count, min(x, n_tx), with one row per grid
         # point and trial, point by point

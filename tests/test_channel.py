@@ -8,10 +8,12 @@ from scipy import special
 
 import sqcap.channel
 from sqcap.channel import (
+    _DRAW_ATTEMPTS,
     RANK_TOL,
     ChannelEnsembleSpec,
     ChannelMatrix,
     RankDeficientError,
+    _full_rank_rows,
     _gaussian_rows,
     _prefix_gains,
     draw_channel,
@@ -190,18 +192,53 @@ def test_draw_channel_first_draw_is_counter_block_zero():
 
 
 def test_draw_channel_redraws_rank_deficient_block(monkeypatch):
-    real = sqcap.channel.gaussian_draw
+    real = sqcap.channel._gaussian_rows
+    want = gaussian_draw(5, 1, (4, 2), counter_block=1)
 
-    def draw(seed, stream, shape, counter_block=0):
-        h = real(seed, stream, shape, counter_block)
+    def draw(seed, streams, shape, counter_block=0):
+        h = real(seed, streams, shape, counter_block)
         if counter_block == 0:
-            h[:, 1] = h[:, 0]
+            h[:, :, 1] = h[:, :, 0]
         return h
 
-    monkeypatch.setattr(sqcap.channel, "gaussian_draw", draw)
+    monkeypatch.setattr(sqcap.channel, "_gaussian_rows", draw)
     cm = draw_channel(ChannelEnsembleSpec(4, 2, seed=5, trials=2), 1)
     assert cm.provenance["redraws"] == 1
-    np.testing.assert_array_equal(cm.entries, real(5, 1, (4, 2), counter_block=1))
+    np.testing.assert_array_equal(cm.entries, want)
+
+
+def test_full_rank_rows_redraws_only_pending_streams(monkeypatch):
+    # stream 7 is forced rank deficient at counter blocks below ``deficient``
+    seed, shape, counts = 11, (4, 3), (3, 4)
+    want = [gaussian_draw(seed, 7, shape, counter_block=2), gaussian_draw(seed, 2, shape)]
+    real = sqcap.channel._gaussian_rows
+    drawn, deficient = [], 2
+
+    def draw(seed, streams, shape, counter_block=0):
+        drawn.append((list(streams), counter_block))
+        h = real(seed, streams, shape, counter_block)
+        for row, stream in enumerate(streams):
+            if stream == 7 and counter_block < deficient:
+                h[row, :, 2] = h[row, :, 0]
+        return h
+
+    monkeypatch.setattr(sqcap.channel, "_gaussian_rows", draw)
+    h, gains, redraws = _full_rank_rows(seed, [7, 2], shape, counts)
+    assert list(redraws) == [2, 0]
+    assert drawn == [([7, 2], 0), ([7], 1), ([7], 2)]
+    for row, expected in zip(h, want):
+        np.testing.assert_array_equal(row, expected)
+    for got, expected in zip(gains, _prefix_gains(h, counts)[0]):
+        np.testing.assert_array_equal(got, expected)
+
+    # the scalar draw is the kernel's one-stream case
+    cm = draw_channel(ChannelEnsembleSpec(4, 3, seed=seed, trials=8), 7)
+    assert cm.provenance["redraws"] == 2
+    np.testing.assert_array_equal(cm.entries, h[0])
+
+    deficient = _DRAW_ATTEMPTS
+    with pytest.raises(RuntimeError, match=f"{_DRAW_ATTEMPTS} attempts in trial 7$"):
+        _full_rank_rows(seed, [2, 7], shape, counts)
 
 
 def test_ensemble_spec_validation():

@@ -189,6 +189,17 @@ def test_waterfill_includes_both_solvers(capsys):
     assert orc["branch"] in ("power-limited", "quantizer-limited")
 
 
+@pytest.mark.parametrize("gains", ["2,1e-60", "3,2,1e-100"])
+def test_waterfill_survives_a_dead_subchannel(capsys, gains):
+    # the oracle's branch tag bisects a water-level bracket about 1/g_min
+    # wide; it must close it however many halvings that takes
+    payload = run_json(capsys, "waterfill", "--gains", gains, "--power", "10", "--nsq", "3")
+    orc = payload["result"]["oracle"]
+    assert orc["powers"][-1] == 0.0 and orc["quantizer_shares"][-1] == 0.0
+    assert orc["rate_bits"] > 0
+    assert orc["branch"] == "quantizer-limited"
+
+
 def test_waterfill_oracle_skipped_when_too_big(capsys):
     gains = ",".join(["1"] * 9)
     payload = run_json(capsys, "waterfill", "--gains", gains, "--power", "5", "--nsq", "4")

@@ -192,6 +192,16 @@ def test_blahut_arimoto_drops_unreachable_output():
     assert cap == pytest.approx(1.0 - binary_entropy(0.11), abs=1e-10)
 
 
+def test_narrowed_inputs_raise_value_error():
+    for kwargs in (dict(tolerance=np.inf), dict(tolerance=0.0), dict(max_iters=2.5)):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            blahut_arimoto(BSC_011, **kwargs)
+    points, thresholds = np.array([-1.0, 1.0]), np.array([0.0])
+    for std in (np.inf, 0.0, np.nan):
+        with pytest.raises(ValueError, match="noise_std"):
+            quantizer_transition(points, thresholds, 1.0, std)
+
+
 def test_blahut_arimoto_convergence_error_carries_state():
     w = TransitionMatrix(np.array([[0.89, 0.11], [0.11, 0.89], [0.5, 0.5]]))
     with pytest.raises(ConvergenceError) as info:

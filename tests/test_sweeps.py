@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sqcap.channel
 import sqcap.sweeps
 from sqcap.bounds import (
     mimo_single_select_bounds,
@@ -300,7 +301,8 @@ def test_matrix_sweep_propagates_evaluation_errors(monkeypatch):
 def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
     # only trial 0's first draw is rank deficient: it alone moves on to
     # counter block 1, and trial 1 of the same block keeps its first draw
-    real = sqcap.sweeps._gaussian_rows
+    real = sqcap.channel._gaussian_rows
+    masters = [gaussian_draw(3, 0, (6, 5), counter_block=1), gaussian_draw(3, 1, (6, 5))]
     drawn = []
 
     def draw(seed, streams, shape, counter_block=0):
@@ -311,11 +313,10 @@ def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
                 h[row, :, 1] = h[row, :, 0]
         return h
 
-    monkeypatch.setattr(sqcap.sweeps, "_gaussian_rows", draw)
+    monkeypatch.setattr(sqcap.channel, "_gaussian_rows", draw)
     pts = run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6), power_list=(1.0,)))
     # each attempt draws only the trials still pending
     assert drawn == [([0, 1], 0), ([0], 1)]
-    masters = [gaussian_draw(3, 0, (6, 5), counter_block=1), gaussian_draw(3, 1, (6, 5))]
     got = {(p.curve_label, p.x): p.mean for p in pts}
     for x in (5, 6):
         cms = [ChannelMatrix(m[:x]) for m in masters]
@@ -325,7 +326,7 @@ def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
         assert got[("waterfill-rate:P=1", x)] == np.mean(rate)
 
     monkeypatch.setattr(
-        sqcap.sweeps, "_gaussian_rows", lambda seed, streams, *args: np.ones((len(streams), 6, 5))
+        sqcap.channel, "_gaussian_rows", lambda seed, streams, *args: np.ones((len(streams), 6, 5))
     )
     with pytest.raises(RuntimeError, match="attempts in trial 0"):
         run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
@@ -355,13 +356,16 @@ def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
 def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
     # trial 0's column 1 nearly repeats column 0: its prefixes have full rank
     # but a Gram eigenvalue ratio below what the Gram path trusts
-    real_draw, real_svd = sqcap.sweeps._gaussian_rows, np.linalg.svd
+    real_draw, real_svd = sqcap.channel._gaussian_rows, np.linalg.svd
     drawn, factorized = [], []
+    noise = gaussian_draw(5, 0, 6)
 
     def tilt(h):
-        noise = gaussian_draw(5, 0, h.shape[0])
         h[:, 1] = h[:, 0] + 1e-5 * noise
         return h
+
+    # the reference masters, drawn before the patch reaches gaussian_draw
+    masters = [tilt(gaussian_draw(3, 0, (6, 5))), gaussian_draw(3, 1, (6, 5))]
 
     def draw(seed, streams, shape, counter_block=0):
         drawn.append((list(streams), counter_block))
@@ -373,12 +377,11 @@ def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
         factorized.append(a.shape)
         return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(sqcap.sweeps, "_gaussian_rows", draw)
+    monkeypatch.setattr(sqcap.channel, "_gaussian_rows", draw)
     monkeypatch.setattr(np.linalg, "svd", svd)
     pts = run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6), power_list=(1.0,)))
     assert drawn == [([0, 1], 0)]
     assert factorized == [(5, 5), (6, 5)]
-    masters = [tilt(gaussian_draw(3, 0, (6, 5))), gaussian_draw(3, 1, (6, 5))]
     got = {(p.curve_label, p.x): p.mean for p in pts}
     for x in (5, 6):
         s = real_svd(masters[0][:x], compute_uv=False)
