@@ -267,7 +267,7 @@ def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
     p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
     if p:
-        free, powers, mu = _capped_waterfill_rows(g[None], np.full((1, g.size), np.inf), p)
+        free, powers, mu = _capped_waterfill_rows(g[None], None, p)
     else:  # with tied top gains the kernel's level sum/|F| can be an ulp off 1/g_max
         free, powers, mu = np.zeros(1), np.zeros((1, g.size)), 1.0 / g[:1]
     rate, capped, demand = _relaxed_rates(g[None], powers, free, m)
@@ -299,36 +299,44 @@ def _nonincreasing_compositions(total: int, slots: int) -> np.ndarray:
     return np.column_stack((rows, rem))
 
 
-def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray, power: float) -> tuple:
+def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float) -> tuple:
     """Exact capped water-filling, one problem per row of ``caps``.
 
     ``g`` is one gain vector that every row shares or one row of gains per
     row of ``caps``.  Subchannel i takes p_i = min((mu - 1/g_i)^+, caps[r, i]),
     with the water level mu of row r set so that the powers sum to
-    min(power, sum caps); ``caps = inf`` is plain water-filling, as
-    ``waterfill_relaxed`` and the matrix sweeps run it.  Per row the
-    breakpoints 1/g_i and 1/g_i + cap_i are sorted and the used power is
-    scanned along them to the linear segment that meets the budget.  mu is
-    then recomputed from that
-    segment's free set F and capped set C as
-    (budget - sum_C cap_i + sum_F 1/g_i) / |F| by masked sums over the whole
-    row, so rows with the same sets get bitwise equal powers and rates.  When
-    every cap binds (sum caps <= power) any mu >= max_i 1/g_i + cap_i solves
-    the row, and the water level reported is max_i 1/g_i + power.
-    Returns (rates in bits, powers, water levels).
+    min(power, sum caps).  Per row the breakpoints 1/g_i and 1/g_i + cap_i
+    are sorted and the used power is scanned along them to the linear
+    segment that meets the budget; only the integer oracle passes caps.
+    ``caps = None`` is plain water-filling, one problem per row of ``g``, as
+    ``waterfill_relaxed`` and the matrix sweeps run it on gains sorted
+    nonincreasing: the breakpoints are then the 1/g_i in order, and the
+    segment is read from the cumulative sum of the used power along them,
+    the prefix of the scan with ``inf`` caps, so nothing is sorted and both
+    give bitwise equal results.  mu is then recomputed from that segment's
+    free set F and capped set C as (budget - sum_C cap_i + sum_F 1/g_i) / |F|
+    by masked sums over the whole row, so rows with the same sets get
+    bitwise equal powers and rates.  When every cap binds (sum caps <= power)
+    any mu >= max_i 1/g_i + cap_i solves the row, and the water level
+    reported is max_i 1/g_i + power.  Returns (rates in bits, powers, water
+    levels).
     """
     inv = 1.0 / g
-    cap_total = caps.sum(axis=1)
+    if caps is None:  # the shared tail below then reads caps as inf
+        caps = cap_total = np.inf
+        bp, slope = inv, np.arange(1.0, g.shape[-1])
+    else:
+        cap_total = caps.sum(axis=1)
+        bp = np.concatenate((np.broadcast_to(inv, caps.shape), inv + caps), axis=1)
+        order = np.argsort(bp, axis=1, kind="stable")
+        bp = np.take_along_axis(bp, order, axis=1)
+        # the used power rises with slope #(1/g_i reached) - #(1/g_i + cap_i reached)
+        slope = np.cumsum(np.where(order < g.shape[-1], 1.0, -1.0), axis=1)[:, :-1]
     target = np.minimum(power, cap_total)
-    bp = np.concatenate((np.broadcast_to(inv, caps.shape), inv + caps), axis=1)
-    order = np.argsort(bp, axis=1, kind="stable")
-    bp = np.take_along_axis(bp, order, axis=1)
-    # the used power rises with slope #(1/g_i reached) - #(1/g_i + cap_i reached)
-    slope = np.cumsum(np.where(order < g.shape[-1], 1.0, -1.0), axis=1)
     used = np.zeros(bp.shape)
     with np.errstate(invalid="ignore"):  # inf - inf past the last finite breakpoint
-        np.cumsum(slope[:, :-1] * np.diff(bp, axis=1), axis=1, out=used[:, 1:])
-    k = np.count_nonzero(used <= target[:, None], axis=1) - 1
+        np.cumsum(slope * np.diff(bp, axis=1), axis=1, out=used[:, 1:])
+    k = np.count_nonzero(used <= np.reshape(target, (-1, 1)), axis=1) - 1
     level = bp[np.arange(bp.shape[0]), k][:, None]
     capped = inv + caps <= level
     free = (inv <= level) & ~capped
@@ -347,7 +355,7 @@ def _bisected_free_rate(g: np.ndarray, power: float) -> float:
     ``perfbench/reference/alloc-oracle.json`` for gains 1.37789, 3.81364,
     1.16262 at P = 11.7929 and 8 quantizers was decided on this rate, which
     overspends the budget by up to ``_WF_TOL * max(1, P)``; the exact rate
-    ``_capped_waterfill_rows(g[None], inf, P)[0][0]`` replaces it when that
+    ``_capped_waterfill_rows(g[None], None, P)[0][0]`` replaces it when that
     reference is re-recorded.  The first midpoint within tolerance wins; it
     gives up only once a midpoint is not strictly inside the bracket, which
     a dead subchannel (gain 1e-60) opens to about 1e60.

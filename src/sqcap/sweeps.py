@@ -17,8 +17,10 @@ norms; a matrix block also reads every grid point's gains from the spectrum
 kernel ``ChannelMatrix`` uses, running sums of row outer products in one
 stacked ``eigvalsh``.  The array kernels of ``bounds`` then run once per
 curve and grid point over the stacked draws, and water-filling once per
-power and gain count.  ``run_sweep`` says how ``workers`` splits the
-trials.
+power and gain count.  The spectrum gives the gains sorted nonincreasing, so
+the water-filling runs without caps: each row reads its segment from the
+cumulative sum of the sorted 1/g, and no breakpoints are sorted.
+``run_sweep`` says how ``workers`` splits the trials.
 
 Figure presets:
 
@@ -209,8 +211,10 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
     point reads prefix statistics of the squared row norms (the running max, the running
     sum, the strongest in order), so each bound kernel runs once per curve
     and grid point over the whole block, and water-filling once per power
-    and gain count.  Every operation acts row by row, so a trial's values do
-    not depend on the block it is evaluated in.
+    and gain count, without caps, since the gains come sorted nonincreasing:
+    each row's segment is read from the cumulative sum of its sorted 1/g.
+    Every operation acts row by row, so a trial's values do not depend on
+    the block it is evaluated in.
     """
     if spec.n_tx is None:
         h = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
@@ -250,8 +254,7 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
                 out[:, c, i] = np.maximum(rates.max(axis=1) - 2.0, 0.0)
         elif kind == "waterfill":
             for w, points in widths.items():
-                inf = np.full(gains[w].shape, np.inf)
-                free, powers, _ = _capped_waterfill_rows(gains[w], inf, p)
+                free, powers, _ = _capped_waterfill_rows(gains[w], None, p)
                 rates = _relaxed_rates(gains[w], powers, free, spec.n_sq)[0]
                 out[:, c, points] = rates.reshape(len(points), -1).T
         else:
@@ -273,7 +276,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     vector and matrix sweeps: within a chunk the channels are drawn in one
     pass, a matrix chunk's spectra come from one stacked ``eigvalsh`` over
     its grid points, and the gains are water-filled with one call per power
-    and gain count.
+    and gain count, each row's segment read from the cumulative sum of its
+    sorted 1/g; only the integer oracle sorts breakpoints.
     """
     workers = _check_count(workers, "workers")
     threads = min(workers, os.cpu_count() or 1)

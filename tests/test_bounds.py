@@ -343,6 +343,39 @@ def test_capped_waterfill_without_caps_is_plain_waterfilling():
             want, level = _uncapped_sort_and_scan(g, power)
             assert mu[0] == pytest.approx(level, rel=1e-13)
             np.testing.assert_allclose(powers[0], want, rtol=1e-12, atol=1e-12 * power)
+            # gains sorted nonincreasing also solve without caps
+            order = np.argsort(-g)
+            _, powers, mu = _capped_waterfill_rows(g[order][None], None, power)
+            assert mu[0] == pytest.approx(level, rel=1e-13)
+            np.testing.assert_allclose(powers[0], want[order], rtol=1e-12, atol=1e-12 * power)
+
+
+_WATERFILL_GAIN = st.one_of(
+    st.floats(-20.0, 5.0).map(lambda e: 10.0**e),
+    st.sampled_from([4.0, 1.0, 0.5, 1e-3, 1e-300]),  # ties
+    # near underflow, where 1/g and 8 times it still fit in a float
+    st.floats(-306.0, -300.0).map(lambda e: 10.0**e),
+)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda w: st.lists(st.lists(_WATERFILL_GAIN, min_size=w, max_size=w), min_size=1, max_size=4)
+    ),
+    st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+)
+@settings(max_examples=200, deadline=None)
+def test_uncapped_waterfill_rows_equal_the_scan_with_inf_caps(rows, power):
+    # rows of nonincreasing gains without caps read their segment from the
+    # cumulative sum of the sorted 1/g; the breakpoint scan with inf caps
+    # gives the same results bit for bit
+    g = -np.sort(-np.array(rows), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        uncapped = _capped_waterfill_rows(g, None, power)
+        inf_caps = _capped_waterfill_rows(g, np.full(g.shape, np.inf), power)
+    for got, want in zip(uncapped, inf_caps):
+        assert np.array_equal(got, want)
 
 
 def test_capped_waterfill_all_caps_bind():

@@ -394,16 +394,19 @@ def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
 
 def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
     real = sqcap.sweeps._capped_waterfill_rows
-    rows = []
+    rows, uncapped = [], []
 
     def waterfill(g, caps, power):
         rows.append(g.shape)
+        uncapped.append(caps is None)
         return real(g, caps, power)
 
     monkeypatch.setattr(sqcap.sweeps, "_capped_waterfill_rows", waterfill)
     run_sweep(figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8)))
     # every grid point has 5 gains: one stack of all points and trials per power
     assert rows == [(3 * 3, 5)] * 2
+    # the spectrum's gains come sorted nonincreasing, so no caps are built
+    assert uncapped == [True, True]
 
 
 def test_mixed_width_waterfill_matches_scalar_api():
