@@ -2,8 +2,8 @@
 
 Each argument rule is stated here once: a positive integer count, a Philox
 seed word, a finite nonnegative (or positive) real, a nonempty 1-D finite
-vector (positive, and in nonincreasing order, if asked), and a finite
-nonnegative probability array.
+vector (positive with finite reciprocals, and in nonincreasing order, if
+asked), and a finite nonnegative probability array.
 """
 
 import math
@@ -56,14 +56,19 @@ def _check_real(value, name: str, positive: bool = False) -> float:
 def _check_vector(
     values, name: str, positive: bool = False, nonincreasing: bool = False
 ) -> np.ndarray:
-    """``values`` as a 1-D, nonempty, finite float64 array, positive and
-    sorted nonincreasing if asked."""
+    """``values`` as a 1-D, nonempty, finite float64 array, positive with
+    finite reciprocals and sorted nonincreasing if asked."""
     v = np.asarray(values, dtype=np.float64)
     kind = "positive finite" if positive else "finite"
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be 1-D, nonempty and {kind}, got shape {v.shape}")
     if not np.all(np.isfinite(v)) or (positive and np.any(v <= 0)):
         raise ValueError(f"{name} must be {kind}")
+    if positive:
+        with np.errstate(over="ignore"):
+            tiny = v[np.isinf(1.0 / v)]
+        if tiny.size:
+            raise ValueError(f"{name} must have finite reciprocals, got {float(tiny[0])!r}")
     if nonincreasing and np.any(np.diff(v) > 0):
         raise ValueError(f"{name} must be sorted nonincreasing")
     return v

@@ -356,9 +356,11 @@ def _bisected_free_rate(g: np.ndarray, power: float) -> float:
     1.16262 at P = 11.7929 and 8 quantizers was decided on this rate, which
     overspends the budget by up to ``_WF_TOL * max(1, P)``; the exact rate
     ``_capped_waterfill_rows(g[None], None, P)[0][0]`` replaces it when that
-    reference is re-recorded.  The first midpoint within tolerance wins; it
-    gives up only once a midpoint is not strictly inside the bracket, which
-    a dead subchannel (gain 1e-60) opens to about 1e60.
+    reference is re-recorded.  The first midpoint within tolerance wins, or
+    else the first that is not strictly inside the bracket: all-weak gains
+    (1e-9 at P = 10) collapse the bracket at float resolution before any
+    midpoint meets the tolerance, and a dead subchannel (gain 1e-60) opens
+    it to about 1e60.
     """
     inv = 1.0 / g
     lo, hi = inv.min(), inv.max() + power
@@ -367,10 +369,8 @@ def _bisected_free_rate(g: np.ndarray, power: float) -> float:
         mu = (lo + hi) * 0.5
         powers = np.maximum(mu - inv, 0.0)
         total = powers.sum()
-        if not abs(total - power) > tol:
+        if not (abs(total - power) > tol and lo < mu < hi):
             return float(np.sum(0.5 * np.log2(1.0 + g * powers)))
-        if not lo < mu < hi:
-            raise RuntimeError(f"water-filling failed to meet budget {power!r}")
         lo, hi = (lo, mu) if total > power else (mu, hi)
 
 

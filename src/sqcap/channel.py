@@ -48,10 +48,6 @@ _DRAW_ATTEMPTS = 8
 # SVD, which then decides its rank and gains.
 _GRAM_RATIO = 1e-6
 
-# Most grid-point Gram entries the spectrum kernel holds at once (16 MB): a
-# 1024-trial fig2c block, 46 grid points of 5x5 matrices, takes one pass.
-_GRAM_ENTRIES = 1 << 21
-
 
 class RankDeficientError(ValueError):
     """A channel matrix failed the full-rank test relative to ``RANK_TOL``."""
@@ -141,29 +137,26 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
 
     Prefixes with at least n_tx rows read one running sum of row outer
     products, H[:x]^T H[:x], kept only at those prefixes, and one stacked
-    ``eigvalsh`` gives all their gains (one per ``_GRAM_ENTRIES`` slice of
-    trials); shorter prefixes take ``eigvalsh`` of H[:x] H[:x]^T.  A prefix
-    whose smallest eigenvalue is at most ``_GRAM_RATIO`` times its largest
-    takes the SVD instead, which decides its rank as ``ChannelMatrix``
-    always has and gives its gains.  Every step acts on one matrix at a
-    time, so a trial's gains do not depend on the stack it sits in.
+    ``eigvalsh`` over the whole stack, which ``sweeps.BLOCK_ENTRIES``
+    bounds, gives all their gains; shorter prefixes take ``eigvalsh`` of
+    H[:x] H[:x]^T.  A prefix whose smallest eigenvalue is at most
+    ``_GRAM_RATIO`` times its largest takes the SVD instead, which decides
+    its rank as ``ChannelMatrix`` always has and gives its gains.  Every
+    step acts on one matrix at a time, so a trial's gains do not depend on
+    the stack it sits in.
     """
     trials, _, n_tx = h.shape
     gains = [None] * len(counts)
     tall = [i for i, x in enumerate(counts) if x >= n_tx]
     if tall:
         ends = {counts[i]: j for j, i in enumerate(tall)}
-        eig = np.empty((trials, len(tall), n_tx))
-        step = max(1, _GRAM_ENTRIES // (len(tall) * n_tx * n_tx))
-        for t in range(0, trials, step):
-            part = h[t : t + step]
-            gram = np.zeros((part.shape[0], n_tx, n_tx))
-            grams = np.empty((part.shape[0], len(tall), n_tx, n_tx))
-            for r in range(counts[tall[-1]]):
-                gram += part[:, r, :, None] * part[:, r, None, :]
-                if r + 1 in ends:
-                    grams[:, ends[r + 1]] = gram
-            eig[t : t + step] = np.linalg.eigvalsh(grams)
+        gram = np.zeros((trials, n_tx, n_tx))
+        grams = np.empty((trials, len(tall), n_tx, n_tx))
+        for r in range(counts[tall[-1]]):
+            gram += h[:, r, :, None] * h[:, r, None, :]
+            if r + 1 in ends:
+                grams[:, ends[r + 1]] = gram
+        eig = np.linalg.eigvalsh(grams)
         for j, i in enumerate(tall):
             gains[i] = eig[:, j, ::-1]
     for i, x in enumerate(counts):

@@ -32,6 +32,7 @@ from .dmc import (
     _mi_bits,
     entropy_bits,
     mutual_information,
+    output_marginal,
     quantizer_transition,
 )
 
@@ -144,7 +145,7 @@ def entropy_spotchecks(scheme: PamScheme, gain: float) -> tuple[float, float]:
     (0.3444 nats), because M^2 <= P keeps the spacing above 2 sqrt(3).
     """
     channel = _pam_channel(scheme, gain)
-    marginal = InputDistribution.uniform(scheme.m_levels).probs @ channel.probs
+    marginal = output_marginal(InputDistribution.uniform(scheme.m_levels), channel)
     h_out = entropy_bits(marginal)
     h_cond_max = max(entropy_bits(row) for row in channel.probs)
     return h_out, h_cond_max

@@ -20,7 +20,7 @@ curve and grid point over the stacked draws, and water-filling once per
 power and gain count.  The spectrum gives the gains sorted nonincreasing, so
 the water-filling runs without caps: each row reads its segment from the
 cumulative sum of the sorted 1/g, and no breakpoints are sorted.
-``run_sweep`` says how ``workers`` splits the trials.
+``run_sweep`` says how ``workers`` and ``BLOCK_ENTRIES`` split the trials.
 
 Figure presets:
 
@@ -66,9 +66,9 @@ __all__ = [
 
 FIGURES = ("fig2a", "fig2b", "fig2c", "custom")
 
-#: Most trials evaluated in one block; caps a block's working memory at any
-#: trial count (a fig2b block of 1024 trials holds 8 MB of channel draws).
-BLOCK_TRIALS = 1024
+#: Float64 entries (16 MB) one block may hold: per trial, axis[-1] x n_tx draws
+#: plus, per grid point, an n_tx x n_tx Gram matrix or a top-k row if longer.
+BLOCK_ENTRIES = 1 << 21
 
 
 class UnsupportedCurveError(ValueError):
@@ -265,9 +265,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Evaluate all configured curves, averaged over the trial ensemble.
 
     The trials are split into ``workers`` contiguous chunks, or into more
-    when needed so that no chunk exceeds ``BLOCK_TRIALS`` trials, but never
-    into more chunks than there are trials; each chunk is evaluated as one
-    block of array kernels.  A thread pool of ``min(workers,
+    when needed so that no chunk of two trials or more holds more than
+    ``BLOCK_ENTRIES`` entries, but never into more chunks than there are
+    trials; each chunk is evaluated as one block of array kernels (a vector
+    channel counts as ``n_tx = 1``).  A thread pool of ``min(workers,
     os.cpu_count())`` threads runs the chunks, or the calling thread runs
     them in turn when that is one, so no request starts more threads than
     the machine has cores.  Each chunk writes its own rows of the
@@ -283,7 +284,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     threads = min(workers, os.cpu_count() or 1)
     curves = _curve_labels(spec)
     values = np.empty((spec.trials, len(curves), len(spec.axis)))
-    n_chunks = min(max(workers, -(-spec.trials // BLOCK_TRIALS)), spec.trials)
+    t = spec.n_tx or 1
+    kmax = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
+    per_trial = spec.axis[-1] * t + len(spec.axis) * max(t * t, kmax)
+    block = max(1, BLOCK_ENTRIES // per_trial)
+    n_chunks = min(max(workers, -(-spec.trials // block)), spec.trials)
     chunks = np.array_split(np.arange(spec.trials), n_chunks)
 
     def fill(chunk: np.ndarray):

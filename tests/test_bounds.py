@@ -18,6 +18,7 @@ from sqcap.bounds import (
     AllocationResult,
     BoundPair,
     BudgetError,
+    _bisected_free_rate,
     _capped_waterfill_rows,
     _nonincreasing_compositions,
     allocate_integer_oracle,
@@ -548,6 +549,24 @@ def test_oracle_equal_gains_spreads_singly():
     assert sorted(res.quantizer_shares, reverse=True) == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
     assert res.rate == pytest.approx(4.0, abs=1e-3)
     assert res.branch is AllocationBranch.QUANTIZER_LIMITED
+
+
+def test_oracle_tag_rate_survives_all_weak_gains():
+    # no midpoint spends P within tolerance before the bracket collapses;
+    # the rate at the last midpoint is the exact water-filling rate
+    for g, p in [((1e-9,), 10.0), ((3e-9, 1e-9, 1e-12), 10.0), ((1e-12, 1e-12), 1e-3)]:
+        g = np.asarray(g)
+        exact = _capped_waterfill_rows(g[None], None, p)[0][0]
+        assert _bisected_free_rate(g, p) == pytest.approx(exact, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("gains", [(1e-310,), (2.0, 1e-310), (3.0, 1.0, 5e-324)])
+def test_gain_whose_reciprocal_overflows_is_named(gains):
+    tiny = repr(min(gains))
+    with pytest.raises(ValueError, match=f"gains must have finite reciprocals, got {tiny}"):
+        waterfill_relaxed(gains, 1.0, 4)
+    with pytest.raises(ValueError, match=f"gains must have finite reciprocals, got {tiny}"):
+        allocate_integer_oracle(gains, 1.0, 4)
 
 
 def test_oracle_budget_guard():

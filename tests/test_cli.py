@@ -200,6 +200,22 @@ def test_waterfill_survives_a_dead_subchannel(capsys, gains):
     assert orc["branch"] == "quantizer-limited"
 
 
+def test_waterfill_survives_all_weak_gains(capsys):
+    # the bracket collapses at float resolution before any midpoint spends
+    # the budget within tolerance; the tag then reads the last midpoint
+    payload = run_json(capsys, "waterfill", "--gains", "1e-9", "--power", "10", "--nsq", "3")
+    orc, rel = payload["result"]["oracle"], payload["result"]["relaxed"]
+    assert orc["powers"] == [10.0]
+    assert orc["branch"] == "power-limited"
+    assert orc["rate_bits"] == pytest.approx(rel["rate_bits"], rel=1e-12)
+
+
+def test_waterfill_names_a_gain_whose_reciprocal_overflows(capsys):
+    code, out, err = run(capsys, "waterfill", "--gains", "1e-310", "--power", "1", "--nsq", "4")
+    assert code == 1 and out == ""
+    assert "gains must have finite reciprocals, got 1e-310" in err
+
+
 def test_waterfill_oracle_skipped_when_too_big(capsys):
     gains = ",".join(["1"] * 9)
     payload = run_json(capsys, "waterfill", "--gains", gains, "--power", "5", "--nsq", "4")

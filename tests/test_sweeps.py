@@ -212,6 +212,13 @@ def test_multi_trial_curves_match_scalar_api():
                 assert pts[(label, x)] == pytest.approx(np.mean(values), rel=1e-12)
 
 
+def entries_per_trial(spec):
+    # draws, plus a Gram matrix or a top-k row per grid point
+    t = spec.n_tx or 1
+    kmax = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
+    return spec.axis[-1] * t + len(spec.axis) * max(t * t, kmax)
+
+
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
     real = sqcap.sweeps._block
     for spec in [
@@ -220,7 +227,7 @@ def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
     ]:
         base = csv_text(run_sweep(spec))
         with monkeypatch.context() as patch:
-            patch.setattr(sqcap.sweeps, "BLOCK_TRIALS", 4)
+            patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 4 * entries_per_trial(spec))
             blocks = []
 
             def block(spec, curves, t0, t1, out):
@@ -230,6 +237,40 @@ def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
             patch.setattr(sqcap.sweeps, "_block", block)
             assert csv_text(run_sweep(spec)) == base
         assert blocks == [(0, 4), (4, 8), (8, 11)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # tall matrices: 7 x 7 Gram matrices at 98 grid points
+        SweepSpec("custom", range(7, 301, 3), (0.5, 4.0), 6, n_tx=7, trials=900, seed=4),
+        # top-k rows: 100 per grid point
+        SweepSpec("custom", range(1, 301), (2.0,), 200, k_list=(10, 100), trials=150, seed=4),
+        # one trial draws more entries than the budget holds
+        SweepSpec("custom", (1, 9, 1 << 21), (1.0,), 3, trials=3, seed=4),
+    ],
+    ids=["tall-matrix", "k-list", "past-the-budget"],
+)
+def test_blocks_fit_the_entry_budget(monkeypatch, spec):
+    real = sqcap.sweeps._block
+    per_trial = entries_per_trial(spec)
+    blocks = []
+
+    def block(spec, curves, t0, t1, out):
+        blocks.append((t0, t1))
+        real(spec, curves, t0, t1, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sqcap.sweeps, "_block", block)
+        text = csv_text(run_sweep(spec))
+    assert len(blocks) == 3
+    assert blocks[0][0] == 0 and blocks[-1][1] == spec.trials
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    for t0, t1 in blocks:
+        assert (t1 - t0) * per_trial <= sqcap.sweeps.BLOCK_ENTRIES or t1 - t0 == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", spec.trials * per_trial)
+        assert csv_text(run_sweep(spec)) == text
 
 
 def test_one_transmit_antenna_sweep_matches_the_vector_sweep():
