@@ -1,8 +1,13 @@
 """Command-line surface: bound evaluation, allocation, schemes, and sweeps.
 
-Every subcommand prints JSON (sweeps default to CSV) with an echo of the
-inputs, the library version, and any seed used, so results are auditable
-from the output alone.  Exit codes: 0 success, 1 runtime failure, 2 usage.
+Each handler returns only its result; :func:`cli_dispatch` builds and writes
+every output.  A JSON payload has the keys ``command``, ``inputs``,
+``result`` and ``version``, where ``inputs`` echoes the parsed arguments of
+every subcommand (``sweep`` included, with preset values resolved), so
+results are auditable from the output alone.  ``sweep`` prints CSV unless
+given ``--format json``.  ``--out`` writes exactly the bytes stdout would
+get.  Exit codes: 0 success, 1 runtime failure (a failed write included),
+2 usage.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .schemes import (
     pam_inner_rate,
     pam_scheme_for_levels,
 )
-from .sweeps import FIGURES, SweepSpec, csv_text, emit_csv, figure_spec, run_sweep
+from .sweeps import FIGURES, SweepSpec, csv_text, figure_spec, run_sweep
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -53,6 +58,14 @@ BOUND_FAMILIES = {
     "simo-multi-select": (simo_multi_select_bounds, ("h", "power", "nsq")),
     "simo-linear": (simo_linear_bounds, ("h", "power", "nsq")),
     "mimo-single-select": (mimo_single_select_bounds, ("channel", "power", "nsq")),
+}
+
+#: ``sweep`` flag -> the SweepSpec field it sets.
+SWEEP_FIELDS = {
+    "figure": "figure_id", "axis": "axis", "powers": "power_list", "nsq": "n_sq",
+    "ntx": "n_tx", "k_list": "k_list", "trials": "trials", "seed": "seed",
+    "include_highsnr_proxy": "include_highsnr_proxy",
+    "include_sign_select_finite_snr": "include_sign_select_finite_snr",
 }
 
 
@@ -119,8 +132,7 @@ def _cmd_bounds(args) -> dict:
     if "channel" in values:
         values["channel"] = _load_channel(values["channel"])
     value = func(*values.values())
-    result = {"capacity_bits": value} if isinstance(value, float) else _pair_dict(value)
-    return {"command": "bounds", "inputs": _echo(args), "result": result}
+    return {"capacity_bits": value} if isinstance(value, float) else _pair_dict(value)
 
 
 def _cmd_waterfill(args) -> dict:
@@ -134,7 +146,7 @@ def _cmd_waterfill(args) -> dict:
     result = {"relaxed": _alloc_dict(relaxed), "oracle": oracle}
     if skipped:
         result["oracle_skipped"] = skipped
-    return {"command": "waterfill", "inputs": _echo(args), "result": result}
+    return result
 
 
 def _build_scheme(args):
@@ -145,22 +157,20 @@ def _build_scheme(args):
 
 def _cmd_pam(args) -> dict:
     scheme = _build_scheme(args)
-    result = {
+    return {
         "scheme": json.loads(scheme.to_json()),
         "inner_rate_bits": pam_inner_rate(scheme, args.gain),
     }
-    return {"command": "pam", "inputs": _echo(args), "result": result}
 
 
 def _cmd_dither(args) -> dict:
     params = build_dithered_scheme(args.h, args.power, args.nsq, args.k)
     mi, err = dithered_mi_estimate(params, args.h, args.samples, args.seed)
-    result = {
+    return {
         "scheme": json.loads(params.to_json()),
         "mi_estimate_bits": mi,
         "std_err_bits": err,
     }
-    return {"command": "dither", "inputs": _echo(args), "result": result}
 
 
 def _cmd_ba(args) -> dict:
@@ -169,54 +179,31 @@ def _cmd_ba(args) -> dict:
     capacity, dist = blahut_arimoto(channel, args.tolerance, args.max_iters)
     # pam_inner_rate, on the transition matrix already built
     uniform_rate = mutual_information(InputDistribution.uniform(scheme.m_levels), channel)
-    result = {
+    return {
         "scheme": json.loads(scheme.to_json()),
         "capacity_bits": capacity,
         "uniform_input_rate_bits": uniform_rate,
         "input_distribution": list(map(float, dist.probs)),
     }
-    return {"command": "ba", "inputs": _echo(args), "result": result}
 
 
 def _sweep_spec(args) -> SweepSpec:
-    # sweep flag -> the SweepSpec field it overrides
-    fields = {
-        "axis": "axis", "powers": "power_list", "nsq": "n_sq", "ntx": "n_tx", "k_list": "k_list",
-    }
-    overrides = {f: getattr(args, a) for a, f in fields.items() if getattr(args, a) is not None}
-    overrides["include_highsnr_proxy"] = args.include_highsnr_proxy
-    overrides["include_sign_select_finite_snr"] = args.include_sign_select_finite_snr
-    if args.figure == "custom":
-        required = {"axis", "power_list", "n_sq"}
-        if not required <= set(overrides):
-            raise ValueError("custom sweeps need --axis, --powers, and --nsq")
-        return SweepSpec(
-            figure_id="custom", trials=args.trials, seed=args.seed, **overrides
-        )
-    return figure_spec(args.figure, trials=args.trials, seed=args.seed, **overrides)
+    fields = {f: getattr(args, a) for a, f in SWEEP_FIELDS.items() if getattr(args, a) is not None}
+    if args.figure != "custom":
+        return figure_spec(**fields)
+    if not {"axis", "power_list", "n_sq"} <= set(fields):
+        raise ValueError("custom sweeps need --axis, --powers, and --nsq")
+    return SweepSpec(**fields)
 
 
 def _cmd_sweep(args):
     spec = _sweep_spec(args)
+    for a, f in SWEEP_FIELDS.items():  # the echo shows the spec as resolved
+        setattr(args, a, getattr(spec, f))
     points = run_sweep(spec, workers=args.workers)
     if args.format == "csv":
-        if args.out:
-            emit_csv(points, args.out)
-        else:
-            sys.stdout.write(csv_text(points))
-        return None
-    inputs = {
-        "figure": spec.figure_id,
-        "axis": list(spec.axis),
-        "power_list": list(spec.power_list),
-        "nsq": spec.n_sq,
-        "ntx": spec.n_tx,
-        "k_list": list(spec.k_list),
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "workers": args.workers,
-    }
-    result = [
+        return csv_text(points)
+    return [
         {
             "figure": pt.figure_id,
             "curve": pt.curve_label,
@@ -226,7 +213,6 @@ def _cmd_sweep(args):
         }
         for pt in points
     ]
-    return {"command": "sweep", "inputs": inputs, "result": result}
 
 
 @functools.cache
@@ -320,18 +306,21 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
+        result = args.handler(args)
+        text = result  # a sweep's CSV is written as it is
+        if not isinstance(result, str):
+            payload = {
+                "command": args.command, "inputs": _echo(args), "result": result,
+                "version": __version__,
+            }
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        else:
+            sys.stdout.write(text)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if payload is None:
-        return 0
-    payload["version"] = __version__
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
     return 0
 
 

@@ -81,7 +81,8 @@ class SweepSpec:
 
     ``axis`` is the receive-antenna grid.  ``k_list`` adds one achievable
     lower-bound curve per entry (antenna-selection count).  ``n_tx`` switches
-    the sweep to matrix channels with that many transmit antennas.
+    the sweep to matrix channels with that many transmit antennas, which
+    take no ``k_list``.
     """
 
     figure_id: str
@@ -109,6 +110,8 @@ class SweepSpec:
             raise ValueError(f"k_list must be strictly increasing positive, got {ks}")
         n_sq = _check_count(self.n_sq, "n_sq")
         n_tx = None if self.n_tx is None else _check_count(self.n_tx, "n_tx")
+        if ks and n_tx is not None:
+            raise ValueError("k_list curves are only defined for vector (n_tx=None) sweeps")
         trials = _check_count(self.trials, "trials")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "power_list", powers)
@@ -190,8 +193,6 @@ def _curve_labels(spec: SweepSpec) -> list:
             for k in spec.k_list:
                 curves.append((f"multi-select-lower:P={p:g};K={k}", "multi", p, k))
     else:
-        if spec.k_list:
-            raise ValueError("k_list curves are only defined for vector (n_tx=None) sweeps")
         for p in spec.power_list:
             curves.append((f"mimo-single-select-upper:P={p:g}", "single", p, 0))
             curves.append((f"waterfill-rate:P={p:g}", "waterfill", p, 0))

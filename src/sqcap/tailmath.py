@@ -67,10 +67,6 @@ class _ClampCounter:
     def count(self) -> int:
         return self._count
 
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
 
 #: Diagnostics counter; see :func:`clamp_small_probabilities`.
 underflow_clamps = _ClampCounter()

@@ -290,8 +290,13 @@ def test_sweep_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["inputs"]["trials"] == 3
+    assert payload["inputs"]["axis"] == [1, 2]
+    assert payload["inputs"]["powers"] == [1.0]
     assert len(payload["result"]) == 4  # 2 curves x 2 grid points
     assert {"figure", "curve", "x", "mean", "std_err"} <= set(payload["result"][0])
+    # a preset's values are echoed as resolved
+    preset = run_json(capsys, "sweep", "--figure", "fig2c", "--trials", "2", "--format", "json")
+    assert preset["inputs"]["axis"] == list(range(5, 51))
 
 
 def test_sweep_worker_flag_gives_identical_bytes(capsys, monkeypatch):
@@ -318,11 +323,29 @@ def test_sweep_unsupported_curve(capsys):
     assert "Mo and Heath" in err
 
 
-def test_out_writes_json_for_plain_commands(capsys, tmp_path):
-    path = tmp_path / "bounds.json"
-    code, out, _ = run(
-        capsys, "bounds", "--family", "siso-sign", "--power", "9", "--out", str(path)
-    )
+_SWEEP_ARGV = ["sweep", "--figure", "fig2a", "--trials", "3", "--seed", "1", "--axis", "1,2",
+               "--powers", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*CLI_CASES.values(), _SWEEP_ARGV, [*_SWEEP_ARGV, "--format", "json"]],
+    ids=[*CLI_CASES, "sweep-csv", "sweep-json"],
+)
+def test_out_writes_the_stdout_bytes(capsys, tmp_path, argv):
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
-    payload = json.loads(path.read_text())
-    assert payload["result"]["capacity_bits"] > 0.9
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "--family", "siso-sign", "--power", "1"], _SWEEP_ARGV], ids=["json", "csv"]
+)
+def test_failed_write_is_runtime_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")

@@ -130,8 +130,8 @@ def test_unsupported_curve_names_the_literature():
 
 
 def test_k_list_conflicts_with_matrix_sweep():
-    spec = SweepSpec("custom", (2, 4), (1.0,), 8, n_tx=2, k_list=(2,))
     with pytest.raises(ValueError, match="k_list"):
+        spec = SweepSpec("custom", (2, 4), (1.0,), 8, n_tx=2, k_list=(2,))
         run_sweep(spec)
 
 
