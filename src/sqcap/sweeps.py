@@ -12,15 +12,12 @@ worker count.
 Sweeps are evaluated in blocks of contiguous trials, and one block kernel
 serves vector and matrix channels alike: a vector channel is a matrix
 channel with one transmit antenna.  A block draws its trials' master
-channels in one pass and reads prefix statistics of their squared row
-norms; a matrix block also reads every grid point's gains from the spectrum
-kernel ``ChannelMatrix`` uses, running sums of row outer products in one
-stacked ``eigvalsh``.  The array kernels of ``bounds`` then run once per
-curve and grid point over the stacked draws, and water-filling once per
-power and gain count.  The spectrum gives the gains sorted nonincreasing, so
-the water-filling runs without caps: each row reads its segment from the
-cumulative sum of the sorted 1/g, and no breakpoints are sorted.
-``run_sweep`` says how ``workers`` and ``BLOCK_ENTRIES`` split the trials.
+channels in one pass and reads their statistics once: prefix statistics of
+the squared row norms and, for a matrix, every grid point's gains from the
+spectrum kernel ``ChannelMatrix`` uses.  ``_CURVES`` states each curve
+once, its label and the kernel that computes it from those statistics over
+the whole block, in CSV row order.  ``_entries_per_trial`` counts what a
+block holds, and ``run_sweep`` says how it and ``workers`` split the trials.
 
 Figure presets:
 
@@ -66,8 +63,7 @@ __all__ = [
 
 FIGURES = ("fig2a", "fig2b", "fig2c", "custom")
 
-#: Float64 entries (16 MB) one block may hold: per trial, axis[-1] x n_tx draws
-#: plus, per grid point, an n_tx x n_tx Gram matrix or a top-k row if longer.
+#: Float64 entries (16 MB) one block may hold, as ``_entries_per_trial`` counts them.
 BLOCK_ENTRIES = 1 << 21
 
 
@@ -82,7 +78,8 @@ class SweepSpec:
     ``axis`` is the receive-antenna grid.  ``k_list`` adds one achievable
     lower-bound curve per entry (antenna-selection count).  ``n_tx`` switches
     the sweep to matrix channels with that many transmit antennas, which
-    take no ``k_list``.
+    take no ``k_list`` but may add the high-SNR proxy curve.  The all-sign
+    finite-SNR curve raises ``UnsupportedCurveError``.
     """
 
     figure_id: str
@@ -112,6 +109,15 @@ class SweepSpec:
         n_tx = None if self.n_tx is None else _check_count(self.n_tx, "n_tx")
         if ks and n_tx is not None:
             raise ValueError("k_list curves are only defined for vector (n_tx=None) sweeps")
+        if self.include_highsnr_proxy and n_tx is None:
+            raise ValueError("include_highsnr_proxy needs a matrix (n_tx) sweep")
+        if self.include_sign_select_finite_snr:
+            raise UnsupportedCurveError(
+                "finite-SNR rates for the all-sign front end on matrix channels are not "
+                "evaluated here; see Mo and Heath, 'Capacity Analysis of One-Bit Quantized "
+                "MIMO Systems', IEEE Trans. Signal Processing 63(20), 2015. "
+                "Set include_highsnr_proxy for the high-SNR stand-in."
+            )
         trials = _check_count(self.trials, "trials")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "power_list", powers)
@@ -142,18 +148,12 @@ class CurvePoint:
 def figure_spec(figure_id: str, trials: int = 1000, seed: int = 0, **overrides) -> SweepSpec:
     """Preset SweepSpec for one of the shipped figures."""
     presets = {
-        "fig2a": dict(
-            axis=tuple(range(1, 101)), power_list=(1.0, 10.0, 100.0), n_sq=10
-        ),
+        "fig2a": dict(axis=tuple(range(1, 101)), power_list=(1.0, 10.0, 100.0), n_sq=10),
         "fig2b": dict(
             axis=(1, 2, 3, 5, 7, 10, 14, 20, 30, 50, 70, 100, 140, 200, 300, 500, 700, 1000),
-            power_list=(1000.0,),
-            n_sq=100,
-            k_list=(2, 4, 6, 8, 10),
+            power_list=(1000.0,), n_sq=100, k_list=(2, 4, 6, 8, 10),
         ),
-        "fig2c": dict(
-            axis=tuple(range(5, 51)), power_list=(0.1, 1.0), n_sq=5, n_tx=5
-        ),
+        "fig2c": dict(axis=tuple(range(5, 51)), power_list=(0.1, 1.0), n_sq=5, n_tx=5),
     }
     if figure_id not in presets:
         raise ValueError(f"no preset for {figure_id!r}; build a custom SweepSpec instead")
@@ -175,48 +175,82 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     return max(0.0, float(np.max(rates)) - 2.0)
 
 
-def _curve_labels(spec: SweepSpec) -> list:
-    """Ordered (label, kind, params) descriptors; order fixes CSV row order."""
-    if spec.include_sign_select_finite_snr:
-        raise UnsupportedCurveError(
-            "finite-SNR rates for the all-sign front end on matrix channels are not "
-            "evaluated here; see Mo and Heath, 'Capacity Analysis of One-Bit Quantized "
-            "MIMO Systems', IEEE Trans. Signal Processing 63(20), 2015. "
-            "Set include_highsnr_proxy for the high-SNR stand-in."
-        )
+def _half_log(stat: str):
+    """Kernel of the bound 0.5 log2 min(1 + P stat, (n_sq + 1)^2) on a block statistic."""
+    return lambda spec, stats, p, k: _capped_half_log(1.0 + stats[stat] * p, spec.n_sq)
+
+
+def _k_strongest(spec: SweepSpec, stats: dict, p: float, k: int) -> np.ndarray:
+    rates = [_multi_select_rates(top[:, :k], p, spec.n_sq).max(axis=1) for top in stats["tops"]]
+    return np.maximum(np.stack(rates, axis=1) - 2.0, 0.0)
+
+
+def _waterfill(spec: SweepSpec, stats: dict, p: float, k) -> np.ndarray:
+    rates = np.empty_like(stats["max_sq"])
+    for points, g in stats["gains"]:
+        free, powers, _ = _capped_waterfill_rows(g, None, p)
+        rates[:, points] = _relaxed_rates(g, powers, free, spec.n_sq)[0].reshape(len(points), -1).T
+    return rates
+
+
+def _highsnr_proxy(spec: SweepSpec, stats: dict, p, k) -> float:
+    return mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
+
+
+#: Every curve in CSV row order, in groups of (matrix channel, the SweepSpec
+#: flag that turns the group on or None, a (label format, kernel) per curve),
+#: each repeated for every power p and k_list count k its labels name.  A kernel
+#: maps (spec, block statistics, p, k) to the values, trials by grid points.
+_CURVES = (
+    (False, None, ("single-select-upper:P={p:g}", _half_log("max_sq")),
+     ("linear-upper:P={p:g}", _half_log("sum_sq"))),
+    (False, None, ("multi-select-lower:P={p:g};K={k}", _k_strongest)),
+    (True, None, ("mimo-single-select-upper:P={p:g}", _half_log("max_sq")),
+     ("waterfill-rate:P={p:g}", _waterfill)),
+    (True, "include_highsnr_proxy", ("highsnr-proxy", _highsnr_proxy)),
+)
+
+
+def _curves(spec: SweepSpec) -> list:
+    """The (label, kernel, p, k) of every curve of ``spec``, in CSV row order."""
     curves = []
-    if spec.n_tx is None:
-        for p in spec.power_list:
-            curves.append((f"single-select-upper:P={p:g}", "single", p, 0))
-            curves.append((f"linear-upper:P={p:g}", "linear", p, 0))
-        for p in spec.power_list:
-            for k in spec.k_list:
-                curves.append((f"multi-select-lower:P={p:g};K={k}", "multi", p, k))
-    else:
-        for p in spec.power_list:
-            curves.append((f"mimo-single-select-upper:P={p:g}", "single", p, 0))
-            curves.append((f"waterfill-rate:P={p:g}", "waterfill", p, 0))
-        if spec.include_highsnr_proxy:
-            curves.append(("highsnr-proxy", "proxy", 0.0, 0))
+    for matrix, flag, *group in _CURVES:
+        if matrix == (spec.n_tx is None) or flag and not getattr(spec, flag):
+            continue
+        labels = "".join(fmt for fmt, _ in group)
+        for p in spec.power_list if "{p" in labels else (None,):
+            for k in spec.k_list if "{k" in labels else (None,):
+                curves += [(fmt.format(p=p, k=k), kernel, p, k) for fmt, kernel in group]
     return curves
+
+
+def _entries_per_trial(spec: SweepSpec) -> int:
+    """Float64 entries one trial of a block holds at its peak: the draw twice,
+    since ``_gaussian_rows`` keeps its raw words alongside the uniforms, and
+    per grid point an n_tx x n_tx Gram matrix plus 5 n_tx for the gains and
+    the water-filling rows, or the top-k row if longer (k the largest of
+    ``k_list``, at most n_sq).  A vector channel counts as n_tx = 1.
+    """
+    t = spec.n_tx or 1
+    kmax = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
+    return 2 * spec.axis[-1] * t + len(spec.axis) * max(t * t + 5 * t, kmax)
 
 
 def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
     """Write the curve values of trials ``t0 <= t < t1`` into ``out``.
 
-    ``out`` has shape (trials, curves, grid points).  The block's master
-    draws, a vector or an ``n_tx``-column matrix per trial, come from one
-    pass of the draw kernel; matrices from ``channel._full_rank_rows``, which
-    redraws the rank-deficient ones and gives every grid point's gains, bit
-    for bit those ``ChannelMatrix`` keeps for the same prefix.  Every grid
-    point reads prefix statistics of the squared row norms (the running max, the running
-    sum, the strongest in order), so each bound kernel runs once per curve
-    and grid point over the whole block, and water-filling once per power
-    and gain count, without caps, since the gains come sorted nonincreasing:
-    each row's segment is read from the cumulative sum of its sorted 1/g.
-    Every operation acts row by row, so a trial's values do not depend on
-    the block it is evaluated in.
+    ``out`` has shape (trials, curves, grid points).  The master draws, a
+    vector or an ``n_tx``-column matrix per trial, come from one pass of the
+    draw kernel; matrices from ``channel._full_rank_rows``, which redraws the
+    rank-deficient ones and gives every grid point's gains, bit for bit
+    those ``ChannelMatrix`` keeps.  The statistics are read once: per grid
+    point the running max and sum of the squared row norms, the strongest
+    of them in order if ``k_list`` is set, and a matrix's gains, sorted and
+    stacked by gain count, so each power water-fills once per count without
+    caps.  Each curve's kernel then runs once over the block.  Every step
+    acts row by row, so a trial's values do not depend on its block.
     """
+    stats = {"tops": [], "gains": []}
     if spec.n_tx is None:
         h = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
         sq = np.square(h, out=h)
@@ -224,17 +258,14 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
         shape = (spec.axis[-1], spec.n_tx)
         h, prefix, _ = _full_rank_rows(spec.seed, range(t0, t1), shape, spec.axis)
         sq = np.sum(h * h, axis=2)
-        # grid points by gain count, min(x, n_tx), with one row per grid
-        # point and trial, point by point
-        widths = {}
-        for i, x in enumerate(spec.axis):
-            widths.setdefault(min(x, spec.n_tx), []).append(i)
-        gains = {w: np.concatenate([prefix[i] for i in points]) for w, points in widths.items()}
+        # one stack per gain count min(x, n_tx): each grid point's trials in turn
+        for w in sorted({min(x, spec.n_tx) for x in spec.axis}):
+            points = [i for i, x in enumerate(spec.axis) if min(x, spec.n_tx) == w]
+            stats["gains"].append((points, np.concatenate([prefix[i] for i in points])))
     starts = (0,) + spec.axis[:-1]
     # squaring rounds monotonically, so a vector's max |h|^2 is the square
     # of max |h|, the statistic the single-select bound squares
-    max_sq = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
-    tops = []
+    stats["max_sq"] = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
     if spec.k_list:
         top = sq[:, :0]
         for start, x in zip(starts, spec.axis):
@@ -242,24 +273,10 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
             # strongest and the entries added since
             kmax = min(spec.k_list[-1], x, spec.n_sq)
             top = _top_squares(np.hstack([top, sq[:, start:x]]), kmax)
-            tops.append(top)
-    sum_sq = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
-    for c, (_, kind, p, k) in enumerate(curves):
-        if kind == "single":
-            out[:, c] = _capped_half_log(1.0 + max_sq * p, spec.n_sq)
-        elif kind == "linear":
-            out[:, c] = _capped_half_log(1.0 + sum_sq * p, spec.n_sq)
-        elif kind == "multi":
-            for i, top in enumerate(tops):
-                rates = _multi_select_rates(top[:, :k], p, spec.n_sq)
-                out[:, c, i] = np.maximum(rates.max(axis=1) - 2.0, 0.0)
-        elif kind == "waterfill":
-            for w, points in widths.items():
-                free, powers, _ = _capped_waterfill_rows(gains[w], None, p)
-                rates = _relaxed_rates(gains[w], powers, free, spec.n_sq)[0]
-                out[:, c, points] = rates.reshape(len(points), -1).T
-        else:
-            out[:, c] = mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
+            stats["tops"].append(top)
+    stats["sum_sq"] = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
+    for c, (_, kernel, p, k) in enumerate(curves):
+        out[:, c] = kernel(spec, stats, p, k)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
@@ -267,28 +284,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
 
     The trials are split into ``workers`` contiguous chunks, or into more
     when needed so that no chunk of two trials or more holds more than
-    ``BLOCK_ENTRIES`` entries, but never into more chunks than there are
-    trials; each chunk is evaluated as one block of array kernels (a vector
-    channel counts as ``n_tx = 1``).  A thread pool of ``min(workers,
-    os.cpu_count())`` threads runs the chunks, or the calling thread runs
-    them in turn when that is one, so no request starts more threads than
-    the machine has cores.  Each chunk writes its own rows of the
-    trial-ordered value array and every kernel works row by row, so the
-    output is identical for any ``workers`` value.  One block kernel serves
-    vector and matrix sweeps: within a chunk the channels are drawn in one
-    pass, a matrix chunk's spectra come from one stacked ``eigvalsh`` over
-    its grid points, and the gains are water-filled with one call per power
-    and gain count, each row's segment read from the cumulative sum of its
-    sorted 1/g; only the integer oracle sorts breakpoints.
+    ``BLOCK_ENTRIES`` entries as ``_entries_per_trial`` counts them, but
+    never into more chunks than there are trials; each chunk is evaluated
+    as one ``_block``.  A thread pool of ``min(workers, os.cpu_count())``
+    threads runs the chunks, or the calling thread runs them in turn when
+    that is one, so no request starts more threads than the machine has
+    cores.  Each chunk writes its own rows of the trial-ordered value array
+    and every kernel works row by row, so the output is identical for any
+    ``workers`` value.
     """
     workers = _check_count(workers, "workers")
     threads = min(workers, os.cpu_count() or 1)
-    curves = _curve_labels(spec)
+    curves = _curves(spec)
     values = np.empty((spec.trials, len(curves), len(spec.axis)))
-    t = spec.n_tx or 1
-    kmax = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
-    per_trial = spec.axis[-1] * t + len(spec.axis) * max(t * t, kmax)
-    block = max(1, BLOCK_ENTRIES // per_trial)
+    block = max(1, BLOCK_ENTRIES // _entries_per_trial(spec))
     n_chunks = min(max(workers, -(-spec.trials // block)), spec.trials)
     chunks = np.array_split(np.arange(spec.trials), n_chunks)
 
@@ -308,21 +317,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
         errs = values.std(axis=0, ddof=1) / math.sqrt(spec.trials)
     else:
         errs = np.zeros_like(means)
-    points = []
-    for c, (label, _, _, _) in enumerate(curves):
-        for i, x in enumerate(spec.axis):
-            points.append(
-                CurvePoint(
-                    spec.figure_id,
-                    label,
-                    float(x),
-                    float(means[c, i]),
-                    float(errs[c, i]),
-                    spec.trials,
-                    spec.seed,
-                )
-            )
-    return points
+    return [
+        CurvePoint(spec.figure_id, label, float(x), float(means[c, i]), float(errs[c, i]),
+                   spec.trials, spec.seed)
+        for c, (label, *_) in enumerate(curves)
+        for i, x in enumerate(spec.axis)
+    ]
 
 
 def csv_text(points: list) -> str:

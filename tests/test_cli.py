@@ -323,6 +323,14 @@ def test_sweep_unsupported_curve(capsys):
     assert "Mo and Heath" in err
 
 
+def test_sweep_proxy_needs_a_matrix_sweep(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--figure", "fig2a", "--trials", "2", "--include-highsnr-proxy"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "include_highsnr_proxy" in err
+
+
 _SWEEP_ARGV = ["sweep", "--figure", "fig2a", "--trials", "3", "--seed", "1", "--axis", "1,2",
                "--powers", "1"]
 

@@ -1,5 +1,8 @@
 """Monte-Carlo sweeps over random channels, their curves and CSV output."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from sqcap.sweeps import (
     multi_select_lower_capped,
     run_sweep,
 )
+from sqcap.sweeps import _entries_per_trial
 
 
 def test_spec_validation():
@@ -43,6 +47,9 @@ def test_spec_validation():
     for seed in (2.5, -1, 2**64, float("nan")):
         with pytest.raises(ValueError, match="seed"):
             SweepSpec("custom", (1, 2), (1.0,), 4, seed=seed)
+    # the high-SNR proxy is a matrix-channel curve
+    with pytest.raises(ValueError, match="include_highsnr_proxy"):
+        SweepSpec("custom", (1, 2), (1.0,), 4, include_highsnr_proxy=True)
     spec = SweepSpec("custom", [1, 2, 5], [1, 10], 6, trials=3, seed=np.int64(1))
     assert spec.axis == (1, 2, 5)
     assert spec.power_list == (1.0, 10.0)
@@ -124,8 +131,8 @@ def test_figure_spec_overrides():
 
 
 def test_unsupported_curve_names_the_literature():
-    spec = figure_spec("fig2a", trials=2, seed=0, include_sign_select_finite_snr=True)
     with pytest.raises(UnsupportedCurveError, match="Mo and Heath"):
+        spec = figure_spec("fig2a", trials=2, seed=0, include_sign_select_finite_snr=True)
         run_sweep(spec)
 
 
@@ -150,20 +157,29 @@ def test_multi_select_lower_capped_matches_full_bound():
 
 
 def test_run_sweep_shapes_and_labels():
-    spec = figure_spec("fig2a", trials=5, seed=4, axis=(1, 2, 5), power_list=(1.0, 10.0))
-    pts = run_sweep(spec)
-    assert len(pts) == 4 * 3  # 2 powers x (single + linear) curves, 3 grid points
-    labels = {p.curve_label for p in pts}
-    assert labels == {
-        "single-select-upper:P=1",
-        "linear-upper:P=1",
-        "single-select-upper:P=10",
-        "linear-upper:P=10",
-    }
-    for p in pts:
-        assert p.figure_id == "fig2a"
-        assert p.trials == 5 and p.seed == 4
-        assert np.isfinite(p.mean) and p.std_err >= 0
+    # the CSV row order: each curve's grid points in turn, the curves of
+    # each power together, then the selection curves, power by power
+    vector = ["single-select-upper:P=1", "linear-upper:P=1",
+              "single-select-upper:P=10", "linear-upper:P=10"]
+    multi = ["multi-select-lower:P=1;K=2", "multi-select-lower:P=1;K=4",
+             "multi-select-lower:P=10;K=2", "multi-select-lower:P=10;K=4"]
+    matrix = ["mimo-single-select-upper:P=1", "waterfill-rate:P=1",
+              "mimo-single-select-upper:P=10", "waterfill-rate:P=10", "highsnr-proxy"]
+    cases = [
+        (figure_spec("fig2a", trials=5, seed=4, axis=(1, 2, 5), power_list=(1.0, 10.0)), vector),
+        (SweepSpec("custom", (1, 2, 5), (1.0, 10.0), 6, k_list=(2, 4), trials=5, seed=4),
+         vector + multi),
+        (SweepSpec("custom", (2, 3, 5), (1.0, 10.0), 6, n_tx=2, trials=5, seed=4,
+                   include_highsnr_proxy=True), matrix),
+    ]
+    for spec, labels in cases:
+        pts = run_sweep(spec)
+        assert [p.curve_label for p in pts] == [label for label in labels for _ in spec.axis]
+        assert [p.x for p in pts] == list(spec.axis) * len(labels)
+        for p in pts:
+            assert p.figure_id == spec.figure_id
+            assert p.trials == 5 and p.seed == 4
+            assert np.isfinite(p.mean) and p.std_err >= 0
 
 
 def test_single_trial_curves_match_direct_evaluation():
@@ -212,13 +228,6 @@ def test_multi_trial_curves_match_scalar_api():
                 assert pts[(label, x)] == pytest.approx(np.mean(values), rel=1e-12)
 
 
-def entries_per_trial(spec):
-    # draws, plus a Gram matrix or a top-k row per grid point
-    t = spec.n_tx or 1
-    kmax = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
-    return spec.axis[-1] * t + len(spec.axis) * max(t * t, kmax)
-
-
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
     real = sqcap.sweeps._block
     for spec in [
@@ -227,7 +236,7 @@ def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
     ]:
         base = csv_text(run_sweep(spec))
         with monkeypatch.context() as patch:
-            patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 4 * entries_per_trial(spec))
+            patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 4 * _entries_per_trial(spec))
             blocks = []
 
             def block(spec, curves, t0, t1, out):
@@ -239,21 +248,28 @@ def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
         assert blocks == [(0, 4), (4, 8), (8, 11)]
 
 
+BUDGET_SPECS = {
+    # tall matrices: 7 x 7 Gram matrices at 98 grid points
+    "tall-matrix": SweepSpec("custom", range(7, 301, 3), (0.5, 4.0), 6, n_tx=7, seed=4),
+    # top-k rows: 100 per grid point
+    "k-list": SweepSpec("custom", range(1, 301), (2.0,), 200, k_list=(10, 100), seed=4),
+}
+
+
 @pytest.mark.parametrize(
     "spec",
     [
-        # tall matrices: 7 x 7 Gram matrices at 98 grid points
-        SweepSpec("custom", range(7, 301, 3), (0.5, 4.0), 6, n_tx=7, trials=900, seed=4),
-        # top-k rows: 100 per grid point
-        SweepSpec("custom", range(1, 301), (2.0,), 200, k_list=(10, 100), trials=150, seed=4),
+        *BUDGET_SPECS.values(),
         # one trial draws more entries than the budget holds
-        SweepSpec("custom", (1, 9, 1 << 21), (1.0,), 3, trials=3, seed=4),
+        SweepSpec("custom", (1, 9, 1 << 21), (1.0,), 3, seed=4),
     ],
-    ids=["tall-matrix", "k-list", "past-the-budget"],
+    ids=[*BUDGET_SPECS, "past-the-budget"],
 )
 def test_blocks_fit_the_entry_budget(monkeypatch, spec):
     real = sqcap.sweeps._block
-    per_trial = entries_per_trial(spec)
+    per_trial = _entries_per_trial(spec)
+    # three full blocks, of one trial each when one trial overflows the budget
+    spec = dataclasses.replace(spec, trials=3 * max(1, sqcap.sweeps.BLOCK_ENTRIES // per_trial))
     blocks = []
 
     def block(spec, curves, t0, t1, out):
@@ -271,6 +287,32 @@ def test_blocks_fit_the_entry_budget(monkeypatch, spec):
     with monkeypatch.context() as patch:
         patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", spec.trials * per_trial)
         assert csv_text(run_sweep(spec)) == text
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        figure_spec("fig2a", trials=1),
+        figure_spec("fig2b", trials=1),
+        figure_spec("fig2c", trials=1, include_highsnr_proxy=True),
+        *BUDGET_SPECS.values(),
+        SweepSpec("custom", range(1, 2858), (1.0, 10.0), 10, trials=1, seed=4),
+    ],
+    ids=["fig2a", "fig2b", "fig2c", *BUDGET_SPECS, "long-vector"],
+)
+def test_block_peak_fits_the_entry_budget(spec):
+    curves = sqcap.sweeps._curves(spec)
+    trials = max(1, sqcap.sweeps.BLOCK_ENTRIES // _entries_per_trial(spec))
+    out = np.empty((trials, len(curves), len(spec.axis)))
+    # the first block imports scipy.special, which is not the block's to count
+    sqcap.sweeps._block(spec, curves, 0, 1, out[:1])
+    tracemalloc.start()
+    try:
+        sqcap.sweeps._block(spec, curves, 0, trials, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sqcap.sweeps.BLOCK_ENTRIES * 8
 
 
 def test_one_transmit_antenna_sweep_matches_the_vector_sweep():
