@@ -243,15 +243,17 @@ def _relaxed_rates(g: np.ndarray, powers: np.ndarray, free: np.ndarray, n_sq: in
     """Relaxed-allocation rates per row of gains and water-filled powers, as
     ``waterfill_relaxed`` states them; ``free`` is each row's unquantized
     rate, as ``_capped_waterfill_rows`` returns it.  Returns (rates,
-    quantizer-limited flags, per-subchannel quantizer demands).
+    quantizer-limited flags, per-subchannel quantizer demands).  The demand
+    total and the active count take one pass per subchannel over all rows,
+    so the total adds in subchannel order: bit for bit numpy's row sum up
+    to 7 subchannels, as in ``_capped_waterfill_rows``.
     """
-    snr = 1.0 + g * powers
-    demand = np.sqrt(snr) - 1.0
-    k = np.count_nonzero(powers > 0, axis=-1)
+    demand = np.sqrt(1.0 + g.T * powers.T) - 1.0  # one row per subchannel
+    k = np.count_nonzero(powers.T > 0, axis=0)
     split = [j * math.log2(n_sq / j + 1.0) if j else 0.0 for j in range(g.shape[-1] + 1)]
-    capped = demand.sum(axis=-1) > n_sq
+    capped = sum(demand) > n_sq
     rates = np.where(capped, np.asarray(split)[k], free)
-    return rates, capped, demand
+    return rates, capped, demand.T
 
 
 def waterfill_relaxed(gains, power: float, n_sq: int) -> AllocationResult:
@@ -320,32 +322,44 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
     any mu >= max_i 1/g_i + cap_i solves the row, and the water level
     reported is max_i 1/g_i + power.  Returns (rates in bits, powers, water
     levels).
+
+    Rows are many and short (at most ``ORACLE_MAX_CHANNELS`` subchannels
+    for the oracle, ``n_tx`` for a sweep), so the kernel works on the
+    transpose, one pass per breakpoint or subchannel over all rows at once:
+    the used power adds in breakpoint order, the masked sums and the rate
+    in subchannel order.  Up to 7 subchannels that is the order of numpy's
+    own row sums, so the results are bit for bit those of row reductions;
+    from 8 on numpy sums a row pairwise, and the last bits may differ from
+    that.  Either way a row's results do not depend on the rows beside it.
     """
+    g = np.ascontiguousarray(np.atleast_2d(g).T)  # one row per subchannel
     inv = 1.0 / g
     if caps is None:  # the shared tail below then reads caps as inf
         caps = cap_total = np.inf
-        bp, slope = inv, np.arange(1.0, g.shape[-1])
+        bp, slope = inv, np.arange(1.0, len(g))[:, None]
     else:
-        cap_total = caps.sum(axis=1)
-        bp = np.concatenate((np.broadcast_to(inv, caps.shape), inv + caps), axis=1)
+        cap_total = sum(caps.T)
+        bp = np.concatenate((np.broadcast_to(inv.T, caps.shape), inv.T + caps), axis=1)
         order = np.argsort(bp, axis=1, kind="stable")
-        bp = np.take_along_axis(bp, order, axis=1)
+        bp = np.take_along_axis(bp, order, axis=1).T
         # the used power rises with slope #(1/g_i reached) - #(1/g_i + cap_i reached)
-        slope = np.cumsum(np.where(order < g.shape[-1], 1.0, -1.0), axis=1)[:, :-1]
+        slope = np.cumsum(np.where(order < len(g), 1.0, -1.0), axis=1)[:, :-1].T
+        caps = caps.T
     target = np.minimum(power, cap_total)
-    used = np.zeros(bp.shape)
+    # the segment starts at the last breakpoint whose used power fits the budget
+    level, used = bp[0], 0.0
     with np.errstate(invalid="ignore"):  # inf - inf past the last finite breakpoint
-        np.cumsum(slope * np.diff(bp, axis=1), axis=1, out=used[:, 1:])
-    k = np.count_nonzero(used <= np.reshape(target, (-1, 1)), axis=1) - 1
-    level = bp[np.arange(bp.shape[0]), k][:, None]
+        for bp_j, step in zip(bp[1:], slope * (bp[1:] - bp[:-1])):
+            used = used + step
+            level = np.where(used <= target, bp_j, level)
     capped = inv + caps <= level
     free = (inv <= level) & ~capped
-    n_free = np.count_nonzero(free, axis=1)
+    n_free = np.count_nonzero(free, axis=0)
     all_capped = (target >= cap_total) | (n_free == 0)
-    mu = target - np.where(capped, caps, 0.0).sum(axis=1) + np.where(free, inv, 0.0).sum(axis=1)
-    mu = np.where(all_capped, inv.max(axis=-1) + power, mu / np.maximum(n_free, 1))
-    p = np.where(all_capped[:, None], caps, np.minimum(np.maximum(mu[:, None] - inv, 0.0), caps))
-    return 0.5 * np.log2(1.0 + g * p).sum(axis=1), p, mu
+    mu = target - sum(np.where(capped, caps, 0.0)) + sum(np.where(free, inv, 0.0))
+    mu = np.where(all_capped, np.max(inv, axis=0) + power, mu / np.maximum(n_free, 1))
+    p = np.where(all_capped, caps, np.minimum(np.maximum(mu - inv, 0.0), caps))
+    return 0.5 * sum(np.log2(1.0 + g * p)), p.T, mu
 
 
 def _bisected_free_rate(g: np.ndarray, power: float) -> float:

@@ -88,6 +88,18 @@ class ChannelMatrix:
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "gains", _frozen(gains[0]))
 
+    @classmethod
+    def _screened(cls, entries: np.ndarray, gains: np.ndarray, provenance: dict) -> "ChannelMatrix":
+        """The matrix of a draw that ``_full_rank_rows`` already passed: its
+        entries are finite and of full rank, and ``gains`` is the spectrum
+        kernel's result for them, so the kernel does not run twice.
+        """
+        cm = object.__new__(cls)
+        object.__setattr__(cm, "entries", _frozen(entries))
+        object.__setattr__(cm, "provenance", provenance)
+        object.__setattr__(cm, "gains", _frozen(gains))
+        return cm
+
     @property
     def n_rx(self) -> int:
         return self.entries.shape[0]
@@ -146,29 +158,28 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
     the stack it sits in.
     """
     trials, _, n_tx = h.shape
-    gains = [None] * len(counts)
-    tall = [i for i, x in enumerate(counts) if x >= n_tx]
+    # counts increase, so the prefixes shorter than n_tx come first
+    wide = [x for x in counts if x < n_tx]
+    gains = [np.linalg.eigvalsh(h[:, :x] @ h[:, :x].transpose(0, 2, 1))[:, ::-1] for x in wide]
+    weak = [~(g[:, -1] > _GRAM_RATIO * g[:, 0]) for g in gains]
+    tall = counts[len(wide) :]
     if tall:
-        ends = {counts[i]: j for j, i in enumerate(tall)}
+        ends = {x: j for j, x in enumerate(tall)}
         gram = np.zeros((trials, n_tx, n_tx))
         grams = np.empty((trials, len(tall), n_tx, n_tx))
-        for r in range(counts[tall[-1]]):
+        for r in range(tall[-1]):
             gram += h[:, r, :, None] * h[:, r, None, :]
             if r + 1 in ends:
                 grams[:, ends[r + 1]] = gram
         eig = np.linalg.eigvalsh(grams)
-        for j, i in enumerate(tall):
-            gains[i] = eig[:, j, ::-1]
-    for i, x in enumerate(counts):
-        if x < n_tx:
-            wide = h[:, :x]
-            gains[i] = np.linalg.eigvalsh(wide @ wide.transpose(0, 2, 1))[:, ::-1]
+        gains += [eig[:, j, ::-1] for j in range(len(tall))]
+        # eigvalsh sorts ascending: one comparison screens the whole stack
+        weak.extend(~(eig[..., 0] > _GRAM_RATIO * eig[..., -1]).T)
     full = np.ones(trials, dtype=bool)
-    for g, x in zip(gains, counts):
-        for t in np.flatnonzero(~(g[:, -1] > _GRAM_RATIO * g[:, 0])):
-            s = np.linalg.svd(h[t, :x], compute_uv=False)
-            g[t] = s * s
-            full[t] &= s[-1] > RANK_TOL * s[0]
+    for i, t in zip(*np.nonzero(weak)):
+        s = np.linalg.svd(h[t, : counts[i]], compute_uv=False)
+        gains[i][t] = s * s
+        full[t] &= s[-1] > RANK_TOL * s[0]
     return gains, full
 
 
@@ -271,11 +282,12 @@ def draw_channel(spec: ChannelEnsembleSpec, trial_index: int) -> ChannelMatrix:
     The draw is :func:`gaussian_draw` on stream ``trial_index``, redrawn by
     :func:`_full_rank_rows` from the next counter block while it is rank
     deficient (relative tolerance ``RANK_TOL``); the redraw count is kept
-    in the returned matrix's provenance.
+    in the returned matrix's provenance, and its gains are those of the
+    redraw kernel's last rank test.
     """
     if not 0 <= trial_index < spec.trials:
         raise ValueError(f"trial_index {trial_index} outside [0, {spec.trials})")
     shape = (spec.n_rx, spec.n_tx)
-    (h,), _, (redraws,) = _full_rank_rows(spec.seed, (trial_index,), shape, (spec.n_rx,))
+    (h,), ((gains,),), (redraws,) = _full_rank_rows(spec.seed, (trial_index,), shape, (spec.n_rx,))
     provenance = {"seed": int(spec.seed), "trial_index": int(trial_index), "redraws": int(redraws)}
-    return ChannelMatrix(h, provenance=provenance)
+    return ChannelMatrix._screened(h, gains, provenance)

@@ -181,8 +181,19 @@ def _half_log(stat: str):
 
 
 def _k_strongest(spec: SweepSpec, stats: dict, p: float, k: int) -> np.ndarray:
-    rates = [_multi_select_rates(top[:, :k], p, spec.n_sq).max(axis=1) for top in stats["tops"]]
-    return np.maximum(np.stack(rates, axis=1) - 2.0, 0.0)
+    # cumsum runs in order, so the first k columns of one rate pass over a
+    # grid point's whole top row are the rates of its strongest k, and the
+    # running max at column k is the best over at most k: one pass per
+    # power serves every k of k_list
+    best = stats["k_best"]
+    if p not in best:
+        best.clear()
+        picks = []
+        for top in stats["tops"]:
+            rates = np.maximum.accumulate(_multi_select_rates(top, p, spec.n_sq), axis=1)
+            picks.append(rates[:, np.minimum(spec.k_list, top.shape[1]) - 1])
+        best[p] = np.stack(picks, axis=2)
+    return np.maximum(best[p][:, spec.k_list.index(k)] - 2.0, 0.0)
 
 
 def _waterfill(spec: SweepSpec, stats: dict, p: float, k) -> np.ndarray:
@@ -228,12 +239,13 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     """Float64 entries one trial of a block holds at its peak: the draw twice,
     since ``_gaussian_rows`` keeps its raw words alongside the uniforms, and
     per grid point an n_tx x n_tx Gram matrix plus 5 n_tx for the gains and
-    the water-filling rows, or the top-k row if longer (k the largest of
-    ``k_list``, at most n_sq).  A vector channel counts as n_tx = 1.
+    the water-filling rows, or if longer the top-k row (k the largest of
+    ``k_list``, at most n_sq) and one power's best rate per ``k_list``
+    count.  A vector channel counts as n_tx = 1.
     """
     t = spec.n_tx or 1
-    kmax = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
-    return 2 * spec.axis[-1] * t + len(spec.axis) * max(t * t + 5 * t, kmax)
+    k_rows = min(spec.k_list[-1], spec.n_sq) + len(spec.k_list) if spec.k_list else 0
+    return 2 * spec.axis[-1] * t + len(spec.axis) * max(t * t + 5 * t, k_rows)
 
 
 def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
@@ -250,7 +262,7 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
     caps.  Each curve's kernel then runs once over the block.  Every step
     acts row by row, so a trial's values do not depend on its block.
     """
-    stats = {"tops": [], "gains": []}
+    stats = {"tops": [], "gains": [], "k_best": {}}
     if spec.n_tx is None:
         h = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
         sq = np.square(h, out=h)

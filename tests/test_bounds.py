@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqcap.bounds import (
@@ -21,6 +21,7 @@ from sqcap.bounds import (
     _bisected_free_rate,
     _capped_waterfill_rows,
     _nonincreasing_compositions,
+    _relaxed_rates,
     allocate_integer_oracle,
     mimo_sign_highsnr_bounds,
     mimo_single_select_bounds,
@@ -377,6 +378,121 @@ def test_uncapped_waterfill_rows_equal_the_scan_with_inf_caps(rows, power):
         inf_caps = _capped_waterfill_rows(g, np.full(g.shape, np.inf), power)
     for got, want in zip(uncapped, inf_caps):
         assert np.array_equal(got, want)
+
+
+def _row_major_waterfill(g, caps, power):
+    """``_capped_waterfill_rows`` in row-major form, with numpy's row reductions."""
+    inv = 1.0 / g
+    if caps is None:
+        caps = cap_total = np.inf
+        bp, slope = inv, np.arange(1.0, g.shape[-1])
+    else:
+        cap_total = caps.sum(axis=1)
+        bp = np.concatenate((np.broadcast_to(inv, caps.shape), inv + caps), axis=1)
+        order = np.argsort(bp, axis=1, kind="stable")
+        bp = np.take_along_axis(bp, order, axis=1)
+        slope = np.cumsum(np.where(order < g.shape[-1], 1.0, -1.0), axis=1)[:, :-1]
+    target = np.minimum(power, cap_total)
+    used = np.zeros(bp.shape)
+    with np.errstate(invalid="ignore"):
+        np.cumsum(slope * np.diff(bp, axis=1), axis=1, out=used[:, 1:])
+    k = np.count_nonzero(used <= np.reshape(target, (-1, 1)), axis=1) - 1
+    level = bp[np.arange(bp.shape[0]), k][:, None]
+    capped = inv + caps <= level
+    free = (inv <= level) & ~capped
+    n_free = np.count_nonzero(free, axis=1)
+    all_capped = (target >= cap_total) | (n_free == 0)
+    mu = target - np.where(capped, caps, 0.0).sum(axis=1) + np.where(free, inv, 0.0).sum(axis=1)
+    mu = np.where(all_capped, inv.max(axis=-1) + power, mu / np.maximum(n_free, 1))
+    p = np.where(all_capped[:, None], caps, np.minimum(np.maximum(mu[:, None] - inv, 0.0), caps))
+    return 0.5 * np.log2(1.0 + g * p).sum(axis=1), p, mu
+
+
+def _row_major_relaxed_rates(g, powers, free, n_sq):
+    """``_relaxed_rates`` in row-major form, with numpy's row reductions."""
+    demand = np.sqrt(1.0 + g * powers) - 1.0
+    k = np.count_nonzero(powers > 0, axis=-1)
+    split = [j * math.log2(n_sq / j + 1.0) if j else 0.0 for j in range(g.shape[-1] + 1)]
+    capped = demand.sum(axis=-1) > n_sq
+    return np.where(capped, np.asarray(split)[k], free), capped, demand
+
+
+# gains of one scale, whose sums round differently in another order
+_ROW_GAIN = st.one_of(st.floats(0.05, 20.0), _WATERFILL_GAIN)
+_CAP = st.one_of(st.just(0.0), st.just(np.inf), st.floats(0.0, 40.0))
+_POWER = st.one_of(st.just(0.0), st.floats(-6.0, 8.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def _waterfill_problems(draw, widths, gains=_ROW_GAIN):
+    """Gains and caps as the kernel's callers pass them: rows of gains sorted
+    nonincreasing without caps (sweeps, ``waterfill_relaxed``), one shared
+    gain vector with the caps of nonincreasing compositions (the oracle),
+    or shared or per-row gains with random caps, zero and inf among them.
+    """
+    w, n = draw(widths), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(gains, min_size=w, max_size=w), min_size=n, max_size=n))
+    g = -np.sort(-np.array(rows), axis=1)
+    kind = draw(st.sampled_from(["none", "compositions", "random"]))
+    if kind == "none":
+        return g, None
+    if kind == "compositions":
+        comps = _nonincreasing_compositions(draw(st.integers(0, 12)), w)
+        with np.errstate(over="ignore"):  # the caps of gains near 1e-306 overflow to inf
+            return g[0], ((comps + 1.0) ** 2 - 1.0) / g[0]
+    caps = np.array(draw(st.lists(st.lists(_CAP, min_size=w, max_size=w), min_size=n, max_size=n)))
+    return (g[0] if draw(st.booleans()) else g), caps
+
+
+def _both_waterfills(problem, power):
+    g, caps = problem
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _capped_waterfill_rows(g, caps, power), _row_major_waterfill(g, caps, power)
+
+
+# rows of up to 7 subchannels: every cap binds, P = 0, tied and tiny gains
+@example((np.array([1.0, 0.5, 0.5]), np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])), 1e8)
+@example((np.array([[4.0, 4.0, 4.0, 1.0]]), None), 0.0)
+@example((np.array([[4.0, 4.0, 1e-306, 1e-306]]), None), 3.0)
+@example((np.full(7, 1e-306), np.array([[np.inf, 1e300, 0.0, 1.0, 5.0, 0.0, 0.0]])), 1e6)
+@given(_waterfill_problems(st.integers(1, 7)), _POWER)
+@settings(max_examples=300, deadline=None)
+def test_capped_waterfill_rows_match_the_row_major_kernel(problem, power):
+    # one pass per subchannel adds in the order of numpy's own row sums
+    for got, want in zip(*_both_waterfills(problem, power)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(_waterfill_problems(st.just(8), gains=st.floats(0.05, 20.0)), _POWER)
+@settings(max_examples=100, deadline=None)
+def test_capped_waterfill_rows_at_width_8_stay_within_ulps_of_the_row_major_kernel(problem, power):
+    # numpy sums rows of 8 or more pairwise, the kernel in subchannel order:
+    # the sums behind the water level move by ulps of the budget and the
+    # level, the powers with them, and the rates by g times that
+    (rates, powers, mu), (rates0, powers0, mu0) = _both_waterfills(problem, power)
+    ulp = 8 * np.finfo(float).eps
+    scale = ulp * (1.0 + power + np.max(mu0))
+    np.testing.assert_allclose(mu, mu0, rtol=ulp, atol=scale)
+    np.testing.assert_allclose(powers, powers0, rtol=ulp, atol=scale)
+    np.testing.assert_allclose(rates, rates0, rtol=ulp, atol=scale * np.max(problem[0]))
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda w: st.lists(st.lists(_ROW_GAIN, min_size=w, max_size=w), min_size=1, max_size=4)
+    ),
+    _POWER,
+    st.integers(1, 64),
+)
+@settings(max_examples=200, deadline=None)
+def test_relaxed_rates_match_the_row_major_kernel(rows, power, n_sq):
+    g = -np.sort(-np.array(rows), axis=1)
+    free, powers, _ = _capped_waterfill_rows(g, None, power)
+    got = _relaxed_rates(g, powers, free, n_sq)
+    want = _row_major_relaxed_rates(g, powers, free, n_sq)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_capped_waterfill_all_caps_bind():

@@ -207,6 +207,29 @@ def test_draw_channel_redraws_rank_deficient_block(monkeypatch):
     np.testing.assert_array_equal(cm.entries, want)
 
 
+def test_draw_channel_takes_one_spectrum_per_draw(monkeypatch):
+    # the redraw kernel's rank test gives the gains; ChannelMatrix does not
+    # run the spectrum kernel again on the same entries
+    real, calls = sqcap.channel._prefix_gains, []
+
+    def spectrum(h, counts):
+        calls.append(h.shape)
+        return real(h, counts)
+
+    for shape in ((8, 4), (3, 5), (1, 1), (6, 6)):
+        spec = ChannelEnsembleSpec(*shape, seed=9, trials=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(sqcap.channel, "_prefix_gains", spectrum)
+            calls.clear()
+            cm = draw_channel(spec, 2)
+        assert calls == [(1, *shape)]
+        want = ChannelMatrix(cm.entries)
+        assert np.array_equal(cm.gains, want.gains)
+        assert cm.gains.shape == (min(shape),) and not cm.gains.flags.writeable
+        assert not cm.entries.flags.writeable
+        assert cm.provenance == {"seed": 9, "trial_index": 2, "redraws": 0}
+
+
 def test_full_rank_rows_redraws_only_pending_streams(monkeypatch):
     # stream 7 is forced rank deficient at counter blocks below ``deficient``
     seed, shape, counts = 11, (4, 3), (3, 4)

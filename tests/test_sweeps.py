@@ -228,6 +228,30 @@ def test_multi_trial_curves_match_scalar_api():
                 assert pts[(label, x)] == pytest.approx(np.mean(values), rel=1e-12)
 
 
+def test_multi_select_curves_take_one_rate_pass_per_power(monkeypatch):
+    # every K of one power reads the running max of one pass over each grid
+    # point's top row, bit for bit the scalar bound on each trial's prefix;
+    # K = 9 is capped by n_sq = 6 and, at the first grid points, by x
+    axis, powers, ks, trials = (1, 2, 5, 12), (0.5, 40.0), (1, 3, 9), 4
+    spec = SweepSpec("custom", axis, powers, 6, k_list=ks, trials=trials, seed=8)
+    real, passes = sqcap.sweeps._multi_select_rates, []
+
+    def rates(top, p, n_sq):
+        passes.append((top.shape, p))
+        return real(top, p, n_sq)
+
+    monkeypatch.setattr(sqcap.sweeps, "_multi_select_rates", rates)
+    curves = sqcap.sweeps._curves(spec)
+    out = np.empty((trials, len(curves), len(axis)))
+    sqcap.sweeps._block(spec, curves, 0, trials, out)
+    assert passes == [((trials, min(x, 6)), p) for p in powers for x in axis]
+    masters = [gaussian_draw(8, t, (axis[-1],)) for t in range(trials)]
+    for c, (label, _, p, k) in enumerate(curves):
+        if k is not None:
+            want = [[multi_select_lower_capped(h[:x], p, 6, k) for x in axis] for h in masters]
+            assert np.array_equal(out[:, c], want), label
+
+
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
     real = sqcap.sweeps._block
     for spec in [
