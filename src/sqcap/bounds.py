@@ -126,10 +126,14 @@ def siso_sign_capacity(power: float) -> float:
 
 
 def miso_sign_capacity(h, power: float) -> float:
-    """Transmit beamforming onto a single sign quantizer: gain ||h||_2."""
+    """Transmit beamforming onto a single sign quantizer: gain ||h||_2, taken
+    of h / max|h_i| where its squares overflow; past the float range Q = 0."""
     v = _check_vector(h, "gain vector")
     p = _check_real(power, "power")
-    return 1.0 - binary_entropy(q_function(float(np.linalg.norm(v)) * math.sqrt(p)))
+    with np.errstate(over="ignore"):  # v / 1.0 keeps a finite norm's bits
+        top = float(np.max(np.abs(v))) if np.isinf(np.linalg.norm(v)) else 1.0
+    amplitude = float(np.linalg.norm(v / top)) * (top * math.sqrt(p))
+    return 1.0 - binary_entropy(q_function(amplitude) if math.isfinite(amplitude) else 0.0)
 
 
 def simo_sign_highsnr_bounds(n_rx: int) -> BoundPair:
@@ -321,7 +325,8 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
     bitwise equal powers and rates.  When every cap binds (sum caps <= power)
     any mu >= max_i 1/g_i + cap_i solves the row, and the water level
     reported is max_i 1/g_i + power.  Returns (rates in bits, powers, water
-    levels).
+    levels).  A zero gain (a sweep's padding; public callers reject it) has
+    the breakpoint 1/0 = inf, never reached: no power, exact zeros in sums.
 
     Rows are many and short (at most ``ORACLE_MAX_CHANNELS`` subchannels
     for the oracle, ``n_tx`` for a sweep), so the kernel works on the
@@ -333,7 +338,8 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
     that.  Either way a row's results do not depend on the rows beside it.
     """
     g = np.ascontiguousarray(np.atleast_2d(g).T)  # one row per subchannel
-    inv = 1.0 / g
+    with np.errstate(divide="ignore"):  # a zero gain's breakpoint is inf
+        inv = 1.0 / g
     if caps is None:  # the shared tail below then reads caps as inf
         caps = cap_total = np.inf
         bp, slope = inv, np.arange(1.0, len(g))[:, None]

@@ -76,17 +76,18 @@ class ChannelMatrix:
             raise ValueError(f"channel matrix must be 2-D and nonempty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("channel matrix entries must be finite")
-        (gains,), full = _prefix_gains(arr[None], (arr.shape[0],))
+        gains, full = _prefix_gains(arr[None], (arr.shape[0],))
+        gains = gains[0, 0, : min(arr.shape)]
         if not full[0]:
             # rank deficient prefixes keep the squared singular values of
             # the fallback SVD
-            low, high = np.sqrt(gains[0, [-1, 0]])
+            low, high = np.sqrt(gains[[-1, 0]])
             raise RankDeficientError(
                 f"channel matrix is rank deficient: min/max singular value "
                 f"{low:.3e}/{high:.3e}"
             )
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "gains", _frozen(gains[0]))
+        object.__setattr__(self, "gains", _frozen(gains))
 
     @classmethod
     def _screened(cls, entries: np.ndarray, gains: np.ndarray, provenance: dict) -> "ChannelMatrix":
@@ -142,43 +143,40 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
     ``x`` in the increasing ``counts``, and the full-rank verdict.
 
     ``h`` has shape (trials, rows, n_tx).  Returns ``(gains, full)``:
-    ``gains[i]`` has shape (trials, min(counts[i], n_tx)) and holds each
-    trial's nonincreasing squared singular values of its prefix, and
-    ``full`` (trials,) is True where every prefix of the trial has full rank
-    relative to ``RANK_TOL``.
+    ``gains[t, i]`` holds trial t's nonincreasing squared singular values of
+    prefix i, then exact zeros to n_tx (the eigenvalues of H[:x]^T H[:x] past
+    its rank), and ``full[t]`` is True where every prefix has full rank.
 
-    Prefixes with at least n_tx rows read one running sum of row outer
-    products, H[:x]^T H[:x], kept only at those prefixes, and one stacked
-    ``eigvalsh`` over the whole stack, which ``sweeps.BLOCK_ENTRIES``
-    bounds, gives all their gains; shorter prefixes take ``eigvalsh`` of
-    H[:x] H[:x]^T.  A prefix whose smallest eigenvalue is at most
-    ``_GRAM_RATIO`` times its largest takes the SVD instead, which decides
-    its rank as ``ChannelMatrix`` always has and gives its gains.  Every
-    step acts on one matrix at a time, so a trial's gains do not depend on
-    the stack it sits in.
+    Prefixes with at least n_tx rows take one stacked ``eigvalsh`` of the
+    running sums of row outer products H[:x]^T H[:x], kept only at those
+    prefixes (``sweeps.BLOCK_ENTRIES`` bounds the stack); shorter prefixes
+    take ``eigvalsh`` of H[:x] H[:x]^T.  A prefix whose smallest unpadded
+    gain is at most ``_GRAM_RATIO`` times its largest takes the SVD,
+    which decides its rank as ``ChannelMatrix`` always has and gives its
+    gains.  Each step acts on one matrix at a time, so a trial's gains do
+    not depend on the stack it sits in.
     """
     trials, _, n_tx = h.shape
+    gains = np.zeros((trials, len(counts), n_tx))
     # counts increase, so the prefixes shorter than n_tx come first
     wide = [x for x in counts if x < n_tx]
-    gains = [np.linalg.eigvalsh(h[:, :x] @ h[:, :x].transpose(0, 2, 1))[:, ::-1] for x in wide]
-    weak = [~(g[:, -1] > _GRAM_RATIO * g[:, 0]) for g in gains]
+    for i, x in enumerate(wide):
+        gains[:, i, :x] = np.linalg.eigvalsh(h[:, :x] @ h[:, :x].transpose(0, 2, 1))[:, ::-1]
     tall = counts[len(wide) :]
     if tall:
-        ends = {x: j for j, x in enumerate(tall)}
         gram = np.zeros((trials, n_tx, n_tx))
         grams = np.empty((trials, len(tall), n_tx, n_tx))
-        for r in range(tall[-1]):
-            gram += h[:, r, :, None] * h[:, r, None, :]
-            if r + 1 in ends:
-                grams[:, ends[r + 1]] = gram
-        eig = np.linalg.eigvalsh(grams)
-        gains += [eig[:, j, ::-1] for j in range(len(tall))]
-        # eigvalsh sorts ascending: one comparison screens the whole stack
-        weak.extend(~(eig[..., 0] > _GRAM_RATIO * eig[..., -1]).T)
+        for j, (start, x) in enumerate(zip((0, *tall), tall)):
+            for r in range(start, x):
+                gram += h[:, r, :, None] * h[:, r, None, :]
+            grams[:, j] = gram
+        gains[:, len(wide) :] = np.linalg.eigvalsh(grams)[..., ::-1]
+    smallest = gains[:, range(len(counts)), np.minimum(counts, n_tx) - 1]
+    weak = ~(smallest > _GRAM_RATIO * gains[..., 0])
     full = np.ones(trials, dtype=bool)
-    for i, t in zip(*np.nonzero(weak)):
+    for t, i in zip(*np.nonzero(weak)):
         s = np.linalg.svd(h[t, : counts[i]], compute_uv=False)
-        gains[i][t] = s * s
+        gains[t, i, : s.size] = s * s
         full[t] &= s[-1] > RANK_TOL * s[0]
     return gains, full
 
@@ -252,8 +250,8 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
 
 def _full_rank_rows(seed: int, streams, shape, counts) -> tuple:
     """:func:`_gaussian_rows` of ``streams`` with every rank-deficient draw
-    redrawn, and the gains of the row prefixes ``_prefix_gains`` reads at
-    the increasing row ``counts``.
+    redrawn, and the gains array ``_prefix_gains`` gives for the row
+    prefixes at the increasing row ``counts``.
 
     Attempt ``a`` redraws only the streams still pending, whole, from
     counter block ``a`` of each stream (so prefixes stay nested), and
@@ -288,6 +286,6 @@ def draw_channel(spec: ChannelEnsembleSpec, trial_index: int) -> ChannelMatrix:
     if not 0 <= trial_index < spec.trials:
         raise ValueError(f"trial_index {trial_index} outside [0, {spec.trials})")
     shape = (spec.n_rx, spec.n_tx)
-    (h,), ((gains,),), (redraws,) = _full_rank_rows(spec.seed, (trial_index,), shape, (spec.n_rx,))
+    (h,), gains, (redraws,) = _full_rank_rows(spec.seed, (trial_index,), shape, (spec.n_rx,))
     provenance = {"seed": int(spec.seed), "trial_index": int(trial_index), "redraws": int(redraws)}
-    return ChannelMatrix._screened(h, gains, provenance)
+    return ChannelMatrix._screened(h, gains[0, 0, : min(shape)], provenance)

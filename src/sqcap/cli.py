@@ -6,8 +6,8 @@ every output.  A JSON payload has the keys ``command``, ``inputs``,
 every subcommand (``sweep`` included, with preset values resolved), so
 results are auditable from the output alone.  ``sweep`` prints CSV unless
 given ``--format json``.  ``--out`` writes exactly the bytes stdout would
-get.  Exit codes: 0 success, 1 runtime failure (a failed write included),
-2 usage.
+get.  Exit codes: 0 success, 1 runtime failure (a failed write or an
+allocation past the memory available included), 2 usage.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def cli_dispatch(argv) -> int:
             Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         else:
             sys.stdout.write(text)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -13,11 +13,11 @@ Sweeps are evaluated in blocks of contiguous trials, and one block kernel
 serves vector and matrix channels alike: a vector channel is a matrix
 channel with one transmit antenna.  A block draws its trials' master
 channels in one pass and reads their statistics once: prefix statistics of
-the squared row norms and, for a matrix, every grid point's gains from the
-spectrum kernel ``ChannelMatrix`` uses.  ``_CURVES`` states each curve
-once, its label and the kernel that computes it from those statistics over
-the whole block, in CSV row order.  ``_entries_per_trial`` counts what a
-block holds, and ``run_sweep`` says how it and ``workers`` split the trials.
+the squared row norms and, for a matrix, every grid point's gains padded
+to ``n_tx`` from the spectrum kernel.  ``_CURVES`` states each curve once,
+its label and the kernel that computes it from those statistics over the
+whole block, in CSV row order.  ``_entries_per_trial`` counts what a block
+holds, and ``run_sweep`` says how it and ``workers`` split the trials.
 
 Figure presets:
 
@@ -197,11 +197,8 @@ def _k_strongest(spec: SweepSpec, stats: dict, p: float, k: int) -> np.ndarray:
 
 
 def _waterfill(spec: SweepSpec, stats: dict, p: float, k) -> np.ndarray:
-    rates = np.empty_like(stats["max_sq"])
-    for points, g in stats["gains"]:
-        free, powers, _ = _capped_waterfill_rows(g, None, p)
-        rates[:, points] = _relaxed_rates(g, powers, free, spec.n_sq)[0].reshape(len(points), -1).T
-    return rates
+    free, powers, _ = _capped_waterfill_rows(stats["gains"], None, p)
+    return _relaxed_rates(stats["gains"], powers, free, spec.n_sq)[0].reshape(-1, len(spec.axis))
 
 
 def _highsnr_proxy(spec: SweepSpec, stats: dict, p, k) -> float:
@@ -257,12 +254,12 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
     rank-deficient ones and gives every grid point's gains, bit for bit
     those ``ChannelMatrix`` keeps.  The statistics are read once: per grid
     point the running max and sum of the squared row norms, the strongest
-    of them in order if ``k_list`` is set, and a matrix's gains, sorted and
-    stacked by gain count, so each power water-fills once per count without
+    of them in order if ``k_list`` is set, and a matrix's gains, zero-padded
+    to ``n_tx``, so each power water-fills the whole block once without
     caps.  Each curve's kernel then runs once over the block.  Every step
     acts row by row, so a trial's values do not depend on its block.
     """
-    stats = {"tops": [], "gains": [], "k_best": {}}
+    stats = {"tops": [], "k_best": {}}
     if spec.n_tx is None:
         h = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
         sq = np.square(h, out=h)
@@ -270,10 +267,7 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
         shape = (spec.axis[-1], spec.n_tx)
         h, prefix, _ = _full_rank_rows(spec.seed, range(t0, t1), shape, spec.axis)
         sq = np.sum(h * h, axis=2)
-        # one stack per gain count min(x, n_tx): each grid point's trials in turn
-        for w in sorted({min(x, spec.n_tx) for x in spec.axis}):
-            points = [i for i, x in enumerate(spec.axis) if min(x, spec.n_tx) == w]
-            stats["gains"].append((points, np.concatenate([prefix[i] for i in points])))
+        stats["gains"] = prefix.reshape(-1, spec.n_tx)
     starts = (0,) + spec.axis[:-1]
     # squaring rounds monotonically, so a vector's max |h|^2 is the square
     # of max |h|, the statistic the single-select bound squares

@@ -155,7 +155,8 @@ def q_array(x: np.ndarray) -> np.ndarray:
     if zero.any():
         # past exp's underflow _deep_tail can only return the floor, so
         # only the zeros short of it take the per-element erfcx form
-        floor = zero & (0.5 * x * x >= _EXP_UNDERFLOW)
+        with np.errstate(over="ignore"):  # x * x is inf past 1.3e154: still the floor
+            floor = zero & (0.5 * x * x >= _EXP_UNDERFLOW)
         v[floor] = TAIL_TINY
         for i in np.flatnonzero(zero & ~floor):
             v.flat[i] = _deep_tail(float(x.flat[i]))

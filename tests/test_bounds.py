@@ -73,6 +73,19 @@ def test_miso_reduces_to_siso_with_norm_squared():
     assert miso_sign_capacity((2.0,), 1.0) == pytest.approx(siso_sign_capacity(4.0), rel=1e-14)
 
 
+def test_miso_survives_an_overflowing_norm():
+    # the squares of h overflow: the norm is scaled by max |h_i|, and an
+    # amplitude past the float range reads as Q = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert miso_sign_capacity((1e200, 1e200), 1e200) == 1.0
+        assert miso_sign_capacity((1e308, -1e308), 1e-300) == 1.0
+        assert miso_sign_capacity((1e308, 1e308), 0.0) == 0.0
+        # squares past the float range, ||h|| = 5e154 and sqrt(P) = 1e-154: amplitude 5
+        want = siso_sign_capacity(25.0)
+        assert miso_sign_capacity((3e154, 4e154), 1e-308) == pytest.approx(want, rel=1e-12)
+
+
 def test_simo_highsnr_bounds():
     pair = simo_sign_highsnr_bounds(4)
     assert pair.lower == 2.0
@@ -493,6 +506,33 @@ def test_relaxed_rates_match_the_row_major_kernel(rows, power, n_sq):
     want = _row_major_relaxed_rates(g, powers, free, n_sq)
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda w: st.lists(st.lists(_ROW_GAIN, min_size=w, max_size=w), min_size=1, max_size=4)
+    ),
+    st.integers(0, 4),
+    _POWER,
+    st.integers(1, 64),
+)
+@settings(max_examples=200, deadline=None)
+def test_trailing_zero_gains_leave_the_water_filling_bitwise_unchanged(rows, zeros, power, n_sq):
+    # a matrix sweep pads each spectrum with zeros to n_tx gains: a zero
+    # gain takes no power and adds exact zeros to every sum
+    g = -np.sort(-np.array(rows), axis=1)
+    w = g.shape[1]
+    padded = np.hstack([g, np.zeros((g.shape[0], zeros))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        free, powers, mu = _capped_waterfill_rows(padded, None, power)
+        rates, capped, demand = _relaxed_rates(padded, powers, free, n_sq)
+    want_free, want_powers, want_mu = _capped_waterfill_rows(g, None, power)
+    want = _relaxed_rates(g, want_powers, want_free, n_sq)
+    assert np.array_equal(free, want_free) and np.array_equal(mu, want_mu)
+    assert np.array_equal(powers[:, :w], want_powers) and not powers[:, w:].any()
+    assert np.array_equal(rates, want[0]) and np.array_equal(capped, want[1])
+    assert np.array_equal(demand[:, :w], want[2]) and not demand[:, w:].any()
 
 
 def test_capped_waterfill_all_caps_bind():

@@ -81,7 +81,8 @@ def test_channel_gains_are_eigenvalues_of_h_ht():
 
 def test_prefix_gains_match_squared_singular_values():
     # tall, square and wide prefixes of each stack, against the SVD: within
-    # 16 ulps of the largest gain (fig2c at 1000 trials peaks near 13)
+    # 16 ulps of the largest gain (fig2c at 1000 trials peaks near 13), and
+    # exact zeros past the rank of a wide prefix
     rng = np.random.default_rng(12)
     eps = np.finfo(np.float64).eps
     for n_tx in range(1, 9):
@@ -90,9 +91,11 @@ def test_prefix_gains_match_squared_singular_values():
         counts = tuple(range(1, rows + 1))
         gains, full = _prefix_gains(h, counts)
         assert full.all()
-        for x, g in zip(counts, gains):
+        assert gains.shape == (40, len(counts), n_tx)
+        for i, x in enumerate(counts):
             want = np.linalg.svd(h[:, :x], compute_uv=False) ** 2
-            assert g.shape == want.shape
+            g = gains[:, i, : want.shape[1]]
+            assert np.all(gains[:, i, want.shape[1] :] == 0)
             assert np.all(np.diff(g, axis=1) <= 0)
             assert np.all(np.abs(g - want) <= 16 * eps * want[:, :1])
 
@@ -251,8 +254,7 @@ def test_full_rank_rows_redraws_only_pending_streams(monkeypatch):
     assert drawn == [([7, 2], 0), ([7], 1), ([7], 2)]
     for row, expected in zip(h, want):
         np.testing.assert_array_equal(row, expected)
-    for got, expected in zip(gains, _prefix_gains(h, counts)[0]):
-        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(gains, _prefix_gains(h, counts)[0])
 
     # the scalar draw is the kernel's one-stream case
     cm = draw_channel(ChannelEnsembleSpec(4, 3, seed=seed, trials=8), 7)

@@ -357,3 +357,13 @@ def test_failed_write_is_runtime_error(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_memory_error_is_runtime_error(capsys, monkeypatch):
+    def allocate(spec, workers):
+        raise MemoryError("Unable to allocate 137. GiB for an array")
+
+    monkeypatch.setattr(cli, "run_sweep", allocate)
+    code, out, err = run(capsys, *_SWEEP_ARGV)
+    assert code == 1 and out == ""
+    assert err == "error: Unable to allocate 137. GiB for an array\n"

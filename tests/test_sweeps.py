@@ -277,6 +277,8 @@ BUDGET_SPECS = {
     "tall-matrix": SweepSpec("custom", range(7, 301, 3), (0.5, 4.0), 6, n_tx=7, seed=4),
     # top-k rows: 100 per grid point
     "k-list": SweepSpec("custom", range(1, 301), (2.0,), 200, k_list=(10, 100), seed=4),
+    # mixed widths: 4 wide prefixes zero-padded to 12 gains, then 12 x 12 Gram matrices
+    "mixed-matrix": SweepSpec("custom", range(1, 301, 3), (0.5, 4.0), 6, n_tx=12, seed=4),
 }
 
 
@@ -499,6 +501,10 @@ def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
         assert got[("waterfill-rate:P=1", x)] == np.mean(rate)
 
 
+#: Gain counts 1, 2, 3, 6 and 7 (capped by n_tx).
+MIXED_WIDTH_SPEC = SweepSpec("custom", (1, 2, 3, 6, 9), (0.3, 20.0), 4, n_tx=7, trials=5, seed=17)
+
+
 def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
     real = sqcap.sweeps._capped_waterfill_rows
     rows, uncapped = [], []
@@ -514,15 +520,18 @@ def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
     assert rows == [(3 * 3, 5)] * 2
     # the spectrum's gains come sorted nonincreasing, so no caps are built
     assert uncapped == [True, True]
+    # gain counts 1, 2, 3, 6 and 7, zero-padded to n_tx: still one stack per power
+    rows.clear()
+    run_sweep(MIXED_WIDTH_SPEC)
+    assert rows == [(5 * 5, 7)] * 2
 
 
 def test_mixed_width_waterfill_matches_scalar_api():
-    # gain counts 1, 2, 3, 6 and 7 (capped by n_tx): one stack per count
-    axis, trials, n_tx, n_sq = (1, 2, 3, 6, 9), 5, 7, 4
-    spec = SweepSpec("custom", axis, (0.3, 20.0), n_sq, n_tx=n_tx, trials=trials, seed=17)
+    spec = MIXED_WIDTH_SPEC
+    axis, trials, n_tx, n_sq = spec.axis, spec.trials, spec.n_tx, spec.n_sq
     got = {(p.curve_label, p.x): p.mean for p in run_sweep(spec)}
-    masters = [gaussian_draw(17, t, (axis[-1], n_tx)) for t in range(trials)]
-    for p in (0.3, 20.0):
+    masters = [gaussian_draw(spec.seed, t, (axis[-1], n_tx)) for t in range(trials)]
+    for p in spec.power_list:
         for x in axis:
             rates = [waterfill_relaxed(ChannelMatrix(m[:x]).gains, p, n_sq).rate for m in masters]
             assert got[(f"waterfill-rate:P={p:g}", x)] == np.mean(rates)
