@@ -147,30 +147,24 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
     prefix i, then exact zeros to n_tx (the eigenvalues of H[:x]^T H[:x] past
     its rank), and ``full[t]`` is True where every prefix has full rank.
 
-    Prefixes with at least n_tx rows take one stacked ``eigvalsh`` of the
-    running sums of row outer products H[:x]^T H[:x], kept only at those
-    prefixes (``sweeps.BLOCK_ENTRIES`` bounds the stack); shorter prefixes
-    take ``eigvalsh`` of H[:x] H[:x]^T.  A prefix whose smallest unpadded
-    gain is at most ``_GRAM_RATIO`` times its largest takes the SVD,
-    which decides its rank as ``ChannelMatrix`` always has and gives its
-    gains.  Each step acts on one matrix at a time, so a trial's gains do
-    not depend on the stack it sits in.
+    Every prefix, wide or tall, takes its gains from one stacked ``eigvalsh``
+    of the running sums of row outer products H[:x]^T H[:x], kept at each
+    count (``sweeps.BLOCK_ENTRIES`` bounds the stack); a wide prefix's
+    eigenvalues past its x rows are set to exact zeros.  A prefix whose
+    smallest unpadded gain is at most ``_GRAM_RATIO`` times its largest
+    takes the SVD, which decides its rank as ``ChannelMatrix`` always has
+    and gives its gains.  Each step acts on one matrix at a time, so a
+    trial's gains do not depend on the stack it sits in.
     """
     trials, _, n_tx = h.shape
-    gains = np.zeros((trials, len(counts), n_tx))
-    # counts increase, so the prefixes shorter than n_tx come first
-    wide = [x for x in counts if x < n_tx]
-    for i, x in enumerate(wide):
-        gains[:, i, :x] = np.linalg.eigvalsh(h[:, :x] @ h[:, :x].transpose(0, 2, 1))[:, ::-1]
-    tall = counts[len(wide) :]
-    if tall:
-        gram = np.zeros((trials, n_tx, n_tx))
-        grams = np.empty((trials, len(tall), n_tx, n_tx))
-        for j, (start, x) in enumerate(zip((0, *tall), tall)):
-            for r in range(start, x):
-                gram += h[:, r, :, None] * h[:, r, None, :]
-            grams[:, j] = gram
-        gains[:, len(wide) :] = np.linalg.eigvalsh(grams)[..., ::-1]
+    gram = np.zeros((trials, n_tx, n_tx))
+    grams = np.empty((trials, len(counts), n_tx, n_tx))
+    for i, (start, x) in enumerate(zip((0, *counts), counts)):
+        for r in range(start, x):
+            gram += h[:, r, :, None] * h[:, r, None, :]
+        grams[:, i] = gram
+    gains = np.ascontiguousarray(np.linalg.eigvalsh(grams)[..., ::-1])
+    gains[:, np.arange(n_tx) >= np.asarray(counts)[:, None]] = 0.0
     smallest = gains[:, range(len(counts)), np.minimum(counts, n_tx) - 1]
     weak = ~(smallest > _GRAM_RATIO * gains[..., 0])
     full = np.ones(trials, dtype=bool)

@@ -140,13 +140,21 @@ def _log_positive(w: np.ndarray) -> np.ndarray:
     return np.log(w, out=np.zeros_like(w), where=w > 0)
 
 
-def _row_divergences(w: np.ndarray, logw: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """KL(row || py) in nats per row of w, with logw = _log_positive(w).
+def _row_divergences(r: np.ndarray, w: np.ndarray, logw: np.ndarray) -> np.ndarray:
+    """KL(row || r @ w) in nats per row of w, with logw = _log_positive(w).
 
-    Zero entries contribute zero; a row reaching an output with py = 0 scores +inf.
+    Zero entries contribute zero.  So does a live row's entry at an output
+    whose mass r @ w underflows to 0: the entry is below 2^-1074 / r[m], and
+    its true term at most w log(1 / r[m]).  A row without mass reaching an
+    output with no mass scores +inf.
     """
+    py = r @ w
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(w > 0, w * (logw - np.log(py)), 0.0).sum(axis=1)
+        terms = np.where(w > 0, w * (logw - np.log(py)), 0.0)
+    starved = py == 0
+    if starved.any():
+        terms[np.outer(r > 0, starved)] = 0.0
+    return terms.sum(axis=1)
 
 
 def mutual_information(input_dist: InputDistribution, channel: TransitionMatrix) -> float:
@@ -160,7 +168,7 @@ def mutual_information(input_dist: InputDistribution, channel: TransitionMatrix)
 
 def _mi_bits(r: np.ndarray, w: np.ndarray) -> float:
     # unchecked: r a probability vector, w row-stochastic with matching rows
-    d = _row_divergences(w, _log_positive(w), r @ w)
+    d = _row_divergences(r, w, _log_positive(w))
     live = r > 0
     return max(float(r[live] @ d[live] / _LN2), 0.0)
 
@@ -195,11 +203,11 @@ def blahut_arimoto(
     from scipy import special
 
     for _ in range(max_iters):
-        # A row with current mass can only reach outputs with py > 0, so d
-        # is finite on the support of r; rows starved to zero by underflow
-        # may score +inf, which keeps the certificate honest instead of
-        # silently converging.
-        d = _row_divergences(w, logw, r @ w)
+        # A row with current mass reaches only outputs with py > 0 or ones
+        # whose mass underflowed, which score zero, so d is finite on the
+        # support of r; rows starved to zero by underflow may score +inf,
+        # which keeps the certificate honest instead of silently converging.
+        d = _row_divergences(r, w, logw)
         live = r > 0
         rate_nats = float(r[live] @ d[live])
         gap_bits = (float(np.max(d)) - rate_nats) / _LN2

@@ -12,12 +12,13 @@ worker count.
 Sweeps are evaluated in blocks of contiguous trials, and one block kernel
 serves vector and matrix channels alike: a vector channel is a matrix
 channel with one transmit antenna.  A block draws its trials' master
-channels in one pass and reads their statistics once: prefix statistics of
-the squared row norms and, for a matrix, every grid point's gains padded
-to ``n_tx`` from the spectrum kernel.  ``_CURVES`` states each curve once,
-its label and the kernel that computes it from those statistics over the
-whole block, in CSV row order.  ``_entries_per_trial`` counts what a block
-holds, and ``run_sweep`` says how it and ``workers`` split the trials.
+channels in one pass and reads their statistics once, each one fixed-width
+array: prefix statistics of the squared row norms, the strongest of them
+zero-padded to min(k_list[-1], n_sq), and a matrix's gains zero-padded to
+``n_tx``.  ``_CURVES`` states each curve group once, its labels and the one
+kernel that computes them at a power over the whole block, in CSV row
+order.  ``_entries_per_trial`` counts what a block holds, and ``run_sweep``
+says how it and ``workers`` split the trials.
 
 Figure presets:
 
@@ -175,74 +176,74 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     return max(0.0, float(np.max(rates)) - 2.0)
 
 
-def _half_log(stat: str):
-    """Kernel of the bound 0.5 log2 min(1 + P stat, (n_sq + 1)^2) on a block statistic."""
-    return lambda spec, stats, p, k: _capped_half_log(1.0 + stats[stat] * p, spec.n_sq)
+def _half_log(*names: str):
+    """Kernel of the bounds 0.5 log2 min(1 + P stat, (n_sq + 1)^2), one per named statistic."""
+    return lambda spec, stats, p: (_capped_half_log(1.0 + stats[n] * p, spec.n_sq) for n in names)
 
 
-def _k_strongest(spec: SweepSpec, stats: dict, p: float, k: int) -> np.ndarray:
-    # cumsum runs in order, so the first k columns of one rate pass over a
-    # grid point's whole top row are the rates of its strongest k, and the
-    # running max at column k is the best over at most k: one pass per
-    # power serves every k of k_list
-    best = stats["k_best"]
-    if p not in best:
-        best.clear()
-        picks = []
-        for top in stats["tops"]:
-            rates = np.maximum.accumulate(_multi_select_rates(top, p, spec.n_sq), axis=1)
-            picks.append(rates[:, np.minimum(spec.k_list, top.shape[1]) - 1])
-        best[p] = np.stack(picks, axis=2)
-    return np.maximum(best[p][:, spec.k_list.index(k)] - 2.0, 0.0)
+def _k_strongest(spec: SweepSpec, stats: dict, p: float) -> np.ndarray:
+    # cumsum runs in order, so column k of one rate pass over the padded top
+    # rows is the rate of the strongest k, and its running max is the best
+    # over at most k: a padded column repeats the sum under a lower cap, so
+    # it never raises the max, and one pass per power serves every k
+    rates = np.maximum.accumulate(_multi_select_rates(stats["tops"], p, spec.n_sq), axis=-1)
+    picks = rates[..., np.minimum(spec.k_list, rates.shape[-1]) - 1]
+    return np.maximum(picks - 2.0, 0.0).transpose(2, 0, 1)
 
 
-def _waterfill(spec: SweepSpec, stats: dict, p: float, k) -> np.ndarray:
+def _best_row_and_waterfill(spec: SweepSpec, stats: dict, p: float):
+    yield _capped_half_log(1.0 + stats["max_sq"] * p, spec.n_sq)
     free, powers, _ = _capped_waterfill_rows(stats["gains"], None, p)
-    return _relaxed_rates(stats["gains"], powers, free, spec.n_sq)[0].reshape(-1, len(spec.axis))
+    yield _relaxed_rates(stats["gains"], powers, free, spec.n_sq)[0].reshape(-1, len(spec.axis))
 
 
-def _highsnr_proxy(spec: SweepSpec, stats: dict, p, k) -> float:
-    return mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower
+def _highsnr_proxy(spec: SweepSpec, stats: dict, p) -> list:
+    return [mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower]
 
 
-#: Every curve in CSV row order, in groups of (matrix channel, the SweepSpec
-#: flag that turns the group on or None, a (label format, kernel) per curve),
-#: each repeated for every power p and k_list count k its labels name.  A kernel
-#: maps (spec, block statistics, p, k) to the values, trials by grid points.
+#: Every curve group in CSV row order: (matrix channel, the SweepSpec field
+#: that turns it on or None, its kernel, a label format per curve), repeated
+#: for every power p its labels name; a label naming k repeats for every
+#: ``k_list`` count.  A kernel maps (spec, block statistics, p) to the group's
+#: values at p, trials by grid points, one per label in label order.
 _CURVES = (
-    (False, None, ("single-select-upper:P={p:g}", _half_log("max_sq")),
-     ("linear-upper:P={p:g}", _half_log("sum_sq"))),
-    (False, None, ("multi-select-lower:P={p:g};K={k}", _k_strongest)),
-    (True, None, ("mimo-single-select-upper:P={p:g}", _half_log("max_sq")),
-     ("waterfill-rate:P={p:g}", _waterfill)),
-    (True, "include_highsnr_proxy", ("highsnr-proxy", _highsnr_proxy)),
+    (False, None, _half_log("max_sq", "sum_sq"),
+     ("single-select-upper:P={p:g}", "linear-upper:P={p:g}")),
+    (False, "k_list", _k_strongest, ("multi-select-lower:P={p:g};K={k}",)),
+    (True, None, _best_row_and_waterfill,
+     ("mimo-single-select-upper:P={p:g}", "waterfill-rate:P={p:g}")),
+    (True, "include_highsnr_proxy", _highsnr_proxy, ("highsnr-proxy",)),
 )
 
 
 def _curves(spec: SweepSpec) -> list:
-    """The (label, kernel, p, k) of every curve of ``spec``, in CSV row order."""
-    curves = []
-    for matrix, flag, *group in _CURVES:
+    """The (labels, kernel, p) of every curve group of ``spec`` at every power
+    its labels name, in CSV row order."""
+    groups = []
+    for matrix, flag, kernel, formats in _CURVES:
         if matrix == (spec.n_tx is None) or flag and not getattr(spec, flag):
             continue
-        labels = "".join(fmt for fmt, _ in group)
-        for p in spec.power_list if "{p" in labels else (None,):
-            for k in spec.k_list if "{k" in labels else (None,):
-                curves += [(fmt.format(p=p, k=k), kernel, p, k) for fmt, kernel in group]
-    return curves
+        for p in spec.power_list if "{p" in "".join(formats) else (None,):
+            labels = [fmt.format(p=p, k=k) for fmt in formats
+                      for k in (spec.k_list if "{k" in fmt else (None,))]
+            groups.append((labels, kernel, p))
+    return groups
 
 
 def _entries_per_trial(spec: SweepSpec) -> int:
     """Float64 entries one trial of a block holds at its peak: the draw twice,
     since ``_gaussian_rows`` keeps its raw words alongside the uniforms, and
-    per grid point an n_tx x n_tx Gram matrix plus 5 n_tx for the gains and
-    the water-filling rows, or if longer the top-k row (k the largest of
-    ``k_list``, at most n_sq) and one power's best rate per ``k_list``
-    count.  A vector channel counts as n_tx = 1.
+    per grid point the max and sum rows plus the largest of 4 for a capped
+    half-log curve and its temporaries, an n_tx x n_tx Gram matrix plus 5 n_tx
+    for the gains and the water-filling rows, or 4 k for the padded top row
+    and one power's rate pass over it (k = min(k_list[-1], n_sq)) plus 2 per
+    ``k_list`` count for the picks.  A vector channel counts as n_tx = 1.
     """
     t = spec.n_tx or 1
-    k_rows = min(spec.k_list[-1], spec.n_sq) + len(spec.k_list) if spec.k_list else 0
-    return 2 * spec.axis[-1] * t + len(spec.axis) * max(t * t + 5 * t, k_rows)
+    k = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
+    gram = t * t + 5 * t if spec.n_tx else 0
+    per_point = 2 + max(4, gram, 4 * k + 2 * len(spec.k_list))
+    return 2 * spec.axis[-1] * t + len(spec.axis) * per_point
 
 
 def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
@@ -254,12 +255,13 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
     rank-deficient ones and gives every grid point's gains, bit for bit
     those ``ChannelMatrix`` keeps.  The statistics are read once: per grid
     point the running max and sum of the squared row norms, the strongest
-    of them in order if ``k_list`` is set, and a matrix's gains, zero-padded
-    to ``n_tx``, so each power water-fills the whole block once without
-    caps.  Each curve's kernel then runs once over the block.  Every step
-    acts row by row, so a trial's values do not depend on its block.
+    of them in order, zero-padded to min(k_list[-1], n_sq), if ``k_list`` is
+    set, and a matrix's gains, zero-padded to ``n_tx``, so each power
+    water-fills the whole block once without caps.  Each group's kernel
+    then runs once per power.  Every step acts row by row, so a trial's
+    values do not depend on its block.
     """
-    stats = {"tops": [], "k_best": {}}
+    stats = {}
     if spec.n_tx is None:
         h = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
         sq = np.square(h, out=h)
@@ -273,16 +275,16 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
     # of max |h|, the statistic the single-select bound squares
     stats["max_sq"] = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
     if spec.k_list:
-        top = sq[:, :0]
-        for start, x in zip(starts, spec.axis):
+        k = min(spec.k_list[-1], spec.n_sq)
+        tops = stats["tops"] = np.zeros((t1 - t0, len(spec.axis), k))
+        top = tops[:, 0]
+        for i, (start, x) in enumerate(zip(starts, spec.axis)):
             # the strongest of a prefix are among the previous prefix's
-            # strongest and the entries added since
-            kmax = min(spec.k_list[-1], x, spec.n_sq)
-            top = _top_squares(np.hstack([top, sq[:, start:x]]), kmax)
-            stats["tops"].append(top)
+            # strongest, zeros before the first, and the entries added since
+            top = tops[:, i] = _top_squares(np.hstack([top, sq[:, start:x]]), k)
     stats["sum_sq"] = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
-    for c, (_, kernel, p, k) in enumerate(curves):
-        out[:, c] = kernel(spec, stats, p, k)
+    for c, v in enumerate(v for _, kernel, p in curves for v in kernel(spec, stats, p)):
+        out[:, c] = v
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
@@ -302,7 +304,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     workers = _check_count(workers, "workers")
     threads = min(workers, os.cpu_count() or 1)
     curves = _curves(spec)
-    values = np.empty((spec.trials, len(curves), len(spec.axis)))
+    labels = [label for group, *_ in curves for label in group]
+    values = np.empty((spec.trials, len(labels), len(spec.axis)))
     block = max(1, BLOCK_ENTRIES // _entries_per_trial(spec))
     n_chunks = min(max(workers, -(-spec.trials // block)), spec.trials)
     chunks = np.array_split(np.arange(spec.trials), n_chunks)
@@ -326,7 +329,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     return [
         CurvePoint(spec.figure_id, label, float(x), float(means[c, i]), float(errs[c, i]),
                    spec.trials, spec.seed)
-        for c, (label, *_) in enumerate(curves)
+        for c, label in enumerate(labels)
         for i, x in enumerate(spec.axis)
     ]
 

@@ -40,6 +40,12 @@ def test_channel_matrix_rejects_bad_input():
     # near-deficient relative to scale
     with pytest.raises(RankDeficientError):
         ChannelMatrix(np.array([[1.0, 1.0], [1.0, 1.0 + 0.1 * RANK_TOL]]))
+    # wide: the n_tx x n_tx Gram path, whose eigenvalues past the rows are
+    # set to zero, still sends a deficient matrix to the SVD
+    with pytest.raises(RankDeficientError):
+        ChannelMatrix(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
+    with pytest.raises(RankDeficientError):
+        ChannelMatrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 0.1 * RANK_TOL, 0.0]]))
     assert issubclass(RankDeficientError, ValueError)
 
 

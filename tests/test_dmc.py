@@ -17,6 +17,7 @@ from sqcap.dmc import (
     output_marginal,
     quantizer_transition,
 )
+from sqcap.dmc import _log_positive, _row_divergences
 from sqcap.tailmath import binary_entropy
 
 BSC_011 = TransitionMatrix(np.array([[0.89, 0.11], [0.11, 0.89]]))
@@ -190,6 +191,28 @@ def test_blahut_arimoto_drops_unreachable_output():
     w = TransitionMatrix(np.array([[0.89, 0.11, 0.0], [0.11, 0.89, 0.0]]))
     cap, _ = blahut_arimoto(w, tolerance=1e-11)
     assert cap == pytest.approx(1.0 - binary_entropy(0.11), abs=1e-10)
+
+
+def test_underflowed_output_mass_scores_zero():
+    # under the uniform input, output 1's mass 5e-324 / 3 underflows to 0
+    # though live row 0 reaches it: its true term is below 1e-323
+    w = TransitionMatrix([[1.0, 5e-324], [1.0, 0.0], [1.0, 0.0]])
+    uniform = InputDistribution.uniform(3)
+    np.testing.assert_array_equal(
+        _row_divergences(uniform.probs, w.probs, _log_positive(w.probs)), [0.0, 0.0, 0.0]
+    )
+    assert mutual_information(uniform, w) == 0.0
+    cap, dist = blahut_arimoto(w)
+    assert cap == 0.0
+    np.testing.assert_array_equal(dist.probs, uniform.probs)
+
+
+def test_output_no_live_row_reaches_scores_infinity():
+    # row 2 has no mass and alone reaches output 1: its divergence stays
+    # +inf, so a certificate over every row cannot pass on it
+    w = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+    d = _row_divergences(np.array([0.5, 0.5, 0.0]), w, _log_positive(w))
+    assert d[0] == d[1] == 0.0 and d[2] == np.inf
 
 
 def test_narrowed_inputs_raise_value_error():

@@ -228,10 +228,16 @@ def test_multi_trial_curves_match_scalar_api():
                 assert pts[(label, x)] == pytest.approx(np.mean(values), rel=1e-12)
 
 
+def _labels(curves: list) -> list:
+    """Every curve label of ``sweeps._curves`` groups, in CSV row order."""
+    return [label for labels, *_ in curves for label in labels]
+
+
 def test_multi_select_curves_take_one_rate_pass_per_power(monkeypatch):
-    # every K of one power reads the running max of one pass over each grid
-    # point's top row, bit for bit the scalar bound on each trial's prefix;
-    # K = 9 is capped by n_sq = 6 and, at the first grid points, by x
+    # every K of one power reads the running max of one pass over the top
+    # rows of every grid point, zero-padded to min(k_list[-1], n_sq) = 6,
+    # bit for bit the scalar bound on each trial's prefix; K = 9 is capped
+    # by n_sq = 6 and, at the first grid points, K = 3 and 9 by x
     axis, powers, ks, trials = (1, 2, 5, 12), (0.5, 40.0), (1, 3, 9), 4
     spec = SweepSpec("custom", axis, powers, 6, k_list=ks, trials=trials, seed=8)
     real, passes = sqcap.sweeps._multi_select_rates, []
@@ -242,14 +248,15 @@ def test_multi_select_curves_take_one_rate_pass_per_power(monkeypatch):
 
     monkeypatch.setattr(sqcap.sweeps, "_multi_select_rates", rates)
     curves = sqcap.sweeps._curves(spec)
-    out = np.empty((trials, len(curves), len(axis)))
+    column = {label: c for c, label in enumerate(_labels(curves))}
+    out = np.empty((trials, len(column), len(axis)))
     sqcap.sweeps._block(spec, curves, 0, trials, out)
-    assert passes == [((trials, min(x, 6)), p) for p in powers for x in axis]
+    assert passes == [((trials, len(axis), 6), p) for p in powers]
     masters = [gaussian_draw(8, t, (axis[-1],)) for t in range(trials)]
-    for c, (label, _, p, k) in enumerate(curves):
-        if k is not None:
+    for p in powers:
+        for k in ks:
             want = [[multi_select_lower_capped(h[:x], p, 6, k) for x in axis] for h in masters]
-            assert np.array_equal(out[:, c], want), label
+            assert np.array_equal(out[:, column[f"multi-select-lower:P={p:g};K={k}"]], want)
 
 
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
@@ -323,13 +330,15 @@ def test_blocks_fit_the_entry_budget(monkeypatch, spec):
         figure_spec("fig2c", trials=1, include_highsnr_proxy=True),
         *BUDGET_SPECS.values(),
         SweepSpec("custom", range(1, 2858), (1.0, 10.0), 10, trials=1, seed=4),
+        # top-2 rows at 2000 grid points
+        SweepSpec("custom", range(1, 2001), (2.0,), 200, k_list=(2,), seed=4),
     ],
-    ids=["fig2a", "fig2b", "fig2c", *BUDGET_SPECS, "long-vector"],
+    ids=["fig2a", "fig2b", "fig2c", *BUDGET_SPECS, "long-vector", "long-k-axis"],
 )
 def test_block_peak_fits_the_entry_budget(spec):
     curves = sqcap.sweeps._curves(spec)
     trials = max(1, sqcap.sweeps.BLOCK_ENTRIES // _entries_per_trial(spec))
-    out = np.empty((trials, len(curves), len(spec.axis)))
+    out = np.empty((trials, len(_labels(curves)), len(spec.axis)))
     # the first block imports scipy.special, which is not the block's to count
     sqcap.sweeps._block(spec, curves, 0, 1, out[:1])
     tracemalloc.start()
@@ -441,6 +450,10 @@ def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
         run_sweep(figure_spec("fig2c", trials=2, seed=3, axis=(5, 6)))
 
 
+#: Gain counts 1, 2, 3, 6 and 7 (capped by n_tx).
+MIXED_WIDTH_SPEC = SweepSpec("custom", (1, 2, 3, 6, 9), (0.3, 20.0), 4, n_tx=7, trials=5, seed=17)
+
+
 def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
     calls = []
 
@@ -460,6 +473,10 @@ def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
     run_sweep(spec, workers=2)
     # two blocks of well-conditioned draws: one stacked eigvalsh each, no SVD
     assert calls == ["eigvalsh", "eigvalsh"]
+    # wide prefixes share the tall ones' running Gram sum and eigvalsh
+    calls.clear()
+    run_sweep(MIXED_WIDTH_SPEC)
+    assert calls == ["eigvalsh"]
 
 
 def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
@@ -499,10 +516,6 @@ def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
         np.testing.assert_array_equal(cms[0].gains, s * s)
         rate = [waterfill_relaxed(cm.gains, 1.0, 5).rate for cm in cms]
         assert got[("waterfill-rate:P=1", x)] == np.mean(rate)
-
-
-#: Gain counts 1, 2, 3, 6 and 7 (capped by n_tx).
-MIXED_WIDTH_SPEC = SweepSpec("custom", (1, 2, 3, 6, 9), (0.3, 20.0), 4, n_tx=7, trials=5, seed=17)
 
 
 def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
