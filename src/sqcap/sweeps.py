@@ -181,14 +181,22 @@ def _half_log(*names: str):
     return lambda spec, stats, p: (_capped_half_log(1.0 + stats[n] * p, spec.n_sq) for n in names)
 
 
-def _k_strongest(spec: SweepSpec, stats: dict, p: float) -> np.ndarray:
+def _k_strongest(spec: SweepSpec, stats: dict, p: float) -> list:
     # cumsum runs in order, so column k of one rate pass over the padded top
     # rows is the rate of the strongest k, and its running max is the best
     # over at most k: a padded column repeats the sum under a lower cap, so
-    # it never raises the max, and one pass per power serves every k
-    rates = np.maximum.accumulate(_multi_select_rates(stats["tops"], p, spec.n_sq), axis=-1)
-    picks = rates[..., np.minimum(spec.k_list, rates.shape[-1]) - 1]
-    return np.maximum(picks - 2.0, 0.0).transpose(2, 0, 1)
+    # it never raises the max, and one pass per power serves every k.  The
+    # max runs one column at a time and keeps only the columns k_list picks.
+    rates = _multi_select_rates(stats["tops"], p, spec.n_sq)
+    width = rates.shape[-1]
+    wanted = {min(k, width) for k in spec.k_list}
+    best = rates[..., 0]
+    picks = {1: best}
+    for j in range(1, width):
+        best = np.maximum(best, rates[..., j])
+        if j + 1 in wanted:
+            picks[j + 1] = best
+    return [np.maximum(picks[min(k, width)] - 2.0, 0.0) for k in spec.k_list]
 
 
 def _best_row_and_waterfill(spec: SweepSpec, stats: dict, p: float):

@@ -22,6 +22,7 @@ from sqcap.bounds import (
     _capped_waterfill_rows,
     _nonincreasing_compositions,
     _relaxed_rates,
+    _sum_in_numpy_order,
     allocate_integer_oracle,
     mimo_sign_highsnr_bounds,
     mimo_single_select_bounds,
@@ -581,12 +582,34 @@ def _descending_compositions(total, slots):
     )
 
 
+def _recursive_compositions(total, slots, top):
+    """Nonincreasing compositions of ``total`` into ``slots`` parts of at most
+    ``top``, in descending lexicographic order: the first part from its
+    largest value down, each followed by the compositions of the rest."""
+    if slots == 1:
+        return [(total,)] if total <= top else []
+    if total > top * slots:
+        return []
+    return [
+        (first,) + rest
+        for first in range(min(total, top), -1, -1)
+        for rest in _recursive_compositions(total - first, slots - 1, first)
+    ]
+
+
+def test_recursive_compositions_match_the_filtered_product():
+    for total, slots in [(0, 1), (7, 1), (0, 4), (5, 2), (6, 3), (9, 4), (8, 5)]:
+        want = [c for c in _descending_compositions(total, slots) if list(c) == sorted(c, reverse=True)]
+        assert _recursive_compositions(total, slots, total) == want
+
+
 @pytest.mark.parametrize(
-    "total, slots", [(0, 1), (7, 1), (0, 4), (5, 2), (6, 3), (9, 4), (8, 5), (12, 6)]
+    "total, slots", itertools.product(range(25), range(1, ORACLE_MAX_CHANNELS + 1))
 )
 def test_nonincreasing_compositions_order_and_rows(total, slots):
-    want = [c for c in _descending_compositions(total, slots) if list(c) == sorted(c, reverse=True)]
-    assert [tuple(r) for r in _nonincreasing_compositions(total, slots).tolist()] == want
+    comps = _nonincreasing_compositions(total, slots)
+    assert comps.dtype == np.int64 and comps.shape[1] == slots
+    assert [tuple(r) for r in comps.tolist()] == _recursive_compositions(total, slots, total)
 
 
 def test_nonincreasing_compositions_bound_the_oracle_working_set():
@@ -714,6 +737,58 @@ def test_oracle_tag_rate_survives_all_weak_gains():
         g = np.asarray(g)
         exact = _capped_waterfill_rows(g[None], None, p)[0][0]
         assert _bisected_free_rate(g, p) == pytest.approx(exact, rel=1e-9, abs=1e-15)
+
+
+def _numpy_bisected_free_rate(g, power):
+    """``_bisected_free_rate`` as a loop on numpy arrays, with numpy's sums."""
+    inv = 1.0 / g
+    lo, hi = inv.min(), inv.max() + power
+    tol = 1e-9 * max(1.0, power)
+    while True:
+        mu = (lo + hi) * 0.5
+        powers = np.maximum(mu - inv, 0.0)
+        total = powers.sum()
+        if not (abs(total - power) > tol and lo < mu < hi):
+            return float(np.sum(0.5 * np.log2(1.0 + g * powers)))
+        lo, hi = (lo, mu) if total > power else (mu, hi)
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e)),
+        min_size=1, max_size=ORACLE_MAX_CHANNELS,
+    )
+)
+@settings(max_examples=500)
+def test_sum_in_numpy_order_is_numpy_sum(terms):
+    # terms of many scales round differently in any other order
+    assert _sum_in_numpy_order(terms) == np.sum(np.array(terms))
+
+
+# all-weak gains collapse the bracket, a dead subchannel opens it to 1e60
+@example([1e-9], 10.0)
+@example([2.0, 1e-60], 10.0)
+@example([1.5, 1.5, 1.5, 0.7], 3.0)
+@example([2.5] * 8, 20.0)
+@given(
+    st.lists(
+        st.one_of(st.floats(0.05, 20.0), st.floats(-12.0, 3.0).map(lambda e: 10.0**e)),
+        min_size=1, max_size=ORACLE_MAX_CHANNELS,
+    ),
+    st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+)
+@settings(max_examples=300, deadline=None)
+def test_bisected_free_rate_is_the_numpy_loop_bit_for_bit(gains, power):
+    # the Python-float loop adds the used power in numpy's 1-D sum order
+    g = np.array(sorted(gains, reverse=True))
+    assert _bisected_free_rate(g, power) == _numpy_bisected_free_rate(g, power)
+
+
+def test_oracle_tag_on_the_benchmark_reference_input_is_quantizer_limited():
+    # decided inside bisection noise: the bisected rate overspends P and
+    # lands about 1e-9 bits above the oracle rate, past the margin
+    res = allocate_integer_oracle((1.37789, 3.81364, 1.16262), 11.7929, 8)
+    assert res.branch is AllocationBranch.QUANTIZER_LIMITED
 
 
 @pytest.mark.parametrize("gains", [(1e-310,), (2.0, 1e-310), (3.0, 1.0, 5e-324)])
