@@ -42,6 +42,10 @@ RANK_TOL = 1e-10
 # Counter blocks a draw may try before giving up on a full-rank channel.
 _DRAW_ATTEMPTS = 8
 
+# Words ``_uniforms`` converts per step: a slice's temporary, if numpy makes
+# one, stays at 512 KB, and a dithered estimate's draw is one slice.
+_UNIFORM_SLICE = 1 << 16
+
 # Smallest eigenvalue ratio of a Gram matrix trusted as full rank.  Its
 # eigenvalues carry absolute errors near 1e-16 of the largest, so RANK_TOL
 # squared (1e-20) is out of reach; a prefix at or below this ratio takes the
@@ -232,11 +236,17 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     """The 53-bit uniforms (k + 0.5) / 2**53 of raw Philox words, strictly
     inside (0, 1), where k is the top 53 bits of each word: what
     ``Generator.integers(0, 2**53)`` returns, since Lemire's method over a
-    power-of-two range never rejects.  Shifts ``raw`` in place.
+    power-of-two range never rejects.  Converts the C-contiguous ``raw`` in
+    place, ``_UNIFORM_SLICE`` words at a time, and returns it viewed as
+    float64, so the draw is held once.
     """
     np.right_shift(raw, np.uint64(11), out=raw)
     # k < 2**53 reads the same as int64, which converts faster than uint64
-    u = raw.view(np.int64).astype(np.float64)
+    words = raw.reshape(-1).view(np.int64)
+    floats = words.view(np.float64)
+    for s in range(0, words.size, _UNIFORM_SLICE):
+        floats[s : s + _UNIFORM_SLICE] = words[s : s + _UNIFORM_SLICE]
+    u = raw.view(np.float64)
     u += 0.5
     u *= 2.0**-53
     return u

@@ -282,9 +282,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument(
         "--workers", type=int, default=1,
-        help="contiguous chunks of the trials (at most one per trial), run on "
-        "this many threads but no more than the core count; the output is "
-        "identical for any value, and the JSON inputs record the value given",
+        help="threads that run the trial blocks, at most the core count and the "
+        "block count; the spec alone sets the blocks, so the output is "
+        "identical for any value, and memory does not grow with --trials; "
+        "the JSON inputs record the value given",
     )
     s.add_argument("--axis", type=_ints, help="receive-antenna grid, comma-separated")
     s.add_argument("--powers", type=_floats)

@@ -17,8 +17,10 @@ array: prefix statistics of the squared row norms, the strongest of them
 zero-padded to min(k_list[-1], n_sq), and a matrix's gains zero-padded to
 ``n_tx``.  ``_CURVES`` states each curve group once, its labels and the one
 kernel that computes them at a power over the whole block, in CSV row
-order.  ``_entries_per_trial`` counts what a block holds, and ``run_sweep``
-says how it and ``workers`` split the trials.
+order.  The spec alone sets the blocks: ``_entries_per_trial`` counts what
+a block holds at its peak, and ``BLOCK_ENTRIES`` caps it.  ``workers`` only
+schedules the blocks, and ``run_sweep`` folds each finished one into
+running sums in trial order, so its memory does not grow with the trials.
 
 Figure presets:
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -239,45 +242,61 @@ def _curves(spec: SweepSpec) -> list:
 
 
 def _entries_per_trial(spec: SweepSpec) -> int:
-    """Float64 entries one trial of a block holds at its peak: the draw twice,
-    since ``_gaussian_rows`` keeps its raw words alongside the uniforms, and
-    per grid point the max and sum rows plus the largest of 4 for a capped
-    half-log curve and its temporaries, an n_tx x n_tx Gram matrix plus 5 n_tx
-    for the gains and the water-filling rows, or 4 k for the padded top row
-    and one power's rate pass over it (k = min(k_list[-1], n_sq)) plus 2 per
-    ``k_list`` count for the picks.  A vector channel counts as n_tx = 1.
+    """Float64 entries one trial of a block holds at its peak, the largest of
+    its three phases, with x the largest grid count, n its grid points, c
+    its curves, k = min(k_list[-1], n_sq) (0 without ``k_list``) and m =
+    ``n_tx`` (0 for a vector channel):
+
+    * a matrix's spectrum: the draw, x m, held once, per grid point an
+      m x m Gram matrix and the gains twice, and the running Gram sum and
+      one row's outer products, 2 m^2;
+    * the statistics: the squared row norms, x, and per grid point the max
+      and sum rows, the top-k row and the gains, plus 3 k + 2 s for the
+      top rows' merge, s the widest grid step;
+    * the kernels: per grid point the c curve values, the statistics held,
+      the largest kernel's temporaries (3 for a capped half-log, 2 k + 1
+      plus one per ``k_list`` count for the multi-select rate pass and its
+      picks, 7 m + 3 for the water-filling and the relaxed rates) and one
+      entry to spare for the small arrays beside them.
     """
-    t = spec.n_tx or 1
+    x, n = spec.axis[-1], len(spec.axis)
     k = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
-    gram = t * t + 5 * t if spec.n_tx else 0
-    per_point = 2 + max(4, gram, 4 * k + 2 * len(spec.k_list))
-    return 2 * spec.axis[-1] * t + len(spec.axis) * per_point
+    m = spec.n_tx or 0
+    held = 2 + k + m
+    spectrum = x * m + n * (m * m + 2 * m) + 2 * m * m
+    step = max(b - a for a, b in zip((0,) + spec.axis, spec.axis))
+    stats = x + n * held + (3 * k + 2 * step if k else 0)
+    temps = max(3, 2 * k + len(spec.k_list) + 1 if k else 0, 7 * m + 3 if m else 0)
+    curves = sum(len(labels) for labels, *_ in _curves(spec))
+    return max(spectrum, stats, n * (curves + held + temps + 1))
 
 
-def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> None:
-    """Write the curve values of trials ``t0 <= t < t1`` into ``out``.
+def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
+    """The curve values of trials ``t0 <= t < t1``, shape (trials, curves,
+    grid points).
 
-    ``out`` has shape (trials, curves, grid points).  The master draws, a
-    vector or an ``n_tx``-column matrix per trial, come from one pass of the
-    draw kernel; matrices from ``channel._full_rank_rows``, which redraws the
-    rank-deficient ones and gives every grid point's gains, bit for bit
-    those ``ChannelMatrix`` keeps.  The statistics are read once: per grid
-    point the running max and sum of the squared row norms, the strongest
-    of them in order, zero-padded to min(k_list[-1], n_sq), if ``k_list`` is
-    set, and a matrix's gains, zero-padded to ``n_tx``, so each power
-    water-fills the whole block once without caps.  Each group's kernel
-    then runs once per power.  Every step acts row by row, so a trial's
-    values do not depend on its block.
+    The master draws, a vector or an ``n_tx``-column matrix per trial, come
+    from one pass of the draw kernel; matrices from
+    ``channel._full_rank_rows``, which redraws the rank-deficient ones and
+    gives every grid point's gains, bit for bit those ``ChannelMatrix``
+    keeps.  The statistics are read once: per grid point the running max
+    and sum of the squared row norms, the strongest of them in order,
+    zero-padded to min(k_list[-1], n_sq), if ``k_list`` is set, and a
+    matrix's gains, zero-padded to ``n_tx``, so each power water-fills the
+    whole block once without caps.  Each group's kernel then runs once per
+    power.  Every step acts row by row, so a trial's values do not depend
+    on its block.
     """
     stats = {}
     if spec.n_tx is None:
-        h = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
-        sq = np.square(h, out=h)
+        sq = _gaussian_rows(spec.seed, range(t0, t1), (spec.axis[-1],))
+        np.square(sq, out=sq)
     else:
         shape = (spec.axis[-1], spec.n_tx)
         h, prefix, _ = _full_rank_rows(spec.seed, range(t0, t1), shape, spec.axis)
-        sq = np.sum(h * h, axis=2)
+        sq = np.sum(np.square(h, out=h), axis=2)
         stats["gains"] = prefix.reshape(-1, spec.n_tx)
+        del h
     starts = (0,) + spec.axis[:-1]
     # squaring rounds monotonically, so a vector's max |h|^2 is the square
     # of max |h|, the statistic the single-select bound squares
@@ -291,47 +310,72 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int, out: np.ndarray) -> 
             # strongest, zeros before the first, and the entries added since
             top = tops[:, i] = _top_squares(np.hstack([top, sq[:, start:x]]), k)
     stats["sum_sq"] = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
+    del sq  # the kernels read only the statistics
+    out = np.empty((t1 - t0, sum(len(labels) for labels, *_ in curves), len(spec.axis)))
     for c, v in enumerate(v for _, kernel, p in curves for v in kernel(spec, stats, p)):
         out[:, c] = v
+    return out
+
+
+def _finished_blocks(spec: SweepSpec, curves: list, bounds, threads: int):
+    """The values of the blocks ``bounds`` lists, in its order: ``threads``
+    pool threads compute them, with at most one more block submitted than
+    runs, so at most ``threads + 1`` are held; or the calling thread alone,
+    when ``threads`` is one."""
+    if threads == 1:
+        for t0, t1 in bounds:
+            yield _block(spec, curves, t0, t1)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for t0, t1 in bounds:
+            pending.append(pool.submit(_block, spec, curves, t0, t1))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Evaluate all configured curves, averaged over the trial ensemble.
 
-    The trials are split into ``workers`` contiguous chunks, or into more
-    when needed so that no chunk of two trials or more holds more than
-    ``BLOCK_ENTRIES`` entries as ``_entries_per_trial`` counts them, but
-    never into more chunks than there are trials; each chunk is evaluated
-    as one ``_block``.  A thread pool of ``min(workers, os.cpu_count())``
-    threads runs the chunks, or the calling thread runs them in turn when
-    that is one, so no request starts more threads than the machine has
-    cores.  Each chunk writes its own rows of the trial-ordered value array
-    and every kernel works row by row, so the output is identical for any
-    ``workers`` value.
+    The spec alone sets the blocks: n = ceil(trials / b) contiguous blocks,
+    b = ``BLOCK_ENTRIES // _entries_per_trial(spec)`` trials or at least
+    one, split as evenly as ``np.array_split`` splits them.  ``workers``
+    only schedules them: ``min(workers, os.cpu_count(), n)`` threads run
+    them, the calling thread alone when that is one.  The calling thread
+    takes the finished blocks in trial order and keeps running sums: of
+    the values, added row by row, so each mean has the bits that
+    ``mean(axis=0)`` of one array of every trial would give; and of the
+    values' shifts from trial 0's values and of their squares (Chan, Golub
+    & LeVeque, The American Statistician 37(3), 1983), which give the
+    standard errors, exactly 0 where every trial has the same value.
+    Nothing held grows with the trials, and the output is identical for
+    any ``workers`` value.
     """
     workers = _check_count(workers, "workers")
-    threads = min(workers, os.cpu_count() or 1)
     curves = _curves(spec)
     labels = [label for group, *_ in curves for label in group]
-    values = np.empty((spec.trials, len(labels), len(spec.axis)))
-    block = max(1, BLOCK_ENTRIES // _entries_per_trial(spec))
-    n_chunks = min(max(workers, -(-spec.trials // block)), spec.trials)
-    chunks = np.array_split(np.arange(spec.trials), n_chunks)
+    n = -(-spec.trials // max(1, BLOCK_ENTRIES // _entries_per_trial(spec)))
+    size, extra = divmod(spec.trials, n)
+    bounds = ((i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(n))
+    threads = min(workers, os.cpu_count() or 1, n)
+    first = None
+    total, shift, shift_sq = np.zeros((3, len(labels), len(spec.axis)))
+    for values in _finished_blocks(spec, curves, bounds, threads):
+        if first is None:
+            first = values[0].copy()
+        shifted = values - first
+        shift += np.add.reduce(shifted, axis=0)
+        shift_sq += np.add.reduce(np.square(shifted, out=shifted), axis=0)
+        # one sequential pass over the rows, the running sum first
+        values[0] += total
+        np.add.reduce(values, axis=0, out=total)
 
-    def fill(chunk: np.ndarray):
-        t0, t1 = int(chunk[0]), int(chunk[-1]) + 1
-        _block(spec, curves, t0, t1, values[t0:t1])
-
-    if threads == 1:
-        for chunk in chunks:
-            fill(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-
-    means = values.mean(axis=0)
+    means = total / spec.trials
     if spec.trials > 1:
-        errs = values.std(axis=0, ddof=1) / math.sqrt(spec.trials)
+        var = np.maximum(shift_sq - shift * shift / spec.trials, 0.0) / (spec.trials - 1)
+        errs = np.sqrt(var) / math.sqrt(spec.trials)
     else:
         errs = np.zeros_like(means)
     return [

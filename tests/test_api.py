@@ -111,10 +111,12 @@ def test_import_and_scipy_free_commands_do_not_load_scipy():
 
 _FIRST_USE_ON_TWO_THREADS = """
 import os, sys
-from sqcap.sweeps import csv_text, figure_spec, run_sweep
+from sqcap import sweeps
 assert "scipy.special" not in sys.modules
 os.cpu_count = lambda: 2  # two pool threads even on a one-core machine
-sys.stdout.write(csv_text(run_sweep(figure_spec("fig2a", trials=60, seed=12), workers=2)))
+spec = sweeps.figure_spec("fig2a", trials=60, seed=12)
+sweeps.BLOCK_ENTRIES = 30 * sweeps._entries_per_trial(spec)  # two blocks of 30 trials
+sys.stdout.write(sweeps.csv_text(sweeps.run_sweep(spec, workers=2)))
 """
 
 

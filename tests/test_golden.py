@@ -1,20 +1,23 @@
 """Figure sweeps and CLI outputs against committed golden files, byte for byte.
 
 The sweep fixtures in ``tests/golden`` are the output of
-``csv_text(run_sweep(figure_spec(fig, trials=n, seed=s)))``: n = 60, 60 and
-40 at seed 12 for ``fig2a.csv``, ``fig2b.csv`` and ``fig2c.csv``, and the
-paper's n = 1000 at seed 0 for ``fig2a-1000.csv``, ``fig2b-1000.csv`` and
-``fig2c-1000.csv``.
+``csv_text(run_sweep(figure_spec(fig, trials=n, seed=s)))`` for each entry
+of ``FIGURE_CASES``: n = 60, 60 and 40 at seed 12 for ``fig2a.csv``,
+``fig2b.csv`` and ``fig2c.csv``, and the paper's n = 1000 at seed 0 for
+``fig2a-1000.csv``, ``fig2b-1000.csv`` and ``fig2c-1000.csv``.
 
 The CLI fixtures in ``tests/golden/cli`` hold the JSON that
 ``sqcap <argv>`` prints for each entry of ``CLI_CASES``, with the
 ``version`` field removed.
 
 A change that moves any digit of any output fails here; one that does so on
-purpose regenerates the fixture with the same expression or argv and says
-why.
+purpose regenerates the fixtures with ``python tests/regen_golden.py
+--write``, which reads the same two tables, and says why, quoting the
+report of what moved that the tool prints.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -73,30 +76,43 @@ CLI_CASES = {
 }
 
 
-def cli_golden_text(argv, capsys) -> str:
+#: Fixture name -> (figure, trials, seed) of one figure sweep.
+FIGURE_CASES = {
+    "fig2a": ("fig2a", 60, 12),
+    "fig2b": ("fig2b", 60, 12),
+    "fig2c": ("fig2c", 40, 12),
+    "fig2a-1000": ("fig2a", 1000, 0),
+    "fig2b-1000": ("fig2b", 1000, 0),
+    "fig2c-1000": ("fig2c", 1000, 0),
+}
+
+
+def figure_golden_text(name: str) -> str:
+    """The CSV of ``FIGURE_CASES[name]``, as the fixture stores it."""
+    figure, trials, seed = FIGURE_CASES[name]
+    return csv_text(run_sweep(figure_spec(figure, trials=trials, seed=seed)))
+
+
+def cli_golden_text(argv) -> str:
     """What ``sqcap <argv>`` prints, less its version field, as the fixture stores it."""
-    assert cli_dispatch(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_dispatch(argv) == 0
+    payload = json.loads(out.getvalue())
     del payload["version"]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
-    "figure, trials",
-    [
-        ("fig2a", 60), ("fig2b", 60), ("fig2c", 40),
-        ("fig2a", 1000), ("fig2b", 1000), ("fig2c", 1000),
-    ],
+    "name", FIGURE_CASES, ids=[f"{fig}-{trials}" for fig, trials, _ in FIGURE_CASES.values()]
 )
-def test_figure_csv_matches_golden(figure, trials):
-    seed, name = (0, f"{figure}-1000") if trials == 1000 else (12, figure)
+def test_figure_csv_matches_golden(name):
     want = (GOLDEN / f"{name}.csv").read_bytes()
-    got = csv_text(run_sweep(figure_spec(figure, trials=trials, seed=seed))).encode("utf-8")
-    assert got == want
+    assert figure_golden_text(name).encode("utf-8") == want
 
 
 def test_fig2c_1000_matches_golden_on_two_workers(monkeypatch):
-    # two chunks of 500 trials, each water-filled as its own stack
+    # two blocks of 500 trials, one per thread, each water-filled as its own stack
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
     want = (GOLDEN / "fig2c-1000.csv").read_bytes()
     got = csv_text(run_sweep(figure_spec("fig2c", trials=1000, seed=0), workers=2))
@@ -104,6 +120,31 @@ def test_fig2c_1000_matches_golden_on_two_workers(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_json_matches_golden(name, capsys):
+def test_cli_json_matches_golden(name):
     want = (GOLDEN / "cli" / f"{name}.json").read_bytes()
-    assert cli_golden_text(CLI_CASES[name], capsys).encode("utf-8") == want
+    assert cli_golden_text(CLI_CASES[name]).encode("utf-8") == want
+
+
+def test_regen_report_names_what_moved():
+    import regen_golden
+
+    old = (GOLDEN / "fig2c.csv").read_text(encoding="utf-8")
+    lines = old.splitlines(keepends=True)
+    row = lines[3].split(",")
+    row[3] = f"{float(row[3]) + 2 * float(row[4]):.12g}"  # the mean, up 2 s.e.
+    new = "".join(lines[:3] + [",".join(row)] + lines[4:])
+    assert regen_golden.csv_report(old, old) == []
+    mean_line, curve_line = regen_golden.csv_report(old, new)
+    assert mean_line.startswith("  mean: 1 moved, max |Δ| ")
+    assert curve_line == f"  curve {row[1]}: 1 rows, max |Δ|/std_err 2 (mean), 0 (std_err)"
+
+    old = (GOLDEN / "cli" / "waterfill.json").read_text(encoding="utf-8")
+    payload = json.loads(old)
+    payload["result"]["oracle"]["rate_bits"] += 0.25
+    payload["result"]["oracle"]["branch"] = "power-limited"
+    del payload["result"]["relaxed"]["water_level"]
+    assert regen_golden.json_report(old, json.dumps(payload)) == [
+        "  result.oracle.branch: 1 moved, max |Δ| inf",
+        "  result.oracle.rate_bits: 1 moved, max |Δ| 0.25",
+        "  result.relaxed.water_level: removed",
+    ]

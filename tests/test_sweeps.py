@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -249,8 +250,7 @@ def test_multi_select_curves_take_one_rate_pass_per_power(monkeypatch):
     monkeypatch.setattr(sqcap.sweeps, "_multi_select_rates", rates)
     curves = sqcap.sweeps._curves(spec)
     column = {label: c for c, label in enumerate(_labels(curves))}
-    out = np.empty((trials, len(column), len(axis)))
-    sqcap.sweeps._block(spec, curves, 0, trials, out)
+    out = sqcap.sweeps._block(spec, curves, 0, trials)
     assert passes == [((trials, len(axis), 6), p) for p in powers]
     masters = [gaussian_draw(8, t, (axis[-1],)) for t in range(trials)]
     for p in powers:
@@ -260,23 +260,30 @@ def test_multi_select_curves_take_one_rate_pass_per_power(monkeypatch):
 
 
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
+    # 11 trials in blocks of at most 4, or of one: the spec alone sets the
+    # blocks, the same at every worker count, and the CSV is one block's
+    monkeypatch.setattr(sqcap.sweeps.os, "cpu_count", lambda: 8)
     real = sqcap.sweeps._block
+    blocks = []
+
+    def block(spec, curves, t0, t1):
+        blocks.append((t0, t1))
+        return real(spec, curves, t0, t1)
+
     for spec in [
         figure_spec("fig2b", trials=11, seed=5, axis=(1, 3, 40)),
         figure_spec("fig2c", trials=11, seed=5, axis=(5, 7, 12)),
     ]:
         base = csv_text(run_sweep(spec))
         with monkeypatch.context() as patch:
-            patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 4 * _entries_per_trial(spec))
-            blocks = []
-
-            def block(spec, curves, t0, t1, out):
-                blocks.append((t0, t1))
-                real(spec, curves, t0, t1, out)
-
             patch.setattr(sqcap.sweeps, "_block", block)
-            assert csv_text(run_sweep(spec)) == base
-        assert blocks == [(0, 4), (4, 8), (8, 11)]
+            for per_block, want in [(4, [(0, 4), (4, 8), (8, 11)]),
+                                    (1, [(t, t + 1) for t in range(11)])]:
+                patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", per_block * _entries_per_trial(spec))
+                for workers in (1, 2, 3, 5):
+                    blocks.clear()
+                    assert csv_text(run_sweep(spec, workers=workers)) == base
+                    assert sorted(blocks) == want
 
 
 BUDGET_SPECS = {
@@ -305,9 +312,9 @@ def test_blocks_fit_the_entry_budget(monkeypatch, spec):
     spec = dataclasses.replace(spec, trials=3 * max(1, sqcap.sweeps.BLOCK_ENTRIES // per_trial))
     blocks = []
 
-    def block(spec, curves, t0, t1, out):
+    def block(spec, curves, t0, t1):
         blocks.append((t0, t1))
-        real(spec, curves, t0, t1, out)
+        return real(spec, curves, t0, t1)
 
     with monkeypatch.context() as patch:
         patch.setattr(sqcap.sweeps, "_block", block)
@@ -338,16 +345,16 @@ def test_blocks_fit_the_entry_budget(monkeypatch, spec):
 def test_block_peak_fits_the_entry_budget(spec):
     curves = sqcap.sweeps._curves(spec)
     trials = max(1, sqcap.sweeps.BLOCK_ENTRIES // _entries_per_trial(spec))
-    out = np.empty((trials, len(_labels(curves)), len(spec.axis)))
     # the first block imports scipy.special, which is not the block's to count
-    sqcap.sweeps._block(spec, curves, 0, 1, out[:1])
+    sqcap.sweeps._block(spec, curves, 0, 1)
     tracemalloc.start()
     try:
-        sqcap.sweeps._block(spec, curves, 0, trials, out)
+        sqcap.sweeps._block(spec, curves, 0, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sqcap.sweeps.BLOCK_ENTRIES * 8
+    # the count is the peak, not a loose cap on it
+    assert 0.85 * sqcap.sweeps.BLOCK_ENTRIES * 8 <= peak <= sqcap.sweeps.BLOCK_ENTRIES * 8
 
 
 def test_one_transmit_antenna_sweep_matches_the_vector_sweep():
@@ -468,9 +475,10 @@ def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
 
     for name in ("eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    monkeypatch.setattr(sqcap.sweeps.os, "cpu_count", lambda: 1)
     spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8), include_highsnr_proxy=True)
-    run_sweep(spec, workers=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 2 * _entries_per_trial(spec))
+        run_sweep(spec)
     # two blocks of well-conditioned draws: one stacked eigvalsh each, no SVD
     assert calls == ["eigvalsh", "eigvalsh"]
     # wide prefixes share the tall ones' running Gram sum and eigvalsh
@@ -566,17 +574,18 @@ def test_run_sweep_deterministic_and_worker_invariant(monkeypatch):
     assert csv_text(run_sweep(spec_b, workers=1)) == csv_text(run_sweep(spec_b, workers=5))
 
 
-@pytest.mark.parametrize("cores, pools", [(4, [(4, 3)]), (None, [])])
+@pytest.mark.parametrize("cores, pools", [(4, [(3, 3)]), (None, [])])
 def test_run_sweep_caps_threads_at_the_cores_and_chunks_at_the_trials(
     monkeypatch, cores, pools
 ):
     seen = []
 
     class SerialPool:
-        """ThreadPoolExecutor stand-in that records its size and chunk count, and maps serially."""
+        """ThreadPoolExecutor stand-in that records its size and block count, and runs each
+        submitted block at once."""
 
         def __init__(self, max_workers):
-            self.max_workers = max_workers
+            seen.append([max_workers, 0])
 
         def __enter__(self):
             return self
@@ -584,17 +593,47 @@ def test_run_sweep_caps_threads_at_the_cores_and_chunks_at_the_trials(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            items = list(items)
-            seen.append((self.max_workers, len(items)))
-            return map(fn, items)
+        def submit(self, fn, *args):
+            seen[-1][1] += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(sqcap.sweeps, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(sqcap.sweeps.os, "cpu_count", lambda: cores)
     spec = figure_spec("fig2a", trials=3, seed=8, axis=(1, 2, 3), power_list=(1.0,))
-    # a huge request neither builds 10^5 chunks nor asks for 10^5 threads
-    assert csv_text(run_sweep(spec, workers=10**5)) == csv_text(run_sweep(spec, workers=1))
-    assert seen == pools
+    base = csv_text(run_sweep(spec, workers=1))
+    # one trial per block: three blocks
+    monkeypatch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", _entries_per_trial(spec))
+    # a huge request asks for no more threads than the cores and the blocks
+    assert csv_text(run_sweep(spec, workers=10**5)) == base
+    assert [tuple(pool) for pool in seen] == pools
+
+
+def test_sweep_peak_does_not_grow_with_trials(monkeypatch):
+    # 15 and 147 blocks of at most 682 trials: what the sweep holds beside a block
+    # does not grow with the trials
+    monkeypatch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 1 << 14)
+    peaks = []
+    for trials in (10**4, 10**5):
+        spec = figure_spec("fig2a", trials=trials, seed=3, axis=(1, 2, 3), power_list=(1.0,))
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert peaks[1] <= 2 * sqcap.sweeps.BLOCK_ENTRIES * 8
+
+
+def test_saturated_point_has_zero_std_err():
+    # at x = 100, P = 100 every trial's linear-combining bound sits at the
+    # cap 0.5 log2 (n_sq + 1)^2: the s.e. is exactly 0, not rounding noise
+    spec = figure_spec("fig2a", trials=60, seed=12, axis=(100,), power_list=(100.0,))
+    (point,) = [p for p in run_sweep(spec) if p.curve_label == "linear-upper:P=100"]
+    assert point.mean == pytest.approx(0.5 * np.log2(121.0), rel=1e-15)
+    assert point.std_err == 0.0
 
 
 def test_std_err_shrinks_with_trials():
