@@ -22,7 +22,6 @@ from .tailmath import binary_entropy, q_function
 
 __all__ = [
     "ORACLE_MAX_CHANNELS",
-    "ORACLE_MAX_COMPOSITIONS",
     "ORACLE_MAX_QUANTIZERS",
     "AllocationBranch",
     "AllocationResult",
@@ -44,13 +43,12 @@ __all__ = [
 _PAIR_TOL = 1e-12
 _WF_TOL = 1e-9
 
-#: Exhaustive-search budget for the integer allocator.
+#: Exhaustive-search budget for the integer allocator.  The oracle scores
+#: only nonincreasing compositions, the partitions of m into at most n parts;
+#: the box's worst case, 64 quantizers over 8 gains, has 116 263 of them and
+#: takes about 0.1 s and 100 MB on a 2-core x86 Xeon.
 ORACLE_MAX_CHANNELS = 8
 ORACLE_MAX_QUANTIZERS = 64
-# Counts all C(m+n-1, n-1) compositions; the at most 9027 nonincreasing ones
-# the oracle scores (5 gains, 64 quantizers) take about 4 ms on a 2-core x86
-# Xeon (median 3.8 ms at P = 15).
-ORACLE_MAX_COMPOSITIONS = 10**6
 
 
 class BudgetError(ValueError):
@@ -157,7 +155,12 @@ def mimo_sign_highsnr_bounds(n_sq: int, n_tx: int) -> BoundPair:
     t = _check_count(n_tx, "n_tx")
     if t >= m:
         return BoundPair(float(m), float(m), 0.0)
-    k = sum(math.comb(2 * m - 1, j) for j in range(2 * t))
+    # C(n, j+1) = C(n, j) (n - j) / (j + 1) divides exactly, so each term
+    # costs one multiply and one divide by a small integer
+    n, c, k = 2 * m - 1, 1, 0
+    for j in range(2 * t):
+        k += c
+        c = c * (n - j) // (j + 1)
     lo, hi = 0.5 * math.log2(k), 0.5 * math.log2(k + 1)
     return BoundPair(lo, hi, hi - lo)
 
@@ -455,15 +458,11 @@ def allocate_integer_oracle(gains, power: float, n_sq: int) -> AllocationResult:
     p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
     n = g_in.size
-    if (
-        n > ORACLE_MAX_CHANNELS
-        or m > ORACLE_MAX_QUANTIZERS
-        or math.comb(m + n - 1, n - 1) > ORACLE_MAX_COMPOSITIONS
-    ):
+    if n > ORACLE_MAX_CHANNELS or m > ORACLE_MAX_QUANTIZERS:
         raise BudgetError(
-            f"exhaustive search supports up to {ORACLE_MAX_CHANNELS} subchannels, "
-            f"{ORACLE_MAX_QUANTIZERS} quantizers and {ORACLE_MAX_COMPOSITIONS} compositions "
-            f"of the quantizers, got {n} and {m}; use waterfill_relaxed for larger problems"
+            f"exhaustive search supports up to {ORACLE_MAX_CHANNELS} subchannels and "
+            f"{ORACLE_MAX_QUANTIZERS} quantizers, got {n} and {m}; "
+            "use waterfill_relaxed for larger problems"
         )
     order = np.argsort(-g_in, kind="stable")
     g = g_in[order]
