@@ -64,8 +64,6 @@ BOUND_FAMILIES = {
 SWEEP_FIELDS = {
     "figure": "figure_id", "axis": "axis", "powers": "power_list", "nsq": "n_sq",
     "ntx": "n_tx", "k_list": "k_list", "trials": "trials", "seed": "seed",
-    "include_highsnr_proxy": "include_highsnr_proxy",
-    "include_sign_select_finite_snr": "include_sign_select_finite_snr",
 }
 
 
@@ -292,8 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nsq", type=int)
     s.add_argument("--ntx", type=int)
     s.add_argument("--k-list", type=_ints)
-    s.add_argument("--include-highsnr-proxy", action="store_true")
-    s.add_argument("--include-sign-select-finite-snr", action="store_true")
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     common(s)
     s.set_defaults(handler=_cmd_sweep)

@@ -77,6 +77,8 @@ class PamScheme:
             raise ValueError(f"need at least 2 levels, got {self.m_levels!r}")
         p = _check_real(self.power_budget, "power", positive=True)
         spacing = math.sqrt(12.0 * p / (m * m - 1.0))
+        if not math.isfinite(spacing):  # the points then lie within sqrt(3 P)
+            raise ValueError(f"power {p!r} puts the PAM spacing past the float range")
         points = _uniform_grid(m, spacing)
         object.__setattr__(self, "m_levels", m)
         object.__setattr__(self, "power_budget", p)
@@ -190,6 +192,10 @@ class DitheredSchemeParams:
         if k * (m + 1) > n:
             raise ValueError(f"scheme uses {k * (m + 1)} sign quantizers, over budget {n}")
         spacing = math.sqrt(12.0 * p) / m
+        # the threshold span g_1 m spacing, as the arrays round it, bounds every cell read
+        if not math.isfinite(float(g[0]) * (spacing * m)):
+            raise ValueError(f"power {p!r} and gains up to {float(g[0])!r} put the "
+                             "threshold span past the float range")
         base = spacing * (np.arange(m + 1) - m / 2.0)
         sq = g * g
         derived = {
@@ -254,7 +260,8 @@ def build_dithered_scheme(
     gains = np.sort(np.abs(v))[::-1][:k]
     if np.any(gains == 0):
         raise ValueError("selected antennas must have nonzero gain")
-    norm = float(np.sqrt(np.sum(gains * gains)))
+    with np.errstate(over="ignore"):  # an infinite norm leaves the budget to decide
+        norm = float(np.sqrt(np.sum(gains * gains)))
     m = math.floor(min(n / k, norm * math.sqrt(power)) - 1.0)
     if m < 3:
         raise ValueError(

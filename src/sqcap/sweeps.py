@@ -17,10 +17,11 @@ array: prefix statistics of the squared row norms, the strongest of them
 zero-padded to min(k_list[-1], n_sq), and a matrix's gains zero-padded to
 ``n_tx``.  ``_CURVES`` states each curve group once, its labels and the one
 kernel that computes them at a power over the whole block, in CSV row
-order.  The spec alone sets the blocks: ``_entries_per_trial`` counts what
-a block holds at its peak, and ``BLOCK_ENTRIES`` caps it.  ``workers`` only
-schedules the blocks, and ``run_sweep`` folds each finished one into
-running sums in trial order, so its memory does not grow with the trials.
+order; every curve is a bound evaluated on each draw.  The spec alone sets
+the blocks: ``_entries_per_trial`` counts what a block holds at its peak,
+and ``BLOCK_ENTRIES`` caps it.  ``workers`` only schedules the blocks, and
+``run_sweep`` folds each finished one into running sums in trial order, so
+its memory does not grow with the trials.
 
 Figure presets:
 
@@ -50,14 +51,12 @@ from .bounds import (
     _multi_select_rates,
     _relaxed_rates,
     _top_squares,
-    mimo_sign_highsnr_bounds,
 )
 from .channel import _full_rank_rows, _gaussian_rows
 
 __all__ = [
     "CurvePoint",
     "SweepSpec",
-    "UnsupportedCurveError",
     "csv_text",
     "emit_csv",
     "figure_spec",
@@ -71,19 +70,13 @@ FIGURES = ("fig2a", "fig2b", "fig2c", "custom")
 BLOCK_ENTRIES = 1 << 21
 
 
-class UnsupportedCurveError(ValueError):
-    """Requested a curve family this library does not evaluate."""
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep: antenna grid, fixed parameters, and trial budget.
 
     ``axis`` is the receive-antenna grid.  ``k_list`` adds one achievable
-    lower-bound curve per entry (antenna-selection count).  ``n_tx`` switches
-    the sweep to matrix channels with that many transmit antennas, which
-    take no ``k_list`` but may add the high-SNR proxy curve.  The all-sign
-    finite-SNR curve raises ``UnsupportedCurveError``.
+    lower-bound curve per entry (antenna-selection count); ``n_tx``, which
+    excludes it, switches the sweep to ``n_tx``-column matrix channels.
     """
 
     figure_id: str
@@ -94,8 +87,6 @@ class SweepSpec:
     k_list: tuple = ()
     trials: int = 1000
     seed: int = 0
-    include_highsnr_proxy: bool = False
-    include_sign_select_finite_snr: bool = False
 
     def __post_init__(self):
         if self.figure_id not in FIGURES:
@@ -113,15 +104,6 @@ class SweepSpec:
         n_tx = None if self.n_tx is None else _check_count(self.n_tx, "n_tx")
         if ks and n_tx is not None:
             raise ValueError("k_list curves are only defined for vector (n_tx=None) sweeps")
-        if self.include_highsnr_proxy and n_tx is None:
-            raise ValueError("include_highsnr_proxy needs a matrix (n_tx) sweep")
-        if self.include_sign_select_finite_snr:
-            raise UnsupportedCurveError(
-                "finite-SNR rates for the all-sign front end on matrix channels are not "
-                "evaluated here; see Mo and Heath, 'Capacity Analysis of One-Bit Quantized "
-                "MIMO Systems', IEEE Trans. Signal Processing 63(20), 2015. "
-                "Set include_highsnr_proxy for the high-SNR stand-in."
-            )
         trials = _check_count(self.trials, "trials")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "power_list", powers)
@@ -208,36 +190,30 @@ def _best_row_and_waterfill(spec: SweepSpec, stats: dict, p: float):
     yield _relaxed_rates(stats["gains"], powers, free, spec.n_sq)[0].reshape(-1, len(spec.axis))
 
 
-def _highsnr_proxy(spec: SweepSpec, stats: dict, p) -> list:
-    return [mimo_sign_highsnr_bounds(spec.n_sq, spec.n_tx).lower]
-
-
-#: Every curve group in CSV row order: (matrix channel, the SweepSpec field
-#: that turns it on or None, its kernel, a label format per curve), repeated
-#: for every power p its labels name; a label naming k repeats for every
-#: ``k_list`` count.  A kernel maps (spec, block statistics, p) to the group's
-#: values at p, trials by grid points, one per label in label order.
+#: Every curve group in CSV row order: (matrix channel, its kernel, a label
+#: format per curve), repeated for every power p; a label naming k repeats
+#: for every ``k_list`` count, and a group left with no labels is off.  A
+#: kernel maps (spec, block statistics, p) to the group's values at p, trials
+#: by grid points, one per label in label order.
 _CURVES = (
-    (False, None, _half_log("max_sq", "sum_sq"),
+    (False, _half_log("max_sq", "sum_sq"),
      ("single-select-upper:P={p:g}", "linear-upper:P={p:g}")),
-    (False, "k_list", _k_strongest, ("multi-select-lower:P={p:g};K={k}",)),
-    (True, None, _best_row_and_waterfill,
+    (False, _k_strongest, ("multi-select-lower:P={p:g};K={k}",)),
+    (True, _best_row_and_waterfill,
      ("mimo-single-select-upper:P={p:g}", "waterfill-rate:P={p:g}")),
-    (True, "include_highsnr_proxy", _highsnr_proxy, ("highsnr-proxy",)),
 )
 
 
 def _curves(spec: SweepSpec) -> list:
-    """The (labels, kernel, p) of every curve group of ``spec`` at every power
-    its labels name, in CSV row order."""
+    """The (labels, kernel, p) of every curve group of ``spec`` at every
+    power, in CSV row order."""
     groups = []
-    for matrix, flag, kernel, formats in _CURVES:
-        if matrix == (spec.n_tx is None) or flag and not getattr(spec, flag):
-            continue
-        for p in spec.power_list if "{p" in "".join(formats) else (None,):
+    for matrix, kernel, formats in _CURVES:
+        for p in spec.power_list:
             labels = [fmt.format(p=p, k=k) for fmt in formats
                       for k in (spec.k_list if "{k" in fmt else (None,))]
-            groups.append((labels, kernel, p))
+            if labels and matrix == (spec.n_tx is not None):
+                groups.append((labels, kernel, p))
     return groups
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,23 @@ def test_dither_command(capsys):
     assert payload["inputs"]["seed"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "dither --h 1.5,1.2 --power 1e308 --nsq 16 --k 2",
+        "dither --h 1e307 --power 100 --nsq 100 --k 1",
+        "pam --levels 3 --power 1e308",
+    ],
+    ids=["dither-spacing", "dither-threshold-span", "pam-spacing"],
+)
+def test_scheme_past_the_float_range_is_an_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way either
+        code, out, err = run(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("error: power ") and err.count("\n") == 1
+
+
 def test_ba_command(capsys):
     payload = run_json(capsys, "ba", "--power", "25", "--levels", "4")
     res = payload["result"]
@@ -314,21 +332,11 @@ def test_sweep_custom_needs_parameters(capsys):
     assert "custom sweeps need" in err
 
 
-def test_sweep_unsupported_curve(capsys):
-    code, _, err = run(
-        capsys,
-        "sweep", "--figure", "fig2a", "--trials", "2", "--include-sign-select-finite-snr",
-    )
-    assert code == 1
-    assert "Mo and Heath" in err
-
-
-def test_sweep_proxy_needs_a_matrix_sweep(capsys):
-    code, out, err = run(
-        capsys, "sweep", "--figure", "fig2a", "--trials", "2", "--include-highsnr-proxy"
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "include_highsnr_proxy" in err
+@pytest.mark.parametrize("flag", ["--include-highsnr-proxy", "--include-sign-select-finite-snr"])
+def test_deleted_sweep_flag_is_a_usage_error(capsys, flag):
+    code, out, err = run(capsys, "sweep", "--figure", "fig2c", "--trials", "2", flag)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
 
 
 _SWEEP_ARGV = ["sweep", "--figure", "fig2a", "--trials", "3", "--seed", "1", "--axis", "1,2",

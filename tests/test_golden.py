@@ -5,6 +5,8 @@ The sweep fixtures in ``tests/golden`` are the output of
 of ``FIGURE_CASES``: n = 60, 60 and 40 at seed 12 for ``fig2a.csv``,
 ``fig2b.csv`` and ``fig2c.csv``, and the paper's n = 1000 at seed 0 for
 ``fig2a-1000.csv``, ``fig2b-1000.csv`` and ``fig2c-1000.csv``.
+``custom-vector.csv`` and ``custom-matrix.csv`` hold two custom sweeps,
+built as ``SweepSpec("custom", ...)`` from the fields their entries list.
 
 The CLI fixtures in ``tests/golden/cli`` hold the JSON that
 ``sqcap <argv>`` prints for each entry of ``CLI_CASES``, with the
@@ -25,7 +27,7 @@ import pytest
 
 from sqcap import sweeps
 from sqcap.cli import cli_dispatch
-from sqcap.sweeps import csv_text, figure_spec, run_sweep
+from sqcap.sweeps import SweepSpec, csv_text, figure_spec, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,21 +78,29 @@ CLI_CASES = {
 }
 
 
-#: Fixture name -> (figure, trials, seed) of one figure sweep.
+#: Fixture name -> (figure, trials, seed, SweepSpec fields) of one sweep: a
+#: preset's fields override the preset's, and a custom sweep's are its grid.
 FIGURE_CASES = {
-    "fig2a": ("fig2a", 60, 12),
-    "fig2b": ("fig2b", 60, 12),
-    "fig2c": ("fig2c", 40, 12),
-    "fig2a-1000": ("fig2a", 1000, 0),
-    "fig2b-1000": ("fig2b", 1000, 0),
-    "fig2c-1000": ("fig2c", 1000, 0),
+    "fig2a": ("fig2a", 60, 12, {}),
+    "fig2b": ("fig2b", 60, 12, {}),
+    "fig2c": ("fig2c", 40, 12, {}),
+    "fig2a-1000": ("fig2a", 1000, 0, {}),
+    "fig2b-1000": ("fig2b", 1000, 0, {}),
+    "fig2c-1000": ("fig2c", 1000, 0, {}),
+    # K runs past n_sq
+    "custom-vector": ("custom", 60, 12, dict(
+        axis=(1, 2, 5, 12), power_list=(0.5, 40.0), n_sq=6, k_list=(1, 3, 9))),
+    # wide prefixes (x < n_tx) and tall ones
+    "custom-matrix": ("custom", 40, 12, dict(
+        axis=(2, 5, 11, 40), power_list=(1.0,), n_sq=3, n_tx=12)),
 }
 
 
 def figure_golden_text(name: str) -> str:
     """The CSV of ``FIGURE_CASES[name]``, as the fixture stores it."""
-    figure, trials, seed = FIGURE_CASES[name]
-    return csv_text(run_sweep(figure_spec(figure, trials=trials, seed=seed)))
+    figure, trials, seed, fields = FIGURE_CASES[name]
+    make = SweepSpec if figure == "custom" else figure_spec
+    return csv_text(run_sweep(make(figure, trials=trials, seed=seed, **fields)))
 
 
 def cli_golden_text(argv) -> str:
@@ -104,7 +114,7 @@ def cli_golden_text(argv) -> str:
 
 
 @pytest.mark.parametrize(
-    "name", FIGURE_CASES, ids=[f"{fig}-{trials}" for fig, trials, _ in FIGURE_CASES.values()]
+    "name", FIGURE_CASES, ids=[f"{fig}-{trials}" for fig, trials, *_ in FIGURE_CASES.values()]
 )
 def test_figure_csv_matches_golden(name):
     want = (GOLDEN / f"{name}.csv").read_bytes()

@@ -70,7 +70,7 @@ def test_pam_scheme_power_is_the_budget():
         PamScheme(1, power)
     with pytest.raises(ValueError, match="m_levels"):
         PamScheme(3.5, power)
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e308):  # 12 P overflows at 1e308
         with pytest.raises(ValueError, match="power"):
             PamScheme(m, bad)
     with pytest.raises(TypeError):
@@ -296,6 +296,11 @@ def test_dithered_params_validation():
             DitheredSchemeParams(**{**fields, name: fields[name] + 0.5})
     with pytest.raises(ValueError, match="sorted nonincreasing"):
         DitheredSchemeParams(**{**fields, "selected_gains": np.array([1.2, 1.5])})
+    # past the float range by the spacing, and by the span alone, each
+    # threshold finite: the span g_1 sqrt(12 P) = 1e307 sqrt(600)
+    for name, value in (("power_budget", 1e308), ("selected_gains", np.array([1e307, 1.0]))):
+        with pytest.raises(ValueError, match="threshold span past the float range"):
+            DitheredSchemeParams(**{**fields, name: value})
     for gains in ([1.5, 0.0], [1.5, -1.2], [np.nan, 1.2], [np.inf, 1.2], [[1.5, 1.2]]):
         with pytest.raises(ValueError, match="positive finite"):
             DitheredSchemeParams(**{**fields, "selected_gains": np.array(gains)})

@@ -20,7 +20,6 @@ from sqcap.channel import RANK_TOL, ChannelMatrix, gaussian_draw
 from sqcap.sweeps import (
     CurvePoint,
     SweepSpec,
-    UnsupportedCurveError,
     csv_text,
     emit_csv,
     figure_spec,
@@ -48,9 +47,6 @@ def test_spec_validation():
     for seed in (2.5, -1, 2**64, float("nan")):
         with pytest.raises(ValueError, match="seed"):
             SweepSpec("custom", (1, 2), (1.0,), 4, seed=seed)
-    # the high-SNR proxy is a matrix-channel curve
-    with pytest.raises(ValueError, match="include_highsnr_proxy"):
-        SweepSpec("custom", (1, 2), (1.0,), 4, include_highsnr_proxy=True)
     spec = SweepSpec("custom", [1, 2, 5], [1, 10], 6, trials=3, seed=np.int64(1))
     assert spec.axis == (1, 2, 5)
     assert spec.power_list == (1.0, 10.0)
@@ -131,10 +127,13 @@ def test_figure_spec_overrides():
     assert spec.n_sq == 10
 
 
-def test_unsupported_curve_names_the_literature():
-    with pytest.raises(UnsupportedCurveError, match="Mo and Heath"):
-        spec = figure_spec("fig2a", trials=2, seed=0, include_sign_select_finite_snr=True)
-        run_sweep(spec)
+@pytest.mark.parametrize("field", ["include_highsnr_proxy", "include_sign_select_finite_snr"])
+def test_spec_has_no_stub_curve_fields(field):
+    # every curve is a bound evaluated on the draws; the constant high-SNR
+    # value stays with `bounds --family mimo-highsnr`
+    with pytest.raises(TypeError, match=field):
+        SweepSpec("custom", (1, 2), (1.0,), 4, n_tx=2, **{field: True})
+    assert len(dataclasses.fields(SweepSpec)) == 8
 
 
 def test_k_list_conflicts_with_matrix_sweep():
@@ -165,13 +164,12 @@ def test_run_sweep_shapes_and_labels():
     multi = ["multi-select-lower:P=1;K=2", "multi-select-lower:P=1;K=4",
              "multi-select-lower:P=10;K=2", "multi-select-lower:P=10;K=4"]
     matrix = ["mimo-single-select-upper:P=1", "waterfill-rate:P=1",
-              "mimo-single-select-upper:P=10", "waterfill-rate:P=10", "highsnr-proxy"]
+              "mimo-single-select-upper:P=10", "waterfill-rate:P=10"]
     cases = [
         (figure_spec("fig2a", trials=5, seed=4, axis=(1, 2, 5), power_list=(1.0, 10.0)), vector),
         (SweepSpec("custom", (1, 2, 5), (1.0, 10.0), 6, k_list=(2, 4), trials=5, seed=4),
          vector + multi),
-        (SweepSpec("custom", (2, 3, 5), (1.0, 10.0), 6, n_tx=2, trials=5, seed=4,
-                   include_highsnr_proxy=True), matrix),
+        (SweepSpec("custom", (2, 3, 5), (1.0, 10.0), 6, n_tx=2, trials=5, seed=4), matrix),
     ]
     for spec, labels in cases:
         pts = run_sweep(spec)
@@ -334,7 +332,7 @@ def test_blocks_fit_the_entry_budget(monkeypatch, spec):
     [
         figure_spec("fig2a", trials=1),
         figure_spec("fig2b", trials=1),
-        figure_spec("fig2c", trials=1, include_highsnr_proxy=True),
+        figure_spec("fig2c", trials=1),
         *BUDGET_SPECS.values(),
         SweepSpec("custom", range(1, 2858), (1.0, 10.0), 10, trials=1, seed=4),
         # top-2 rows at 2000 grid points
@@ -400,17 +398,15 @@ def test_k_curves_nondecreasing_per_draw():
         assert k1 <= k2 + 1e-15 <= k4 + 2e-15
 
 
-def test_matrix_sweep_curves_and_proxy():
-    spec = figure_spec("fig2c", trials=3, seed=5, axis=(5, 9), include_highsnr_proxy=True)
+def test_matrix_sweep_curves():
+    spec = figure_spec("fig2c", trials=3, seed=5, axis=(5, 9))
     pts = run_sweep(spec)
-    labels = {p.curve_label for p in pts}
-    assert "highsnr-proxy" in labels
-    assert "mimo-single-select-upper:P=0.1" in labels
-    assert "waterfill-rate:P=1" in labels
-    proxy = [p for p in pts if p.curve_label == "highsnr-proxy"]
-    # the proxy ignores the draw: constant with zero spread
-    assert len({p.mean for p in proxy}) == 1
-    assert all(p.std_err == 0 for p in proxy)
+    assert [p.curve_label for p in pts[::2]] == [
+        "mimo-single-select-upper:P=0.1", "waterfill-rate:P=0.1",
+        "mimo-single-select-upper:P=1", "waterfill-rate:P=1",
+    ]
+    # every curve reads the draws: none is constant with zero spread
+    assert all(p.std_err > 0 for p in pts)
 
 
 def test_matrix_sweep_propagates_evaluation_errors(monkeypatch):
@@ -475,7 +471,7 @@ def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
 
     for name in ("eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8), include_highsnr_proxy=True)
+    spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8))
     with monkeypatch.context() as patch:
         patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 2 * _entries_per_trial(spec))
         run_sweep(spec)
