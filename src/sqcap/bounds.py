@@ -201,7 +201,7 @@ def _multi_select_flags(gains: np.ndarray, power: float, n_sq: int) -> tuple:
     holds = {
         "low-power": power > math.log2(n_sq),
         "few-quantizers": math.log2(n_sq) > 2,
-        "weak-gains": bool(np.all(gains * gains > 1.0)),
+        "weak-gains": bool(np.all(np.abs(gains) > 1.0)),
     }
     return tuple(name for name, ok in holds.items() if not ok)
 

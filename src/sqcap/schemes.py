@@ -197,7 +197,12 @@ class DitheredSchemeParams:
             raise ValueError(f"power {p!r} and gains up to {float(g[0])!r} put the "
                              "threshold span past the float range")
         base = spacing * (np.arange(m + 1) - m / 2.0)
-        sq = g * g
+        # (sum g^2 + (spacing^2 / 12) sum g^4) / (sum g^2)^2 in the ratios
+        # s = g / g_1, which lie in (0, 1]: no power of a gain is taken, so the
+        # value is finite wherever it is representable
+        g1 = float(g[0])
+        s = g / g1
+        s2, s4 = float(np.sum(s * s)), float(np.sum(s**4))
         derived = {
             "selected_gains": g,
             "m_levels": m,
@@ -208,9 +213,7 @@ class DitheredSchemeParams:
             "points": _frozen(_uniform_grid(m, spacing)),
             "base_thresholds": _frozen(base),
             "antenna_thresholds": _frozen(g[:, None] * base[None, :]),
-            "effective_noise_bound": float(
-                (sq.sum() + (spacing**2 / 12.0) * np.sum(sq * sq)) / sq.sum() ** 2
-            ),
+            "effective_noise_bound": 1.0 / g1 / g1 / s2 + (spacing**2 / 12.0) * s4 / (s2 * s2),
             "flags": _multi_select_flags(g, p, n),
         }
         for name, value in derived.items():

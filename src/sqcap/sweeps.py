@@ -114,7 +114,7 @@ class SweepSpec:
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
     figure_id: str
     curve_label: str
@@ -226,9 +226,10 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     * a matrix's spectrum: the draw, x m, held once, per grid point an
       m x m Gram matrix and the gains twice, and the running Gram sum and
       one row's outer products, 2 m^2;
-    * the statistics: the squared row norms, x, and per grid point the max
-      and sum rows, the top-k row and the gains, plus 3 k + 2 s for the
-      top rows' merge, s the widest grid step;
+    * the statistics: the squared row norms, x, and per grid point the sum
+      row, the max row (with ``k_list`` the top-k row's first column, not a
+      row of its own), the top-k row and the gains, plus s + k for the top
+      rows' merge buffer, s the widest grid step;
     * the kernels: per grid point the c curve values, the statistics held,
       the largest kernel's temporaries (3 for a capped half-log, 2 k + 1
       plus one per ``k_list`` count for the multi-select rate pass and its
@@ -238,10 +239,10 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     x, n = spec.axis[-1], len(spec.axis)
     k = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
     m = spec.n_tx or 0
-    held = 2 + k + m
+    held = (1 + k if k else 2) + m
     spectrum = x * m + n * (m * m + 2 * m) + 2 * m * m
     step = max(b - a for a, b in zip((0,) + spec.axis, spec.axis))
-    stats = x + n * held + (3 * k + 2 * step if k else 0)
+    stats = x + n * held + (step + k if k else 0)
     temps = max(3, 2 * k + len(spec.k_list) + 1 if k else 0, 7 * m + 3 if m else 0)
     curves = sum(len(labels) for labels, *_ in _curves(spec))
     return max(spectrum, stats, n * (curves + held + temps + 1))
@@ -274,17 +275,29 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
         stats["gains"] = prefix.reshape(-1, spec.n_tx)
         del h
     starts = (0,) + spec.axis[:-1]
-    # squaring rounds monotonically, so a vector's max |h|^2 is the square
-    # of max |h|, the statistic the single-select bound squares
-    stats["max_sq"] = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
     if spec.k_list:
         k = min(spec.k_list[-1], spec.n_sq)
-        tops = stats["tops"] = np.zeros((t1 - t0, len(spec.axis), k))
-        top = tops[:, 0]
+        step = max(x - start for start, x in zip(starts, spec.axis))
+        tops = stats["tops"] = np.empty((t1 - t0, len(spec.axis), k))
+        # the strongest of a prefix are among the previous prefix's strongest,
+        # zeros before the first, and the d entries added since.  The last k
+        # columns of one buffer hold the previous strongest, ascending; the d
+        # go just before them, and partitioning those d + k at d leaves the
+        # new strongest in the last k columns, sorted there for the next prefix
+        merge = np.zeros((t1 - t0, step + k))
         for i, (start, x) in enumerate(zip(starts, spec.axis)):
-            # the strongest of a prefix are among the previous prefix's
-            # strongest, zeros before the first, and the entries added since
-            top = tops[:, i] = _top_squares(np.hstack([top, sq[:, start:x]]), k)
+            d = x - start
+            merge[:, step - d : step] = sq[:, start:x]
+            merge[:, step - d :].partition(d, axis=1)
+            merge[:, step:].sort(axis=1)
+            tops[:, i] = merge[:, step:][:, ::-1]
+        del merge
+        # the strongest of a prefix is its first top
+        stats["max_sq"] = tops[:, :, 0]
+    else:
+        # squaring rounds monotonically, so a vector's max |h|^2 is the square
+        # of max |h|, the statistic the single-select bound squares
+        stats["max_sq"] = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
     stats["sum_sq"] = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
     del sq  # the kernels read only the statistics
     out = np.empty((t1 - t0, sum(len(labels) for labels, *_ in curves), len(spec.axis)))
@@ -339,14 +352,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     first = None
     total, shift, shift_sq = np.zeros((3, len(labels), len(spec.axis)))
     for values in _finished_blocks(spec, curves, bounds, threads):
+        # one sequential pass over the rows, the running sum first; the block
+        # is then shifted in place, its row 0 restored
+        row = values[0].copy()
         if first is None:
-            first = values[0].copy()
-        shifted = values - first
-        shift += np.add.reduce(shifted, axis=0)
-        shift_sq += np.add.reduce(np.square(shifted, out=shifted), axis=0)
-        # one sequential pass over the rows, the running sum first
+            first = row
         values[0] += total
         np.add.reduce(values, axis=0, out=total)
+        values[0] = row
+        values -= first
+        shift += np.add.reduce(values, axis=0)
+        shift_sq += np.add.reduce(np.square(values, out=values), axis=0)
 
     means = total / spec.trials
     if spec.trials > 1:
@@ -355,22 +371,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     else:
         errs = np.zeros_like(means)
     return [
-        CurvePoint(spec.figure_id, label, float(x), float(means[c, i]), float(errs[c, i]),
-                   spec.trials, spec.seed)
-        for c, label in enumerate(labels)
-        for i, x in enumerate(spec.axis)
+        CurvePoint(spec.figure_id, label, float(x), mean, err, spec.trials, spec.seed)
+        for label, row_means, row_errs in zip(labels, means.tolist(), errs.tolist())
+        for x, mean, err in zip(spec.axis, row_means, row_errs)
     ]
 
 
 def csv_text(points: list) -> str:
     """CSV rendering of curve points; identical inputs give identical bytes."""
-    lines = ["figure,curve,x,mean,std_err,trials,seed"]
-    for pt in points:
-        lines.append(
-            f"{pt.figure_id},{pt.curve_label},{pt.x:.12g},{pt.mean:.12g},"
-            f"{pt.std_err:.12g},{pt.trials},{pt.seed}"
-        )
-    return "\n".join(lines) + "\n"
+    row = "%s,%s,%.12g,%.12g,%.12g,%s,%s\n"
+    return "figure,curve,x,mean,std_err,trials,seed\n" + "".join([
+        row % (pt.figure_id, pt.curve_label, pt.x, pt.mean, pt.std_err, pt.trials, pt.seed)
+        for pt in points
+    ])
 
 
 def emit_csv(points: list, path) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,27 @@ def test_dithered_effective_noise_formula():
     sq = params.selected_gains**2
     want = float((sq.sum() + params.spacing**2 / 12.0 * (sq**2).sum()) / sq.sum() ** 2)
     assert params.effective_noise_bound == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "h, power, weak",
+    [((1.2e77,), 100.0, False), ((1.5e154,), 100.0, False), ((2e200,), 1.0, False),
+     ((1e-82,), 2e165, True), ((1e100, 3.0), 100.0, False)],
+    ids=["fourth-power-overflows", "square-overflows", "far-past", "fourth-power-underflows",
+         "mixed"],
+)
+def test_dithered_effective_noise_is_finite_at_the_gain_extremes(h, power, weak):
+    # 1 / sum g^2 + (spacing^2 / 12) sum g^4 / (sum g^2)^2, no power of a
+    # gain overflowing or underflowing on the way, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = build_dithered_scheme(h, power, 100, len(h))
+    s = np.array(h) / max(h)
+    s2, s4 = np.sum(s * s), np.sum(s**4)
+    want = (1.0 / max(h)) ** 2 / s2 + params.spacing**2 / 12.0 * s4 / s2**2
+    assert math.isfinite(params.effective_noise_bound)
+    assert params.effective_noise_bound == pytest.approx(want, rel=1e-14)
+    assert ("weak-gains" in params.flags) == weak
 
 
 def test_dithered_scheme_gates():

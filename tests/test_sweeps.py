@@ -1,6 +1,9 @@
 """Monte-Carlo sweeps over random channels, their curves and CSV output."""
 
+import copy
 import dataclasses
+import math
+import pickle
 import tracemalloc
 from concurrent.futures import Future
 
@@ -10,13 +13,14 @@ import pytest
 import sqcap.channel
 import sqcap.sweeps
 from sqcap.bounds import (
+    _top_squares,
     mimo_single_select_bounds,
     simo_linear_bounds,
     simo_multi_select_bounds,
     simo_single_select_bounds,
     waterfill_relaxed,
 )
-from sqcap.channel import RANK_TOL, ChannelMatrix, gaussian_draw
+from sqcap.channel import RANK_TOL, ChannelMatrix, _gaussian_rows, gaussian_draw
 from sqcap.sweeps import (
     CurvePoint,
     SweepSpec,
@@ -255,6 +259,47 @@ def test_multi_select_curves_take_one_rate_pass_per_power(monkeypatch):
         for k in ks:
             want = [[multi_select_lower_capped(h[:x], p, 6, k) for x in axis] for h in masters]
             assert np.array_equal(out[:, column[f"multi-select-lower:P={p:g};K={k}"]], want)
+
+
+@pytest.mark.parametrize(
+    "axis, n_sq, ks, ties",
+    [
+        ((1, 2, 3, 4, 5, 6), 8, (3,), False),
+        ((1, 9, 30, 31, 60), 8, (2, 4), False),
+        ((2, 3, 7, 20), 4, (3, 9), False),
+        ((1, 4, 12, 13, 40), 50, (2, 5), True),
+    ],
+    ids=["steps-of-one", "steps-wider-than-k", "k-past-n_sq", "tied-squares"],
+)
+def test_top_rows_are_the_top_squares_of_every_prefix(monkeypatch, axis, n_sq, ks, ties):
+    # the top rows, merged prefix by prefix in one buffer, are bit for bit
+    # the sorted strongest squares of each whole prefix, zero-padded to
+    # K = min(k_list[-1], n_sq), and the max row is their first column,
+    # the running max of the squares
+    trials = 6
+    spec = SweepSpec("custom", axis, (1.0,), n_sq, k_list=ks, trials=trials, seed=3)
+    draws = _gaussian_rows(3, range(trials), (axis[-1],))
+    if ties:
+        # half-integer draws of both signs: most squares repeat
+        draws = np.round(2.0 * draws) / 2.0
+        monkeypatch.setattr(sqcap.sweeps, "_gaussian_rows", lambda *args: draws.copy())
+        assert len(np.unique(draws * draws)) < draws.size // 4
+    seen = {}
+
+    def probe(spec, stats, p):
+        seen.update(stats)
+        return [stats["max_sq"]]
+
+    sqcap.sweeps._block(spec, [(["probe"], probe, 1.0)], 0, trials)
+    sq = draws * draws
+    k = min(ks[-1], n_sq)
+    assert seen["tops"].shape == (trials, len(axis), k)
+    for i, x in enumerate(axis):
+        want = np.zeros((trials, k))
+        top = _top_squares(sq[:, :x], min(k, x))
+        want[:, : top.shape[1]] = top
+        assert np.array_equal(seen["tops"][:, i], want)
+        assert np.array_equal(seen["max_sq"][:, i], np.max(sq[:, :x], axis=1))
 
 
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
@@ -661,3 +706,42 @@ def test_csv_format(tmp_path):
     out = tmp_path / "curves.csv"
     emit_csv(pts, out)
     assert out.read_bytes().decode() == text
+
+
+def test_curve_point_is_slotted_frozen_and_pickles():
+    pt = CurvePoint("fig2a", "linear-upper:P=1", 2.0, 0.5, 0.01, 10, 7)
+    assert not hasattr(pt, "__dict__")
+    assert pickle.loads(pickle.dumps(pt)) == pt
+    assert copy.copy(pt) == pt and hash(copy.deepcopy(pt)) == hash(pt)
+    moved = dataclasses.replace(pt, mean=0.25)
+    assert (moved.mean, moved.x, moved.seed) == (0.25, 2.0, 7)
+    assert dataclasses.asdict(pt)["curve_label"] == "linear-upper:P=1"
+    with pytest.raises(ValueError):
+        dataclasses.replace(pt, mean=math.nan)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pt.mean = 1.0
+
+
+def _f_string_csv(points: list) -> str:
+    """The f-string rendering that ``csv_text``'s one row format replaced."""
+    lines = ["figure,curve,x,mean,std_err,trials,seed"]
+    for pt in points:
+        lines.append(
+            f"{pt.figure_id},{pt.curve_label},{pt.x:.12g},{pt.mean:.12g},"
+            f"{pt.std_err:.12g},{pt.trials},{pt.seed}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_rows_match_the_f_string_rendering():
+    # integer x, a float trial count, the largest seed, a negative zero
+    # mean, a zero std_err and values at both ends of the float range
+    points = [
+        CurvePoint("custom", "single-select-upper:P=1", 3, -0.0, 0.0, 10.0, 2**64 - 1),
+        CurvePoint("custom", "linear-upper:P=1e+300", 1e-300, 1e300, 1e-300, 10, 0),
+        CurvePoint("custom", "linear-upper:P=1e-300", 1e300, 1e-300, 1e300, 1, 2**63),
+        CurvePoint("custom", "multi-select-lower:P=2;K=3", 0.1, 123456789.123456789, 2.5e-7, 7, 5),
+        *run_sweep(SweepSpec("custom", (1, 2, 5), (1.0, 40.0), 6, k_list=(2,), trials=3, seed=9)),
+    ]
+    assert csv_text(points) == _f_string_csv(points)
+    assert csv_text([]) == _f_string_csv([])
