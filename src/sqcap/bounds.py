@@ -251,7 +251,8 @@ def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
 
 def mimo_single_select_bounds(channel: ChannelMatrix, power: float, n_sq: int) -> BoundPair:
     """All quantizers on the receive antenna with the largest row norm."""
-    row_sq = np.sum(channel.entries * channel.entries, axis=1)
+    with np.errstate(over="ignore"):  # an entry past 1e154 squares to inf, the honest value
+        row_sq = np.sum(channel.entries * channel.entries, axis=1)
     return _capped_pair(float(np.max(row_sq)), power, n_sq, 2.0)
 
 

@@ -281,9 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--workers", type=int, default=1,
         help="threads that run the trial blocks, at most the core count and the "
-        "block count; the spec alone sets the blocks, so the output is "
-        "identical for any value, and memory does not grow with --trials; "
-        "the JSON inputs record the value given",
+        "trial count; the trials are cut into at least one block per thread, "
+        "the output is identical for any value, and memory does not grow with "
+        "--trials; the JSON inputs record the value given",
     )
     s.add_argument("--axis", type=_ints, help="receive-antenna grid, comma-separated")
     s.add_argument("--powers", type=_floats)

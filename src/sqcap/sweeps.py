@@ -17,11 +17,12 @@ array: prefix statistics of the squared row norms, the strongest of them
 zero-padded to min(k_list[-1], n_sq), and a matrix's gains zero-padded to
 ``n_tx``.  ``_CURVES`` states each curve group once, its labels and the one
 kernel that computes them at a power over the whole block, in CSV row
-order; every curve is a bound evaluated on each draw.  The spec alone sets
-the blocks: ``_entries_per_trial`` counts what a block holds at its peak,
-and ``BLOCK_ENTRIES`` caps it.  ``workers`` only schedules the blocks, and
-``run_sweep`` folds each finished one into running sums in trial order, so
-its memory does not grow with the trials.
+order; every curve is a bound evaluated on each draw.
+``_entries_per_trial`` counts what a block holds at its peak, and
+``BLOCK_ENTRIES`` caps it; a sweep has at least one block per thread, so
+``workers`` threads share even a sweep that fits one block.  ``run_sweep``
+folds each finished block into running sums trial by trial, so the output
+does not depend on the blocks and its memory does not grow with the trials.
 
 Figure presets:
 
@@ -52,7 +53,7 @@ from .bounds import (
     _relaxed_rates,
     _top_squares,
 )
-from .channel import _full_rank_rows, _gaussian_rows
+from .channel import _JACOBI_MAX_DIM, _full_rank_rows, _gaussian_rows
 
 __all__ = [
     "CurvePoint",
@@ -223,9 +224,15 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     its curves, k = min(k_list[-1], n_sq) (0 without ``k_list``) and m =
     ``n_tx`` (0 for a vector channel):
 
-    * a matrix's spectrum: the draw, x m, held once, per grid point an
-      m x m Gram matrix and the gains twice, and the running Gram sum and
-      one row's outer products, 2 m^2;
+    * a matrix's spectrum: the draw, x m, held once, and the Gram matrices.
+      Up to ``channel._JACOBI_MAX_DIM`` columns, while they are built, the
+      draw's transposed copy, x m, per grid point the u = m (m + 1) / 2
+      upper-triangle entries, and the running sums and one row's products
+      and their factors, 4 u; while they rotate and sort, per grid point
+      the u entries twice (a copy kept for the unconverged), four
+      temporaries and the m gains.  Past it, per grid point an m x m matrix
+      and the gains twice, and the running Gram sum and one row's outer
+      products, 2 m^2;
     * the statistics: the squared row norms, x, and per grid point the sum
       row, the max row (with ``k_list`` the top-k row's first column, not a
       row of its own), the top-k row and the gains, plus s + k for the top
@@ -240,7 +247,11 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     k = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
     m = spec.n_tx or 0
     held = (1 + k if k else 2) + m
-    spectrum = x * m + n * (m * m + 2 * m) + 2 * m * m
+    if m <= _JACOBI_MAX_DIM:
+        u = m * (m + 1) // 2
+        spectrum = x * m + max(x * m + n * u + 4 * u, n * (2 * u + m + 4))
+    else:
+        spectrum = x * m + n * (m * m + 2 * m) + 2 * m * m
     step = max(b - a for a, b in zip((0,) + spec.axis, spec.axis))
     stats = x + n * held + (step + k if k else 0)
     temps = max(3, 2 * k + len(spec.k_list) + 1 if k else 0, 7 * m + 3 if m else 0)
@@ -328,41 +339,46 @@ def _finished_blocks(spec: SweepSpec, curves: list, bounds, threads: int):
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Evaluate all configured curves, averaged over the trial ensemble.
 
-    The spec alone sets the blocks: n = ceil(trials / b) contiguous blocks,
-    b = ``BLOCK_ENTRIES // _entries_per_trial(spec)`` trials or at least
-    one, split as evenly as ``np.array_split`` splits them.  ``workers``
-    only schedules them: ``min(workers, os.cpu_count(), n)`` threads run
-    them, the calling thread alone when that is one.  The calling thread
-    takes the finished blocks in trial order and keeps running sums: of
-    the values, added row by row, so each mean has the bits that
-    ``mean(axis=0)`` of one array of every trial would give; and of the
-    values' shifts from trial 0's values and of their squares (Chan, Golub
-    & LeVeque, The American Statistician 37(3), 1983), which give the
-    standard errors, exactly 0 where every trial has the same value.
-    Nothing held grows with the trials, and the output is identical for
-    any ``workers`` value.
+    The trials are cut into n contiguous blocks, split as evenly as
+    ``np.array_split`` splits them: at least ceil(trials / b), b =
+    ``BLOCK_ENTRIES // _entries_per_trial(spec)`` trials or at least one,
+    and at least one per thread.  ``min(workers, os.cpu_count(), trials)``
+    threads run them, the calling thread alone when that is one.  The
+    calling thread takes the finished blocks in trial order and folds each
+    into running sums trial by trial: of the values, so each mean has the
+    bits that ``mean(axis=0)`` of one array of every trial would give; and
+    of the values' shifts from trial 0's values and of their squares (Chan,
+    Golub & LeVeque, The American Statistician 37(3), 1983), which give the
+    standard errors, exactly 0 where every trial has the same value.  Every
+    sum adds its trials in order whatever the blocks, and a trial's values
+    do not depend on its block, so the output is identical for any
+    ``workers`` value; nothing held grows with the trials.
     """
     workers = _check_count(workers, "workers")
     curves = _curves(spec)
     labels = [label for group, *_ in curves for label in group]
-    n = -(-spec.trials // max(1, BLOCK_ENTRIES // _entries_per_trial(spec)))
+    threads = min(workers, os.cpu_count() or 1, spec.trials)
+    n = max(-(-spec.trials // max(1, BLOCK_ENTRIES // _entries_per_trial(spec))), threads)
     size, extra = divmod(spec.trials, n)
     bounds = ((i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(n))
-    threads = min(workers, os.cpu_count() or 1, n)
     first = None
-    total, shift, shift_sq = np.zeros((3, len(labels), len(spec.axis)))
-    for values in _finished_blocks(spec, curves, bounds, threads):
-        # one sequential pass over the rows, the running sum first; the block
-        # is then shifted in place, its row 0 restored
-        row = values[0].copy()
-        if first is None:
-            first = row
-        values[0] += total
-        np.add.reduce(values, axis=0, out=total)
+    total, shift, shift_sq, row = np.zeros((4, len(labels), len(spec.axis)))
+
+    def fold(sums, values):
+        # one sequential pass over the rows, the running sums added into
+        # row 0 first; row 0, kept aside in ``row``, is then restored
+        row[:] = values[0]
+        values[0] += sums
+        np.add.reduce(values, axis=0, out=sums)
         values[0] = row
+
+    for values in _finished_blocks(spec, curves, bounds, threads):
+        if first is None:
+            first = values[0].copy()
+        fold(total, values)
         values -= first
-        shift += np.add.reduce(values, axis=0)
-        shift_sq += np.add.reduce(np.square(values, out=values), axis=0)
+        fold(shift, values)
+        fold(shift_sq, np.square(values, out=values))
 
     means = total / spec.trials
     if spec.trials > 1:

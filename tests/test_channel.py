@@ -1,6 +1,7 @@
 """Channel model, spectral gains, and deterministic draws."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from scipy import special
 import sqcap.channel
 from sqcap.channel import (
     _DRAW_ATTEMPTS,
+    _JACOBI_MAX_DIM,
     RANK_TOL,
     ChannelEnsembleSpec,
     ChannelMatrix,
     RankDeficientError,
     _full_rank_rows,
     _gaussian_rows,
+    _jacobi_floats,
+    _jacobi_gains,
     _prefix_gains,
     draw_channel,
     gaussian_draw,
@@ -106,6 +110,93 @@ def test_prefix_gains_match_squared_singular_values():
             assert np.all(np.abs(g - want) <= 16 * eps * want[:, :1])
 
 
+def _jacobi_cases(n: int) -> np.ndarray:
+    """Twelve stacked n-column matrices of 3 n + 2 rows: Gaussian draws, and
+    in trial 0 the identity, in trial 1 orthogonal columns of one norm
+    (repeated eigenvalues), in trial 2 a draw scaled below the Jacobi trace
+    range and in trial 3 one past it."""
+    rng = np.random.default_rng(20 + n)
+    h = rng.standard_normal((12, 3 * n + 2, n))
+    h[0] = 0.0
+    h[0, :n] = np.eye(n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    h[1] = np.tile(3.0 * q, (5, 1))[: 3 * n + 2]
+    h[2] *= 1e-70
+    h[3] *= 1e70
+    return h
+
+
+@pytest.mark.parametrize("n", range(1, _JACOBI_MAX_DIM + 1))
+@pytest.mark.parametrize("sweeps", [1, sqcap.channel._JACOBI_SWEEPS])
+def test_jacobi_floats_match_the_stacked_kernel_bit_for_bit(monkeypatch, n, sweeps):
+    # a one-matrix stack runs the kernel on Python floats, a larger one as
+    # array passes: the same bits for every prefix, wide and tall, converged
+    # or (one sweep leaves most unconverged) taking eigvalsh
+    monkeypatch.setattr(sqcap.channel, "_JACOBI_SWEEPS", sweeps)
+    h = _jacobi_cases(n)
+    counts = tuple(range(1, h.shape[1] + 1))
+    stacked = _jacobi_gains(h, counts)
+    for t in range(h.shape[0]):
+        for i, x in enumerate(counts):
+            assert np.array_equal(_jacobi_floats(h[t, :x].tolist(), n), stacked[t, i]), (t, x)
+    # the identity's eigenvalues are its diagonal, exactly, and orthogonal
+    # columns of one norm repeat one eigenvalue to within rounding
+    assert np.all(stacked[0, n - 1 :] == 1.0)
+    repeated = stacked[1, 2 * n - 1]
+    assert np.ptp(repeated) <= 64 * np.finfo(float).eps * repeated[0]
+    np.testing.assert_allclose(repeated, 18.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, _JACOBI_MAX_DIM + 1))
+def test_unconverged_jacobi_takes_eigvalsh_of_its_gram(monkeypatch, n):
+    # with no sweep no Gram matrix converges, so every one, in range or not,
+    # takes eigvalsh of its Gram matrix: the bits of the eigvalsh path
+    monkeypatch.setattr(sqcap.channel, "_JACOBI_SWEEPS", 0)
+    h = _jacobi_cases(n)[2:]
+    counts = tuple(range(1, h.shape[1] + 1))
+    want = sqcap.channel._eigvalsh_gains(h, counts)
+    assert np.array_equal(_jacobi_gains(h, counts), want)
+    assert np.array_equal(_jacobi_floats(h[0].tolist(), n), want[0, -1])
+
+
+@pytest.mark.parametrize("n", [3, _JACOBI_MAX_DIM, _JACOBI_MAX_DIM + 2])
+def test_trial_gains_do_not_depend_on_the_stack(n):
+    # stacks of 200, 7 and 1 (the Python-float form, where n allows it)
+    rng = np.random.default_rng(30 + n)
+    h = rng.standard_normal((200, 3 * n, n))
+    counts = (1, n - 1, n, 2 * n, 3 * n)
+    gains, full = _prefix_gains(h, counts)
+    assert full.all()
+    seven = _prefix_gains(h[100:107], counts)
+    assert np.array_equal(seven[0], gains[100:107]) and seven[1].all()
+    for t in (0, 103, 199):
+        for i, x in enumerate(counts):
+            one, one_full = _prefix_gains(h[t : t + 1, :x], (x,))
+            assert np.array_equal(one[0, 0], gains[t, i]) and one_full[0]
+
+
+@pytest.mark.parametrize("n", [2, 5, _JACOBI_MAX_DIM + 2])
+def test_non_finite_gram_keeps_the_svd_verdict(monkeypatch, n):
+    # an entry of 1e200 squares to inf: such a prefix's Gram matrix takes
+    # the SVD, as on the eigvalsh path, which finds it rank deficient
+    # against its 1e200 singular value; no numpy warning on the way
+    h = np.random.default_rng(40 + n).standard_normal((3, n + 2, n))
+    h[1, n, 0] = 1e200
+    counts = (n, n + 1, n + 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gains, full = _prefix_gains(h, counts)
+        with monkeypatch.context() as patch:
+            patch.setattr(sqcap.channel, "_JACOBI_MAX_DIM", 0)
+            want, want_full = _prefix_gains(h, counts)
+        with pytest.raises(RankDeficientError, match=r"value \S+/1\.000e\+200$"):
+            ChannelMatrix(h[1])
+    assert list(full) == list(want_full) == [True, False, True]
+    assert np.all(gains[1, 1:, 0] == np.inf)
+    np.testing.assert_array_equal(gains[1, 1:], want[1, 1:])
+    np.testing.assert_allclose(gains, want, rtol=1e-13, atol=1e-13)
+
+
 def test_gaussian_draw_deterministic_and_keyed():
     a = gaussian_draw(3, 5, (4, 2))
     b = gaussian_draw(3, 5, (4, 2))
@@ -169,6 +260,25 @@ def test_gaussian_rows_reject_any_bad_stream():
             _gaussian_rows(3, streams, (4,))
     with pytest.raises(ValueError, match="seed"):
         _gaussian_rows(-1, [0, 1], (4,))
+
+
+def test_gaussian_rows_check_a_range_by_its_ends(monkeypatch):
+    # a sweep block's range of trials: two stream checks, not one per trial,
+    # and the same bits as the streams listed one by one
+    real, checked = sqcap.channel._check_seed, []
+
+    def check(value, name="seed"):
+        checked.append(name)
+        return real(value, name)
+
+    monkeypatch.setattr(sqcap.channel, "_check_seed", check)
+    rows = _gaussian_rows(3, range(5, 205), (4,))
+    assert checked == ["seed", "stream", "stream"]
+    assert np.array_equal(rows, _gaussian_rows(3, list(range(5, 205)), (4,)))
+    for streams in (range(-1, 3), range(2**64 - 2, 2**64 + 1)):
+        with pytest.raises(ValueError, match="stream"):
+            _gaussian_rows(3, streams, (4,))
+    assert _gaussian_rows(3, range(0), (4,)).shape == (0, 4)
 
 
 def test_gaussian_draw_moments():

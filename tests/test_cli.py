@@ -138,6 +138,30 @@ def test_bounds_malformed_channel_is_runtime_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "entries, code",
+    [([1e200, 0, 0, 1], 1), ([1e200, 3e199, 2e199, 1e200], 0)],
+    ids=["rank-deficient", "full-rank"],
+)
+def test_channel_whose_squares_overflow(capsys, entries, code):
+    # squares past the float range are inf, the honest value: no numpy
+    # warning, and a rank-deficient matrix is named by its singular values
+    channel = json.dumps({"n_rx": 2, "n_tx": 2, "entries": entries})
+    argv = ["bounds", "--family", "mimo-single-select", "--channel", channel,
+            "--power", "1", "--nsq", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == ("error: channel matrix is rank deficient: "
+                       "min/max singular value 1.000e+00/1.000e+200\n")
+    else:
+        assert err == ""
+        assert json.loads(out)["result"]["upper_bits"] == np.log2(3.0)
+
+
 def test_bounds_bad_family_is_usage_error(capsys):
     code, _, err = run(capsys, "bounds", "--family", "bogus")
     assert code == 2

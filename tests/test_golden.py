@@ -96,11 +96,11 @@ FIGURE_CASES = {
 }
 
 
-def figure_golden_text(name: str) -> str:
-    """The CSV of ``FIGURE_CASES[name]``, as the fixture stores it."""
+def figure_golden_text(name: str, workers: int = 1) -> str:
+    """The CSV of ``FIGURE_CASES[name]`` at ``workers``, as the fixture stores it."""
     figure, trials, seed, fields = FIGURE_CASES[name]
     make = SweepSpec if figure == "custom" else figure_spec
-    return csv_text(run_sweep(make(figure, trials=trials, seed=seed, **fields)))
+    return csv_text(run_sweep(make(figure, trials=trials, seed=seed, **fields), workers))
 
 
 def cli_golden_text(argv) -> str:
@@ -127,6 +127,18 @@ def test_fig2c_1000_matches_golden_on_two_workers(monkeypatch):
     want = (GOLDEN / "fig2c-1000.csv").read_bytes()
     got = csv_text(run_sweep(figure_spec("fig2c", trials=1000, seed=0), workers=2))
     assert got.encode("utf-8") == want
+
+
+@pytest.mark.parametrize(
+    "name", FIGURE_CASES, ids=[f"{fig}-{trials}" for fig, trials, *_ in FIGURE_CASES.values()]
+)
+def test_figure_csv_matches_golden_at_every_worker_count(monkeypatch, name):
+    # at least one block per thread: 2, 3 and 5 workers cut even a one-block
+    # sweep into that many blocks, and every sum still adds its trials in order
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)
+    want = (GOLDEN / f"{name}.csv").read_bytes()
+    for workers in (2, 3, 5):
+        assert figure_golden_text(name, workers).encode("utf-8") == want, workers
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

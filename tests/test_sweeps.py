@@ -303,8 +303,8 @@ def test_top_rows_are_the_top_squares_of_every_prefix(monkeypatch, axis, n_sq, k
 
 
 def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
-    # 11 trials in blocks of at most 4, or of one: the spec alone sets the
-    # blocks, the same at every worker count, and the CSV is one block's
+    # 11 trials in blocks of at most 4, or of one, and at least one block per
+    # thread: the CSV is one block's at every worker count
     monkeypatch.setattr(sqcap.sweeps.os, "cpu_count", lambda: 8)
     real = sqcap.sweeps._block
     blocks = []
@@ -320,13 +320,15 @@ def test_blocks_past_the_trial_cap_keep_the_csv(monkeypatch):
         base = csv_text(run_sweep(spec))
         with monkeypatch.context() as patch:
             patch.setattr(sqcap.sweeps, "_block", block)
+            fives = [(0, 3), (3, 5), (5, 7), (7, 9), (9, 11)]
             for per_block, want in [(4, [(0, 4), (4, 8), (8, 11)]),
                                     (1, [(t, t + 1) for t in range(11)])]:
                 patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", per_block * _entries_per_trial(spec))
                 for workers in (1, 2, 3, 5):
                     blocks.clear()
                     assert csv_text(run_sweep(spec, workers=workers)) == base
-                    assert sorted(blocks) == want
+                    # five threads take five blocks where the budget gives three
+                    assert sorted(blocks) == (fives if len(want) < workers else want)
 
 
 BUDGET_SPECS = {
@@ -398,6 +400,37 @@ def test_block_peak_fits_the_entry_budget(spec):
         tracemalloc.stop()
     # the count is the peak, not a loose cap on it
     assert 0.85 * sqcap.sweeps.BLOCK_ENTRIES * 8 <= peak <= sqcap.sweeps.BLOCK_ENTRIES * 8
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # two grid points far apart: the draw and its transposed copy
+        SweepSpec("custom", (5, 3000), (1.0,), 5, n_tx=5, seed=4),
+        # 99 grid points of 6 x 6 Gram matrices rotated beside their copy
+        SweepSpec("custom", range(6, 301, 3), (1.0,), 5, n_tx=6, seed=4),
+    ],
+    ids=["sparse-axis", "dense-axis"],
+)
+def test_jacobi_spectrum_peak_fits_the_entry_budget(spec):
+    # specs whose largest phase is the Jacobi spectrum: the count is its peak
+    assert spec.n_tx <= sqcap.channel._JACOBI_MAX_DIM
+    trials = sqcap.sweeps.BLOCK_ENTRIES // _entries_per_trial(spec)
+    curves = sqcap.sweeps._curves(spec)
+    # the first block imports scipy.special, which is not the block's to count
+    sqcap.sweeps._block(spec, curves, 0, 1)
+    shape = (spec.axis[-1], spec.n_tx)
+    tracemalloc.start()
+    try:
+        sqcap.channel._full_rank_rows(spec.seed, range(trials), shape, spec.axis)
+        spectrum = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sqcap.sweeps._block(spec, curves, 0, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.85 * sqcap.sweeps.BLOCK_ENTRIES * 8 <= spectrum <= peak
+    assert peak <= sqcap.sweeps.BLOCK_ENTRIES * 8
 
 
 def test_one_transmit_antenna_sweep_matches_the_vector_sweep():
@@ -502,11 +535,11 @@ def test_matrix_sweep_redraws_rank_deficient_master(monkeypatch):
 MIXED_WIDTH_SPEC = SweepSpec("custom", (1, 2, 3, 6, 9), (0.3, 20.0), 4, n_tx=7, trials=5, seed=17)
 
 
-def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
+def test_matrix_sweep_takes_one_spectrum_pass_per_block(monkeypatch):
     calls = []
 
-    def counted(name):
-        real = getattr(np.linalg, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def call(*args, **kwargs):
             calls.append(name)
@@ -514,18 +547,22 @@ def test_matrix_sweep_takes_one_eigvalsh_per_block(monkeypatch):
 
         return call
 
-    for name in ("eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    for module, name in [(np.linalg, "eigvalsh"), (np.linalg, "svd"),
+                         (sqcap.channel, "_jacobi_gains"), (sqcap.channel, "_eigvalsh_gains")]:
+        monkeypatch.setattr(module, name, counted(module, name))
     spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8))
     with monkeypatch.context() as patch:
         patch.setattr(sqcap.sweeps, "BLOCK_ENTRIES", 2 * _entries_per_trial(spec))
         run_sweep(spec)
-    # two blocks of well-conditioned draws: one stacked eigvalsh each, no SVD
-    assert calls == ["eigvalsh", "eigvalsh"]
-    # wide prefixes share the tall ones' running Gram sum and eigvalsh
+    # two blocks of well-conditioned draws: one Jacobi pass over each stack,
+    # every Gram matrix converged, so no eigvalsh, and no SVD
+    assert calls == ["_jacobi_gains", "_jacobi_gains"]
+    # past the Jacobi sizes, wide prefixes share the tall ones' running Gram
+    # sum and one stacked eigvalsh
     calls.clear()
+    assert MIXED_WIDTH_SPEC.n_tx > sqcap.channel._JACOBI_MAX_DIM
     run_sweep(MIXED_WIDTH_SPEC)
-    assert calls == ["eigvalsh"]
+    assert calls == ["_eigvalsh_gains", "eigvalsh"]
 
 
 def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
