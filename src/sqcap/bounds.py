@@ -352,13 +352,18 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
     by masked sums over the whole row, so rows with the same sets get
     bitwise equal powers and rates.  When every cap binds (sum caps <= power)
     any mu >= max_i 1/g_i + cap_i solves the row, and the water level
-    reported is max_i 1/g_i + power.  Returns (rates in bits, powers, water
-    levels).  A zero gain (a sweep's padding; public callers reject it) has
-    the breakpoint 1/0 = inf, never reached: no power, exact zeros in sums.
+    reported is max_i 1/g_i + power.  Without caps C is empty and F never
+    is, so mu is (budget + sum_F 1/g_i) / |F|: the terms ``inf`` caps turn
+    into identities are left out, with the same bits.  Returns (rates in
+    bits, powers, water levels).  A zero gain (a sweep's padding; public
+    callers reject it) has the breakpoint 1/0 = inf, never reached: no
+    power, exact zeros in sums.
 
     Rows are many and short (at most ``ORACLE_MAX_CHANNELS`` subchannels
     for the oracle, ``n_tx`` for a sweep), so the kernel works on the
-    transpose, one pass per breakpoint or subchannel over all rows at once:
+    transpose, one pass per breakpoint or subchannel over all rows at once
+    (a ``g`` whose transpose is C-contiguous, as a sweep's gains come from
+    the Jacobi spectrum, is read without a copy):
     the used power adds in breakpoint order, the masked sums and the rate
     in subchannel order.  Up to 7 subchannels that is the order of numpy's
     own row sums, so the results are bit for bit those of row reductions;
@@ -368,9 +373,8 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
     g = np.ascontiguousarray(np.atleast_2d(g).T)  # one row per subchannel
     with np.errstate(divide="ignore"):  # a zero gain's breakpoint is inf
         inv = 1.0 / g
-    if caps is None:  # the shared tail below then reads caps as inf
-        caps = cap_total = np.inf
-        bp, slope = inv, np.arange(1.0, len(g))[:, None]
+    if caps is None:
+        target, bp, slope = power, inv, np.arange(1.0, len(g))[:, None]
     else:
         cap_total = sum(caps.T)
         bp = np.concatenate((np.broadcast_to(inv.T, caps.shape), inv.T + caps), axis=1)
@@ -380,20 +384,26 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
         reached = np.count_nonzero(inv[:, None] <= bp[:-1], axis=0)
         slope = 2.0 * reached - np.arange(1.0, len(bp))[:, None]
         caps = caps.T
-    target = np.minimum(power, cap_total)
+        target = np.minimum(power, cap_total)
     # the segment starts at the last breakpoint whose used power fits the budget
     level, used = bp[0], 0.0
     with np.errstate(invalid="ignore"):  # inf - inf past the last finite breakpoint
         for bp_j, step in zip(bp[1:], slope * (bp[1:] - bp[:-1])):
             used = used + step
             level = np.where(used <= target, bp_j, level)
-    capped = inv + caps <= level
-    free = (inv <= level) & ~capped
-    n_free = np.count_nonzero(free, axis=0)
-    all_capped = (target >= cap_total) | (n_free == 0)
-    mu = target - sum(np.where(capped, caps, 0.0)) + sum(np.where(free, inv, 0.0))
-    mu = np.where(all_capped, np.max(inv, axis=0) + power, mu / np.maximum(n_free, 1))
-    p = np.where(all_capped, caps, np.minimum(np.maximum(mu - inv, 0.0), caps))
+    if caps is None:
+        # the level is one of the 1/g_i, so that subchannel at least is free
+        free = inv <= level
+        mu = (target + sum(np.where(free, inv, 0.0))) / np.count_nonzero(free, axis=0)
+        p = np.maximum(mu - inv, 0.0)
+    else:
+        capped = inv + caps <= level
+        free = (inv <= level) & ~capped
+        n_free = np.count_nonzero(free, axis=0)
+        all_capped = (target >= cap_total) | (n_free == 0)
+        mu = target - sum(np.where(capped, caps, 0.0)) + sum(np.where(free, inv, 0.0))
+        mu = np.where(all_capped, np.max(inv, axis=0) + power, mu / np.maximum(n_free, 1))
+        p = np.where(all_capped, caps, np.minimum(np.maximum(mu - inv, 0.0), caps))
     return 0.5 * sum(np.log2(1.0 + g * p)), p.T, mu
 
 

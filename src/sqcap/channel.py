@@ -299,7 +299,8 @@ def _gram_rows(h: np.ndarray, counts) -> np.ndarray:
 
 def _jacobi_gains(h: np.ndarray, counts) -> np.ndarray:
     """The nonincreasing Gram eigenvalues of every trial and count, shape
-    (trials, len(counts), n_tx), by the cyclic Jacobi kernel.
+    (trials, len(counts), n_tx), by the cyclic Jacobi kernel: the transpose
+    of a C-contiguous (n_tx, trials, len(counts)) array.
 
     The Gram matrices' upper-triangle entries are the rows of one array, an
     entry of every matrix of the stack in each contiguous row, so each step
@@ -374,9 +375,11 @@ def _jacobi_gains(h: np.ndarray, counts) -> np.ndarray:
             np.minimum(diag[j - 1], diag[j], out=c)
             np.maximum(diag[j - 1], diag[j], out=diag[j])
             diag[j - 1][:] = c
-    gains = np.empty((trials, len(counts), n))
+    # subchannel-major, the layout the water-filling reads
+    gains = np.empty((n, trials, len(counts)))
     for j in range(n):
-        gains[..., j] = diag[n - 1 - j].reshape(len(counts), trials).T
+        gains[j] = diag[n - 1 - j].reshape(len(counts), trials).T
+    gains = gains.transpose(1, 2, 0)
     del a, diag, d, r, t, c, trace, off
     # the rest take eigvalsh of their Gram matrices, at most as many at a
     # time as the stack has trials
@@ -438,11 +441,14 @@ def _gaussian_rows(seed: int, streams, shape, counter_block: int = 0) -> np.ndar
     raw = np.empty((len(streams),) + shape, dtype=np.uint64)
     bits = np.random.Philox(key=seed)
     # the state setter reads plain ints: re-keying costs far less than
-    # building a generator per stream
-    state = bits.state
+    # building a generator per stream, and one state serves every stream,
+    # only its key's stream word rewritten (the buffer is empty, at
+    # position 4, so its words are never read)
+    state, key = bits.state, [seed, 0]
+    state["state"] = {"counter": [0, 0, 0, counter_block], "key": key}
+    state["buffer"] = [0, 0, 0, 0]
     for row, stream in enumerate(streams):
-        key = [seed, stream]
-        state["state"] = {"counter": [0, 0, 0, counter_block], "key": key}
+        key[1] = stream
         bits.state = state
         raw[row] = bits.random_raw(shape)
     u = _uniforms(raw)

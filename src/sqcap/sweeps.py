@@ -233,10 +233,10 @@ def _entries_per_trial(spec: SweepSpec) -> int:
       temporaries and the m gains.  Past it, per grid point an m x m matrix
       and the gains twice, and the running Gram sum and one row's outer
       products, 2 m^2;
-    * the statistics: the squared row norms, x, and per grid point the sum
-      row, the max row (with ``k_list`` the top-k row's first column, not a
-      row of its own), the top-k row and the gains, plus s + k for the top
-      rows' merge buffer, s the widest grid step;
+    * the statistics: the squared row norms, x, and per grid point a
+      vector's sum row and its max row (with ``k_list`` the top-k row,
+      whose first column is the max), or a matrix's max row and gains,
+      plus s + k for the top rows' merge buffer, s the widest grid step;
     * the kernels: per grid point the c curve values, the statistics held,
       the largest kernel's temporaries (3 for a capped half-log, 2 k + 1
       plus one per ``k_list`` count for the multi-select rate pass and its
@@ -246,7 +246,7 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     x, n = spec.axis[-1], len(spec.axis)
     k = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
     m = spec.n_tx or 0
-    held = (1 + k if k else 2) + m
+    held = 1 + (m or k or 1)  # max and gains, sum and top k, or sum and max
     if m <= _JACOBI_MAX_DIM:
         u = m * (m + 1) // 2
         spectrum = x * m + max(x * m + n * u + 4 * u, n * (2 * u + m + 4))
@@ -259,6 +259,20 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     return max(spectrum, stats, n * (curves + held + temps + 1))
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)``, bit for bit.  numpy adds a row of 2 to 7
+    entries left to right, one row at a time; that many column passes add
+    them in the same order over all rows at once.  Past 7 numpy sums a row
+    pairwise, and its sum is taken."""
+    n = a.shape[-1]
+    if not 2 <= n <= 7:
+        return np.sum(a, axis=-1)
+    s = a[..., 0] + a[..., 1]
+    for j in range(2, n):
+        s += a[..., j]
+    return s
+
+
 def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
     """The curve values of trials ``t0 <= t < t1``, shape (trials, curves,
     grid points).
@@ -268,12 +282,12 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
     ``channel._full_rank_rows``, which redraws the rank-deficient ones and
     gives every grid point's gains, bit for bit those ``ChannelMatrix``
     keeps.  The statistics are read once: per grid point the running max
-    and sum of the squared row norms, the strongest of them in order,
-    zero-padded to min(k_list[-1], n_sq), if ``k_list`` is set, and a
-    matrix's gains, zero-padded to ``n_tx``, so each power water-fills the
-    whole block once without caps.  Each group's kernel then runs once per
-    power.  Every step acts row by row, so a trial's values do not depend
-    on its block.
+    of the squared row norms, their running sum for a vector, the strongest
+    of them in order, zero-padded to min(k_list[-1], n_sq), if ``k_list``
+    is set, and a matrix's gains, zero-padded to ``n_tx``, so each power
+    water-fills the whole block once without caps.  Each group's kernel
+    then runs once per power.  Every step acts row by row, so a trial's
+    values do not depend on its block.
     """
     stats = {}
     if spec.n_tx is None:
@@ -282,7 +296,7 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
     else:
         shape = (spec.axis[-1], spec.n_tx)
         h, prefix, _ = _full_rank_rows(spec.seed, range(t0, t1), shape, spec.axis)
-        sq = np.sum(np.square(h, out=h), axis=2)
+        sq = _row_sums(np.square(h, out=h))
         stats["gains"] = prefix.reshape(-1, spec.n_tx)
         del h
     starts = (0,) + spec.axis[:-1]
@@ -309,7 +323,8 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
         # squaring rounds monotonically, so a vector's max |h|^2 is the square
         # of max |h|, the statistic the single-select bound squares
         stats["max_sq"] = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
-    stats["sum_sq"] = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
+    if spec.n_tx is None:  # no matrix curve reads the sums
+        stats["sum_sq"] = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]
     del sq  # the kernels read only the statistics
     out = np.empty((t1 - t0, sum(len(labels) for labels, *_ in curves), len(spec.axis)))
     for c, v in enumerate(v for _, kernel, p in curves for v in kernel(spec, stats, p)):

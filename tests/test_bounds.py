@@ -549,6 +549,28 @@ def test_trailing_zero_gains_leave_the_water_filling_bitwise_unchanged(rows, zer
     assert np.array_equal(demand[:, :w], want[2]) and not demand[:, w:].any()
 
 
+def test_uncapped_waterfill_rows_read_either_layout():
+    # a matrix sweep hands its gains over subchannel-major, F-ordered rows
+    # whose transpose the kernel reads without a copy; the bits are those of
+    # C-ordered rows, also for rows zero-padded past a wide prefix's rank
+    rng = np.random.default_rng(52)
+    for n in (1, 2, 5, 7, 8):
+        g = -np.sort(-rng.exponential(2.0, size=(90, n)), axis=1)
+        for r, rank in enumerate(rng.integers(1, n + 1, size=90)):
+            g[r, rank:] = 0.0
+        f = np.asfortranarray(g)
+        assert f.T.flags.c_contiguous
+        for power in (0.1, 1.0, 37.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _capped_waterfill_rows(f, None, power)
+                want = _capped_waterfill_rows(g, None, power)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            for a, b in zip(_relaxed_rates(f, got[1], got[0], 5), _relaxed_rates(g, *want[1::-1], 5)):
+                assert np.array_equal(a, b)
+
+
 def test_capped_waterfill_all_caps_bind():
     # every cap binds: no division by zero, powers are the caps, and the
     # water level is max 1/g_i + P by convention, also where the scan along

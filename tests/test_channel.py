@@ -175,6 +175,24 @@ def test_trial_gains_do_not_depend_on_the_stack(n):
             assert np.array_equal(one[0, 0], gains[t, i]) and one_full[0]
 
 
+@pytest.mark.parametrize("n", range(2, _JACOBI_MAX_DIM + 1))
+def test_jacobi_gains_come_subchannel_major(n):
+    # a sweep water-fills the rows of gains.reshape(-1, n) one subchannel
+    # at a time: on the Jacobi path that is a view whose transpose is
+    # C-contiguous, wide prefixes zero-padded and SVD-rescued ones included
+    h = np.random.default_rng(50 + n).standard_normal((30, 3 * n, n))
+    h[4, :, 1] = h[4, :, 0] + 1e-4 * h[4, :, 1]  # an ill-conditioned Gram: the SVD
+    counts = (1, n, 2 * n, 3 * n)
+    gains, full = _prefix_gains(h, counts)
+    assert full.all()
+    rows = gains.reshape(-1, n)
+    assert np.shares_memory(rows, gains) and rows.T.flags.c_contiguous
+    for t in (0, 4, 29):
+        for i, x in enumerate(counts):
+            one = _prefix_gains(h[t : t + 1, :x], (x,))[0]
+            assert np.array_equal(rows[t * len(counts) + i], one[0, 0])
+
+
 @pytest.mark.parametrize("n", [2, 5, _JACOBI_MAX_DIM + 2])
 def test_non_finite_gram_keeps_the_svd_verdict(monkeypatch, n):
     # an entry of 1e200 squares to inf: such a prefix's Gram matrix takes
@@ -252,6 +270,18 @@ def test_gaussian_rows_are_single_draws_stacked(shape, counter_block):
             assert np.shape(one) == shape
             assert row.tobytes() == np.asarray(one).tobytes()
     assert _gaussian_rows(3, [], shape, counter_block).shape == (0,) + shape
+
+
+def test_back_to_back_gaussian_rows_keep_their_own_keys():
+    # one Philox state is re-keyed stream by stream within a call: a call
+    # after another with a different seed and counter block still draws the
+    # bits of gaussian_draw for each of its streams
+    calls = [(5, range(3, 9), 0), (2**64 - 1, [2, 9, 0, 2**64 - 1], 2), (5, range(3, 9), 7)]
+    blocks = [_gaussian_rows(seed, streams, (50, 5), block) for seed, streams, block in calls]
+    for rows, (seed, streams, block) in zip(blocks, calls):
+        for row, stream in zip(rows, streams):
+            assert row.tobytes() == gaussian_draw(seed, stream, (50, 5), block).tobytes()
+    assert not np.array_equal(blocks[0], blocks[2])
 
 
 def test_gaussian_rows_reject_any_bad_stream():

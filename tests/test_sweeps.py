@@ -433,6 +433,15 @@ def test_jacobi_spectrum_peak_fits_the_entry_budget(spec):
     assert peak <= sqcap.sweeps.BLOCK_ENTRIES * 8
 
 
+@pytest.mark.parametrize("n_tx", range(1, 9))
+def test_row_sums_are_numpys_row_sums(n_tx):
+    # a matrix block's squared row norms, by column passes up to 7 columns,
+    # have the bits of np.sum over the rows; past 7 numpy adds pairwise
+    h = np.random.default_rng(60 + n_tx).standard_normal((200, 50, n_tx))
+    sq = sqcap.sweeps._row_sums(h * h)
+    assert sq.shape == (200, 50) and np.array_equal(sq, np.sum(h * h, axis=2))
+
+
 def test_one_transmit_antenna_sweep_matches_the_vector_sweep():
     # a vector channel is a matrix channel with one transmit antenna: the
     # same draws, the best row is the strongest entry, and the one gain
@@ -606,19 +615,22 @@ def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
 
 def test_matrix_sweep_waterfills_each_power_once(monkeypatch):
     real = sqcap.sweeps._capped_waterfill_rows
-    rows, uncapped = [], []
+    rows, uncapped, subchannel_major = [], [], []
 
     def waterfill(g, caps, power):
         rows.append(g.shape)
         uncapped.append(caps is None)
+        subchannel_major.append(g.T.flags.c_contiguous)
         return real(g, caps, power)
 
     monkeypatch.setattr(sqcap.sweeps, "_capped_waterfill_rows", waterfill)
     run_sweep(figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8)))
     # every grid point has 5 gains: one stack of all points and trials per power
     assert rows == [(3 * 3, 5)] * 2
-    # the spectrum's gains come sorted nonincreasing, so no caps are built
+    # the spectrum's gains come sorted nonincreasing, so no caps are built,
+    # and one row per subchannel, which the kernel reads without a copy
     assert uncapped == [True, True]
+    assert subchannel_major == [True, True]
     # gain counts 1, 2, 3, 6 and 7, zero-padded to n_tx: still one stack per power
     rows.clear()
     run_sweep(MIXED_WIDTH_SPEC)
