@@ -21,7 +21,9 @@ def _frozen(values) -> np.ndarray:
 
 
 def _as_int(value):
-    """``value`` as an int when it equals one exactly, else None."""
+    """``value`` as an int when it equals one exactly and is no boolean, else None."""
+    if isinstance(value, (bool, np.bool_)):  # JSON true is no count
+        return None
     try:
         n = int(value)
     except (OverflowError, ValueError):  # inf, nan, non-numeric text

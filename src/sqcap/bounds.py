@@ -362,8 +362,8 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
     Rows are many and short (at most ``ORACLE_MAX_CHANNELS`` subchannels
     for the oracle, ``n_tx`` for a sweep), so the kernel works on the
     transpose, one pass per breakpoint or subchannel over all rows at once
-    (a ``g`` whose transpose is C-contiguous, as a sweep's gains come from
-    the Jacobi spectrum, is read without a copy):
+    (a ``g`` whose transpose is C-contiguous, as a sweep's gains are at
+    every width, is read without a copy):
     the used power adds in breakpoint order, the masked sums and the rate
     in subchannel order.  Up to 7 subchannels that is the order of numpy's
     own row sums, so the results are bit for bit those of row reductions;

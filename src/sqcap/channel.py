@@ -5,12 +5,14 @@ A receiver observes W = H X + Z with H a real n_rx x n_tx matrix.
 gains, the squared singular values; the bound families in ``bounds`` read
 the entries or the gains and never factorize a channel themselves.  One
 spectrum kernel, ``_prefix_gains``, gives the gains and the rank verdict of
-``ChannelMatrix`` and of every row prefix a matrix sweep evaluates: the
-eigenvalues of running sums of row outer products, by cyclic Jacobi
-rotations up to ``_JACOBI_MAX_DIM`` transmit antennas (elementwise passes
-over a sweep block's whole stack, or Python floats for one matrix, with the
-same bits) and by LAPACK past it, with the SVD kept only for the
-ill-conditioned prefixes a Gram matrix cannot resolve.
+``ChannelMatrix`` and of every row prefix a matrix sweep evaluates, at every
+width: the eigenvalues of the running sums of row outer products that
+``_gram_rows`` forms, by cyclic Jacobi rotations up to ``_JACOBI_MAX_DIM``
+transmit antennas (elementwise passes over a sweep block's whole stack, or
+Python floats for one matrix, with the same bits) and by one ``eigvalsh``
+fallback, ``_gram_eigvalsh``, past it and for what the rotations leave
+unconverged, with the SVD kept only for the ill-conditioned prefixes a Gram
+matrix cannot resolve.  The gains come subchannel-major at every width.
 
 Ensemble draws are counter based: trial ``k`` of seed ``s`` always comes from
 the Philox stream keyed by (s, k), and normal variates are produced by the
@@ -57,10 +59,9 @@ _UNIFORM_SLICE = 1 << 16
 _GRAM_RATIO = 1e-6
 
 # Largest Gram matrix whose spectrum the cyclic Jacobi kernel computes; a
-# larger one takes ``eigvalsh``, which is as fast or faster from there on
-# (for 9200 Gram matrices, Gram sums included, on a 2-core Xeon: 20 ms
-# against 27 ms at size 6, 34 ms against 33 ms at 7, 235 ms against 108 ms
-# at 12).
+# larger one takes ``eigvalsh``, which is faster from there on (for 9200
+# Gram matrices, Gram sums included, on a 2-core Xeon: 16 ms against 23 ms
+# at size 6, 32 ms against 29 ms at 7, 57 ms against 36 ms at 8).
 _JACOBI_MAX_DIM = 6
 
 # Cyclic Jacobi sweeps per spectrum.  Convergence is quadratic once the
@@ -177,22 +178,20 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
     its rank), and ``full[t]`` is True where every prefix has full rank.
 
     Every prefix, wide or tall, takes its gains from the eigenvalues of its
-    Gram matrix H[:x]^T H[:x], a running sum of row outer products kept at
-    each count (``sweeps.BLOCK_ENTRIES`` bounds the stack): from the cyclic
-    Jacobi kernel up to ``_JACOBI_MAX_DIM`` columns, on Python floats for a
-    one-matrix stack and as array passes over the stack otherwise, with the
-    same bits either way; from one stacked ``eigvalsh`` past it.  A wide
-    prefix's eigenvalues past its x rows are set to exact zeros.  A prefix
-    whose smallest unpadded gain is at most ``_GRAM_RATIO`` times its
-    largest takes the SVD, which decides its rank as ``ChannelMatrix``
-    always has and gives its gains.  Each step acts on one matrix at a time,
-    so a trial's gains do not depend on the stack it sits in.
+    Gram matrix H[:x]^T H[:x], which :func:`_gram_rows` forms for every
+    stack (``sweeps.BLOCK_ENTRIES`` bounds it): by the cyclic Jacobi kernel
+    up to ``_JACOBI_MAX_DIM`` columns, on Python floats for a one-matrix
+    stack and as array passes over the stack otherwise, with the same bits
+    either way, and by ``eigvalsh`` past it.  A wide prefix's eigenvalues
+    past its x rows are set to exact zeros.  A prefix whose smallest
+    unpadded gain is at most ``_GRAM_RATIO`` times its largest takes the
+    SVD, which decides its rank as ``ChannelMatrix`` always has and gives
+    its gains.  Each step acts on one matrix at a time, so a trial's gains
+    do not depend on the stack it sits in.
     """
     trials, _, n_tx = h.shape
-    if n_tx > _JACOBI_MAX_DIM:
-        gains = _eigvalsh_gains(h, counts)
-    elif trials * len(counts) == 1:
-        gains = np.array(_jacobi_floats(h[0, : counts[0]].tolist(), n_tx)).reshape(1, 1, n_tx)
+    if trials * len(counts) == 1 and n_tx <= _JACOBI_MAX_DIM:
+        gains = np.array(_jacobi_floats(_gram_rows(h, counts)[:, 0].tolist(), n_tx))[None, None]
     else:
         gains = _jacobi_gains(h, counts)
     gains[:, np.arange(n_tx) >= np.asarray(counts)[:, None]] = 0.0
@@ -207,52 +206,69 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
     return gains, full
 
 
-def _eigvalsh_gains(h: np.ndarray, counts) -> np.ndarray:
-    """The nonincreasing Gram eigenvalues of every trial and count, shape
-    (trials, len(counts), n_tx), from one stacked ``eigvalsh``."""
-    trials, _, n_tx = h.shape
-    gram = np.zeros((trials, n_tx, n_tx))
-    grams = np.empty((trials, len(counts), n_tx, n_tx))
-    with np.errstate(over="ignore", invalid="ignore"):  # an entry past 1e154 squares to inf
-        for i, (start, x) in enumerate(zip((0, *counts), counts)):
-            for r in range(start, x):
-                gram += h[:, r, :, None] * h[:, r, None, :]
-            grams[:, i] = gram
-        return np.ascontiguousarray(np.linalg.eigvalsh(grams)[..., ::-1])
-
-
 def _upper(n: int) -> list:
     """The entries (p, q), p <= q, of an n x n symmetric matrix's upper
-    triangle in row order: the slots the Jacobi kernel holds it in."""
+    triangle in row order: the slots the Gram rows hold it in."""
     return [(p, q) for p in range(n) for q in range(p, n)]
+
+
+def _slots(n: int) -> list:
+    """The n x n table, as nested lists, of the slot of :func:`_upper` that
+    holds each entry (p, q) of a symmetric matrix."""
+    slot = [[0] * n for _ in range(n)]
+    for k, (p, q) in enumerate(_upper(n)):
+        slot[p][q] = slot[q][p] = k
+    return slot
 
 
 def _jacobi_rotations(n: int) -> list:
     """The rotations of one cyclic Jacobi sweep over the slots of
     :func:`_upper`, the pairs p < q in row order: the slots of a_pp, a_qq
     and a_pq, and those of (a_op, a_oq) for every other index o."""
-    slot = {}
-    for k, (p, q) in enumerate(_upper(n)):
-        slot[p, q] = slot[q, p] = k
-    return [(slot[p, p], slot[q, q], slot[p, q],
-             [(slot[o, p], slot[o, q]) for o in range(n) if o != p and o != q])
+    slot = _slots(n)
+    return [(slot[p][p], slot[q][q], slot[p][q],
+             [(slot[o][p], slot[o][q]) for o in range(n) if o != p and o != q])
             for p in range(n) for q in range(p + 1, n)]
 
 
-def _jacobi_floats(rows: list, n: int) -> list:
-    """The nonincreasing eigenvalues of the Gram matrix of ``rows``, lists
-    of n floats, by the cyclic Jacobi kernel on Python floats.
+def _gram_rows(h: np.ndarray, counts) -> np.ndarray:
+    """The upper-triangle entries of the Gram matrices H[:x]^T H[:x] of every
+    trial and count, one row per slot of :func:`_upper`: shape (slots,
+    len(counts) * trials), count-major.  Each entry is a running sum of row
+    products in row order, from 0.0; an entry past 1e154 squares to inf."""
+    trials, _, n = h.shape
+    ps, qs = np.array(_upper(n)).T
+    # rows by column by trial, so each product of two columns is contiguous
+    ht = np.ascontiguousarray(h.transpose(1, 2, 0))
+    out = np.empty((ps.size, len(counts), trials))
+    run = np.zeros((ps.size, trials))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (start, x) in enumerate(zip((0, *counts), counts)):
+            for r in range(start, x):
+                run += ht[r, ps] * ht[r, qs]
+            out[:, i] = run
+    return out.reshape(ps.size, -1)
+
+
+def _gram_eigvalsh(gram: np.ndarray, n: int) -> np.ndarray:
+    """The nonincreasing eigenvalues, by ``eigvalsh``, of the n x n Gram
+    matrices whose :func:`_upper` entries are the columns of ``gram``, as
+    :func:`_gram_rows` lays them out: shape (columns, n).  One gather
+    through the slot table of :func:`_slots` builds the symmetric matrices."""
+    return np.linalg.eigvalsh(gram[np.array(_slots(n))].transpose(2, 0, 1))[:, ::-1]
+
+
+def _jacobi_floats(a: list, n: int) -> list:
+    """The nonincreasing eigenvalues of the Gram matrix whose :func:`_upper`
+    entries are the list ``a`` of floats, a column of :func:`_gram_rows`,
+    by the cyclic Jacobi kernel on Python floats.
 
     Each step is the IEEE-rounded operation of the same step of
     :func:`_jacobi_gains`, in the same order, so the two give the same
-    bits, an unconverged or out-of-range Gram's from ``eigvalsh`` included.
+    bits, an unconverged or out-of-range Gram's included.
     """
     upper = _upper(n)
-    a = [0.0] * len(upper)
-    for row in rows:
-        for k, (p, q) in enumerate(upper):
-            a[k] += row[p] * row[q]
-    gram, rotations = a.copy(), _jacobi_rotations(n)
+    gram, a, rotations = a, a.copy(), _jacobi_rotations(n)
     for _ in range(_JACOBI_SWEEPS):
         for pp, qq, pq, others in rotations:
             app, aqq, apq = a[pp], a[qq], a[pq]
@@ -273,38 +289,19 @@ def _jacobi_floats(rows: list, n: int) -> list:
             off += abs(a[k])
     if off <= trace * _EPS and _JACOBI_TRACE[0] <= trace <= _JACOBI_TRACE[1]:
         return sorted((a[k] for k, (p, q) in enumerate(upper) if p == q), reverse=True)
-    full = np.empty((n, n))
-    for k, (p, q) in enumerate(upper):
-        full[p, q] = full[q, p] = gram[k]
-    return np.linalg.eigvalsh(full)[::-1].tolist()
-
-
-def _gram_rows(h: np.ndarray, counts) -> np.ndarray:
-    """The upper-triangle entries of the Gram matrices H[:x]^T H[:x] of every
-    trial and count, one row per slot of :func:`_upper`: shape (slots,
-    len(counts) * trials), count-major.  Each entry is a running sum of row
-    products in row order, from 0.0, as :func:`_jacobi_floats` adds them."""
-    trials, _, n = h.shape
-    ps, qs = np.array(_upper(n)).T
-    # rows by column by trial, so each product of two columns is contiguous
-    ht = np.ascontiguousarray(h.transpose(1, 2, 0))
-    out = np.empty((ps.size, len(counts), trials))
-    run = np.zeros((ps.size, trials))
-    for i, (start, x) in enumerate(zip((0, *counts), counts)):
-        for r in range(start, x):
-            run += ht[r, ps] * ht[r, qs]
-        out[:, i] = run
-    return out.reshape(ps.size, -1)
+    return _gram_eigvalsh(np.array(gram)[:, None], n)[0].tolist()
 
 
 def _jacobi_gains(h: np.ndarray, counts) -> np.ndarray:
     """The nonincreasing Gram eigenvalues of every trial and count, shape
-    (trials, len(counts), n_tx), by the cyclic Jacobi kernel: the transpose
-    of a C-contiguous (n_tx, trials, len(counts)) array.
+    (trials, len(counts), n_tx): the transpose of a C-contiguous (n_tx,
+    trials, len(counts)) array, the subchannel-major layout the
+    water-filling reads.
 
-    The Gram matrices' upper-triangle entries are the rows of one array, an
-    entry of every matrix of the stack in each contiguous row, so each step
-    of a rotation is one elementwise pass over the stack.  ``_JACOBI_SWEEPS``
+    The Gram matrices' upper-triangle entries are the rows of
+    :func:`_gram_rows`, an entry of every matrix of the stack in each
+    contiguous row, so up to ``_JACOBI_MAX_DIM`` columns each step of a
+    rotation is one elementwise pass over the stack.  ``_JACOBI_SWEEPS``
     cyclic sweeps rotate every pair p < q in row order by the smaller angle
     that zeroes a_pq, of tangent t = 2 a_pq / (d + sign(d) sqrt(d^2 +
     4 a_pq^2)), d = a_qq - a_pp (Golub & Van Loan, Matrix Computations,
@@ -314,83 +311,85 @@ def _jacobi_gains(h: np.ndarray, counts) -> np.ndarray:
     off-diagonal |a_pq| sum to at most eps times the trace: each is then
     within sqrt(2) eps times the trace of an eigenvalue (Weyl).  A matrix
     short of that, or whose trace is outside ``_JACOBI_TRACE`` (a
-    non-finite Gram's too), takes ``eigvalsh`` of its Gram matrix, a copy
-    of which is kept for them.  Every step is an IEEE-rounded +, -, *, /,
-    sqrt or copysign, or an exact min or max, so :func:`_jacobi_floats`
-    gives the same bits.
+    non-finite Gram's too), takes :func:`_gram_eigvalsh` of its Gram
+    matrix, a copy of which is kept for them, as every matrix does past
+    ``_JACOBI_MAX_DIM`` columns, where no rotation runs; at most as many
+    at a time as the stack has trials.  Every step is an IEEE-rounded +, -,
+    *, /, sqrt or copysign, or an exact min or max, so
+    :func:`_jacobi_floats` gives the same bits.
     """
     trials, _, n = h.shape
-    upper = _upper(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram takes eigvalsh
-        a = _gram_rows(h, counts)
-        gram = a.copy()
-        d, r, t, c = np.empty((4, a.shape[1]))
-        rotations = _jacobi_rotations(n)
-        for _ in range(_JACOBI_SWEEPS):
-            for pp, qq, pq, others in rotations:
-                app, aqq, apq = a[pp], a[qq], a[pq]
-                np.subtract(aqq, app, out=d)
-                np.add(apq, apq, out=t)
-                np.multiply(d, d, out=r)
-                np.multiply(t, t, out=c)
-                r += c
-                r += _TINY
-                np.sqrt(r, out=r)
-                np.copysign(r, d, out=r)
-                r += d
-                t /= r
-                np.multiply(t, t, out=c)
-                c += 1.0
-                np.sqrt(c, out=c)
-                np.divide(1.0, c, out=c)
-                np.multiply(t, apq, out=r)
-                app -= r
-                aqq += r
-                apq.fill(0.0)
-                for op, oq in others:
-                    x, y = a[op], a[oq]
-                    np.multiply(t, y, out=d)
-                    np.multiply(t, x, out=r)
-                    x -= d
-                    x *= c
-                    y += r
-                    y *= c
-        trace, off = d, r
-        trace.fill(0.0)
-        off.fill(0.0)
-        for k, (p, q) in enumerate(upper):
-            if p == q:
-                trace += a[k]
-            else:
-                off += np.abs(a[k], out=c)
-        np.multiply(trace, _EPS, out=c)
-        done = off <= c
-        done &= trace >= _JACOBI_TRACE[0]
-        done &= trace <= _JACOBI_TRACE[1]
-    # an insertion network sorts the diagonals ascending, each step an
-    # exact min and max, and the gains take them in reverse
-    diag = [a[k] for k, (p, q) in enumerate(upper) if p == q]
-    for i in range(1, n):
-        for j in range(i, 0, -1):
-            np.minimum(diag[j - 1], diag[j], out=c)
-            np.maximum(diag[j - 1], diag[j], out=diag[j])
-            diag[j - 1][:] = c
-    # subchannel-major, the layout the water-filling reads
-    gains = np.empty((n, trials, len(counts)))
-    for j in range(n):
-        gains[j] = diag[n - 1 - j].reshape(len(counts), trials).T
+    gram = _gram_rows(h, counts)
+    if n > _JACOBI_MAX_DIM:
+        gains = np.empty((n, trials, len(counts)))
+        rest = np.arange(gram.shape[1])
+    else:
+        # rotating the built rows and allocating the gains last lets the next
+        # block reuse this one's heap (other orders page-faulted up to 2 MB)
+        upper = _upper(n)
+        a, gram = gram, gram.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram takes eigvalsh
+            d, r, t, c = np.empty((4, a.shape[1]))
+            rotations = _jacobi_rotations(n)
+            for _ in range(_JACOBI_SWEEPS):
+                for pp, qq, pq, others in rotations:
+                    app, aqq, apq = a[pp], a[qq], a[pq]
+                    np.subtract(aqq, app, out=d)
+                    np.add(apq, apq, out=t)
+                    np.multiply(d, d, out=r)
+                    np.multiply(t, t, out=c)
+                    r += c
+                    r += _TINY
+                    np.sqrt(r, out=r)
+                    np.copysign(r, d, out=r)
+                    r += d
+                    t /= r
+                    np.multiply(t, t, out=c)
+                    c += 1.0
+                    np.sqrt(c, out=c)
+                    np.divide(1.0, c, out=c)
+                    np.multiply(t, apq, out=r)
+                    app -= r
+                    aqq += r
+                    apq.fill(0.0)
+                    for op, oq in others:
+                        x, y = a[op], a[oq]
+                        np.multiply(t, y, out=d)
+                        np.multiply(t, x, out=r)
+                        x -= d
+                        x *= c
+                        y += r
+                        y *= c
+            trace, off = d, r
+            trace.fill(0.0)
+            off.fill(0.0)
+            for k, (p, q) in enumerate(upper):
+                if p == q:
+                    trace += a[k]
+                else:
+                    off += np.abs(a[k], out=c)
+            np.multiply(trace, _EPS, out=c)
+            done = off <= c
+            done &= trace >= _JACOBI_TRACE[0]
+            done &= trace <= _JACOBI_TRACE[1]
+        # an insertion network sorts the diagonals ascending, each step an
+        # exact min and max, and the gains take them in reverse
+        diag = [a[k] for k, (p, q) in enumerate(upper) if p == q]
+        for i in range(1, n):
+            for j in range(i, 0, -1):
+                np.minimum(diag[j - 1], diag[j], out=c)
+                np.maximum(diag[j - 1], diag[j], out=diag[j])
+                diag[j - 1][:] = c
+        gains = np.empty((n, trials, len(counts)))
+        for j in range(n):
+            gains[j] = diag[n - 1 - j].reshape(len(counts), trials).T
+        del a, diag, d, r, t, c, trace, off
+        rest = np.flatnonzero(~done)
     gains = gains.transpose(1, 2, 0)
-    del a, diag, d, r, t, c, trace, off
-    # the rest take eigvalsh of their Gram matrices, at most as many at a
-    # time as the stack has trials
-    rest = np.flatnonzero(~done)
     for start in range(0, rest.size, trials):
         cols = rest[start : start + trials]
-        full = np.empty((cols.size, n, n))
-        for k, (p, q) in enumerate(upper):
-            full[:, p, q] = full[:, q, p] = gram[k, cols]
         i, j = np.divmod(cols, trials)
-        gains[j, i] = np.linalg.eigvalsh(full)[:, ::-1]
+        gains[j, i] = _gram_eigvalsh(gram[:, cols], n)
     return gains
 
 

@@ -224,15 +224,17 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     its curves, k = min(k_list[-1], n_sq) (0 without ``k_list``) and m =
     ``n_tx`` (0 for a vector channel):
 
-    * a matrix's spectrum: the draw, x m, held once, and the Gram matrices.
-      Up to ``channel._JACOBI_MAX_DIM`` columns, while they are built, the
-      draw's transposed copy, x m, per grid point the u = m (m + 1) / 2
-      upper-triangle entries, and the running sums and one row's products
-      and their factors, 4 u; while they rotate and sort, per grid point
-      the u entries twice (a copy kept for the unconverged), four
-      temporaries and the m gains.  Past it, per grid point an m x m matrix
-      and the gains twice, and the running Gram sum and one row's outer
-      products, 2 m^2;
+    * a matrix's spectrum: the draw, x m, held once, 8 entries to spare
+      for the redraw counts and the small arrays beside it, and per grid
+      point the u = m (m + 1) / 2 upper-triangle Gram entries.  While they
+      are built, the draw's transposed copy, x m, and the running sums and
+      one row's products and their factors, 4 u; then per grid point the m
+      gains and a column index or mask, and the larger of the rotations'
+      working set (up to ``channel._JACOBI_MAX_DIM`` columns), per grid
+      point a copy of the entries and four temporaries, u + 4, and one
+      ``eigvalsh`` chunk of at most one matrix per trial: its u entries,
+      its m x m matrix, its m eigenvalues and their reversed copy, and
+      three indices;
     * the statistics: the squared row norms, x, and per grid point a
       vector's sum row and its max row (with ``k_list`` the top-k row,
       whose first column is the max), or a matrix's max row and gains,
@@ -240,21 +242,21 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     * the kernels: per grid point the c curve values, the statistics held,
       the largest kernel's temporaries (3 for a capped half-log, 2 k + 1
       plus one per ``k_list`` count for the multi-select rate pass and its
-      picks, 7 m + 3 for the water-filling and the relaxed rates) and one
+      picks, 5 m + 4 + m // 8 for the water-filling and the relaxed
+      rates: about five m-wide arrays, a mask and a few rows) and one
       entry to spare for the small arrays beside them.
     """
     x, n = spec.axis[-1], len(spec.axis)
     k = min(spec.k_list[-1], spec.n_sq) if spec.k_list else 0
     m = spec.n_tx or 0
     held = 1 + (m or k or 1)  # max and gains, sum and top k, or sum and max
-    if m <= _JACOBI_MAX_DIM:
-        u = m * (m + 1) // 2
-        spectrum = x * m + max(x * m + n * u + 4 * u, n * (2 * u + m + 4))
-    else:
-        spectrum = x * m + n * (m * m + 2 * m) + 2 * m * m
+    u = m * (m + 1) // 2
+    rotations = n * (u + 4) if m <= _JACOBI_MAX_DIM else 0
+    solve = n * (u + m + 1) + max(rotations, u + m * m + 2 * m + 3)
+    spectrum = x * m + 8 + max(x * m + 4 * u + n * u, solve) if m else 0
     step = max(b - a for a, b in zip((0,) + spec.axis, spec.axis))
     stats = x + n * held + (step + k if k else 0)
-    temps = max(3, 2 * k + len(spec.k_list) + 1 if k else 0, 7 * m + 3 if m else 0)
+    temps = max(3, 2 * k + len(spec.k_list) + 1 if k else 0, 5 * m + 4 + m // 8 if m else 0)
     curves = sum(len(labels) for labels, *_ in _curves(spec))
     return max(spectrum, stats, n * (curves + held + temps + 1))
 

@@ -17,6 +17,7 @@ from sqcap.channel import (
     RankDeficientError,
     _full_rank_rows,
     _gaussian_rows,
+    _gram_rows,
     _jacobi_floats,
     _jacobi_gains,
     _prefix_gains,
@@ -130,15 +131,17 @@ def _jacobi_cases(n: int) -> np.ndarray:
 @pytest.mark.parametrize("sweeps", [1, sqcap.channel._JACOBI_SWEEPS])
 def test_jacobi_floats_match_the_stacked_kernel_bit_for_bit(monkeypatch, n, sweeps):
     # a one-matrix stack runs the kernel on Python floats, a larger one as
-    # array passes: the same bits for every prefix, wide and tall, converged
-    # or (one sweep leaves most unconverged) taking eigvalsh
+    # array passes, both from the Gram entries of _gram_rows: the same bits
+    # for every prefix, wide and tall, converged or (one sweep leaves most
+    # unconverged) taking eigvalsh
     monkeypatch.setattr(sqcap.channel, "_JACOBI_SWEEPS", sweeps)
     h = _jacobi_cases(n)
     counts = tuple(range(1, h.shape[1] + 1))
     stacked = _jacobi_gains(h, counts)
     for t in range(h.shape[0]):
         for i, x in enumerate(counts):
-            assert np.array_equal(_jacobi_floats(h[t, :x].tolist(), n), stacked[t, i]), (t, x)
+            entries = _gram_rows(h[t : t + 1], (x,))[:, 0].tolist()
+            assert np.array_equal(_jacobi_floats(entries, n), stacked[t, i]), (t, x)
     # the identity's eigenvalues are its diagonal, exactly, and orthogonal
     # columns of one norm repeat one eigenvalue to within rounding
     assert np.all(stacked[0, n - 1 :] == 1.0)
@@ -147,16 +150,31 @@ def test_jacobi_floats_match_the_stacked_kernel_bit_for_bit(monkeypatch, n, swee
     np.testing.assert_allclose(repeated, 18.0, rtol=1e-14)
 
 
+def _eigvalsh_reference(h: np.ndarray, counts) -> np.ndarray:
+    """Every trial's and count's Gram eigenvalues, nonincreasing: running
+    sums of row outer products in row order, from 0.0, then eigvalsh."""
+    trials, _, n = h.shape
+    gram = np.zeros((trials, n, n))
+    out = np.empty((trials, len(counts), n))
+    for i, (start, x) in enumerate(zip((0, *counts), counts)):
+        for r in range(start, x):
+            gram += h[:, r, :, None] * h[:, r, None, :]
+        out[:, i] = np.linalg.eigvalsh(gram)[:, ::-1]
+    return out
+
+
 @pytest.mark.parametrize("n", range(2, _JACOBI_MAX_DIM + 1))
 def test_unconverged_jacobi_takes_eigvalsh_of_its_gram(monkeypatch, n):
     # with no sweep no Gram matrix converges, so every one, in range or not,
-    # takes eigvalsh of its Gram matrix: the bits of the eigvalsh path
+    # takes eigvalsh of its Gram matrix: the bits of eigvalsh on the running
+    # Gram sums
     monkeypatch.setattr(sqcap.channel, "_JACOBI_SWEEPS", 0)
     h = _jacobi_cases(n)[2:]
     counts = tuple(range(1, h.shape[1] + 1))
-    want = sqcap.channel._eigvalsh_gains(h, counts)
+    want = _eigvalsh_reference(h, counts)
     assert np.array_equal(_jacobi_gains(h, counts), want)
-    assert np.array_equal(_jacobi_floats(h[0].tolist(), n), want[0, -1])
+    entries = _gram_rows(h[:1], counts[-1:])[:, 0].tolist()
+    assert np.array_equal(_jacobi_floats(entries, n), want[0, -1])
 
 
 @pytest.mark.parametrize("n", [3, _JACOBI_MAX_DIM, _JACOBI_MAX_DIM + 2])
@@ -175,11 +193,12 @@ def test_trial_gains_do_not_depend_on_the_stack(n):
             assert np.array_equal(one[0, 0], gains[t, i]) and one_full[0]
 
 
-@pytest.mark.parametrize("n", range(2, _JACOBI_MAX_DIM + 1))
+@pytest.mark.parametrize("n", [*range(2, _JACOBI_MAX_DIM + 1), 7, 8, 12])
 def test_jacobi_gains_come_subchannel_major(n):
     # a sweep water-fills the rows of gains.reshape(-1, n) one subchannel
-    # at a time: on the Jacobi path that is a view whose transpose is
-    # C-contiguous, wide prefixes zero-padded and SVD-rescued ones included
+    # at a time: at every width, eigvalsh past the Jacobi sizes included,
+    # that is a view whose transpose is C-contiguous, wide prefixes
+    # zero-padded and SVD-rescued ones included
     h = np.random.default_rng(50 + n).standard_normal((30, 3 * n, n))
     h[4, :, 1] = h[4, :, 0] + 1e-4 * h[4, :, 1]  # an ill-conditioned Gram: the SVD
     counts = (1, n, 2 * n, 3 * n)
@@ -410,6 +429,17 @@ def test_full_rank_rows_redraws_only_pending_streams(monkeypatch):
     deficient = _DRAW_ATTEMPTS
     with pytest.raises(RuntimeError, match=f"{_DRAW_ATTEMPTS} attempts in trial 7$"):
         _full_rank_rows(seed, [2, 7], shape, counts)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_],
+                         ids=["True", "False", "np.True_", "np.False_"])
+def test_booleans_are_neither_counts_nor_seeds(flag):
+    with pytest.raises(ValueError, match="n_rx must be a positive integer"):
+        ChannelEnsembleSpec(flag, 3, seed=0)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        ChannelEnsembleSpec(3, 3, seed=flag)
+    with pytest.raises(ValueError, match="stream"):
+        gaussian_draw(3, flag, (2,))
 
 
 def test_ensemble_spec_validation():

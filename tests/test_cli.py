@@ -162,6 +162,16 @@ def test_channel_whose_squares_overflow(capsys, entries, code):
         assert json.loads(out)["result"]["upper_bits"] == np.log2(3.0)
 
 
+def test_channel_json_boolean_count_is_rejected(capsys):
+    # JSON true equals 1 but is no count: one error line, exit 1, as for
+    # any other non-integer n_rx
+    channel = json.dumps({"n_rx": True, "n_tx": 1, "entries": [1]})
+    code, out, err = run(capsys, "bounds", "--family", "mimo-single-select", "--channel", channel,
+                         "--power", "1", "--nsq", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: n_rx must be a positive integer, got True\n"
+
+
 def test_bounds_bad_family_is_usage_error(capsys):
     code, _, err = run(capsys, "bounds", "--family", "bogus")
     assert code == 2

@@ -556,8 +556,7 @@ def test_matrix_sweep_takes_one_spectrum_pass_per_block(monkeypatch):
 
         return call
 
-    for module, name in [(np.linalg, "eigvalsh"), (np.linalg, "svd"),
-                         (sqcap.channel, "_jacobi_gains"), (sqcap.channel, "_eigvalsh_gains")]:
+    for module, name in [(np.linalg, "eigvalsh"), (np.linalg, "svd"), (sqcap.channel, "_jacobi_gains")]:
         monkeypatch.setattr(module, name, counted(module, name))
     spec = figure_spec("fig2c", trials=3, seed=4, axis=(5, 6, 8))
     with monkeypatch.context() as patch:
@@ -567,11 +566,14 @@ def test_matrix_sweep_takes_one_spectrum_pass_per_block(monkeypatch):
     # every Gram matrix converged, so no eigvalsh, and no SVD
     assert calls == ["_jacobi_gains", "_jacobi_gains"]
     # past the Jacobi sizes, wide prefixes share the tall ones' running Gram
-    # sum and one stacked eigvalsh
+    # sums in one kernel pass over the block, and eigvalsh takes its Gram
+    # matrices at most as many at a time as the block has trials; no SVD
     calls.clear()
     assert MIXED_WIDTH_SPEC.n_tx > sqcap.channel._JACOBI_MAX_DIM
     run_sweep(MIXED_WIDTH_SPEC)
-    assert calls == ["_eigvalsh_gains", "eigvalsh"]
+    trials = MIXED_WIDTH_SPEC.trials
+    matrices = trials * len(MIXED_WIDTH_SPEC.axis)
+    assert calls == ["_jacobi_gains"] + ["eigvalsh"] * -(-matrices // trials)
 
 
 def test_matrix_sweep_ill_conditioned_prefix_takes_the_svd(monkeypatch):
