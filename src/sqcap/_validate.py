@@ -12,6 +12,9 @@ import numpy as np
 
 __all__: list = []
 
+#: The smallest normal float: its reciprocal, and that of every larger float, is finite.
+_TINY = 2.0**-1022
+
 
 def _frozen(values) -> np.ndarray:
     """A read-only float64 copy of ``values``."""
@@ -59,26 +62,32 @@ def _check_vector(
     values, name: str, positive: bool = False, nonincreasing: bool = False
 ) -> np.ndarray:
     """``values`` as a 1-D, nonempty, finite float64 array, positive with
-    finite reciprocals and sorted nonincreasing if asked."""
+    finite reciprocals and sorted nonincreasing if asked.
+
+    A fixed number of whole-array reductions: NaN carries through ``min``
+    and ``max``, so both are finite only if every entry is, and only a
+    minimum below the smallest normal float can have an infinite reciprocal.
+    """
     v = np.asarray(values, dtype=np.float64)
     kind = "positive finite" if positive else "finite"
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be 1-D, nonempty and {kind}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)) or (positive and np.any(v <= 0)):
+    lo, hi = v.min(), v.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)) or (positive and lo <= 0):
         raise ValueError(f"{name} must be {kind}")
-    if positive:
+    if positive and lo < _TINY:
         with np.errstate(over="ignore"):
             tiny = v[np.isinf(1.0 / v)]
         if tiny.size:
             raise ValueError(f"{name} must have finite reciprocals, got {float(tiny[0])!r}")
-    if nonincreasing and np.any(np.diff(v) > 0):
+    if nonincreasing and (v[1:] > v[:-1]).any():
         raise ValueError(f"{name} must be sorted nonincreasing")
     return v
 
 
 def _check_probabilities(values, name: str) -> np.ndarray:
-    """``values`` as a finite, nonnegative float64 array."""
+    """``values`` as a finite, nonnegative float64 array; an empty one passes."""
     p = np.asarray(values, dtype=np.float64)
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
+    if p.size and not (p.min() >= 0 and p.max() < math.inf):  # NaN fails both
         raise ValueError(f"{name} must be finite and nonnegative")
     return p

@@ -102,20 +102,20 @@ class AllocationResult:
     def __post_init__(self):
         for name in ("gains", "powers", "quantizer_shares"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        if np.any(self.powers < 0) or np.any(self.quantizer_shares < 0):
+        powers, shares = self.powers, self.quantizer_shares
+        # (x < 0).any(), not x.min() < 0: NaN powers and shares pass as before
+        if (powers < 0).any() or (shares < 0).any():
             raise ValueError("allocations must be nonnegative")
-        if self.powers.sum() > self.power_budget * (1 + _WF_TOL) + _WF_TOL:
+        power_sum, share_sum = powers.sum(), shares.sum()
+        if power_sum > self.power_budget * (1 + _WF_TOL) + _WF_TOL:
+            raise ValueError(f"powers sum to {power_sum!r}, over budget {self.power_budget!r}")
+        if share_sum > self.quantizer_budget + _WF_TOL:
             raise ValueError(
-                f"powers sum to {self.powers.sum()!r}, over budget {self.power_budget!r}"
-            )
-        if self.quantizer_shares.sum() > self.quantizer_budget + _WF_TOL:
-            raise ValueError(
-                f"quantizer shares sum to {self.quantizer_shares.sum()!r}, "
-                f"over budget {self.quantizer_budget}"
+                f"quantizer shares sum to {share_sum!r}, over budget {self.quantizer_budget}"
             )
         if self.water_level < 0:
             raise ValueError(f"water level must be nonnegative, got {self.water_level!r}")
-        object.__setattr__(self, "active_count", int(np.count_nonzero(self.powers > 0)))
+        object.__setattr__(self, "active_count", int(np.count_nonzero(powers > 0)))
 
 
 def siso_sign_capacity(power: float) -> float:

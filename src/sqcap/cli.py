@@ -93,11 +93,11 @@ def _pair_dict(pair) -> dict:
 
 def _alloc_dict(alloc) -> dict:
     return {
-        "gains": list(map(float, alloc.gains)),
+        "gains": alloc.gains.tolist(),
         "power_budget": alloc.power_budget,
         "quantizer_budget": alloc.quantizer_budget,
-        "powers": list(map(float, alloc.powers)),
-        "quantizer_shares": list(map(float, alloc.quantizer_shares)),
+        "powers": alloc.powers.tolist(),
+        "quantizer_shares": alloc.quantizer_shares.tolist(),
         "active_count": alloc.active_count,
         "water_level": alloc.water_level,
         "rate_bits": alloc.rate,
@@ -156,7 +156,7 @@ def _build_scheme(args):
 def _cmd_pam(args) -> dict:
     scheme = _build_scheme(args)
     return {
-        "scheme": json.loads(scheme.to_json()),
+        "scheme": scheme.to_dict(),
         "inner_rate_bits": pam_inner_rate(scheme, args.gain),
     }
 
@@ -165,7 +165,7 @@ def _cmd_dither(args) -> dict:
     params = build_dithered_scheme(args.h, args.power, args.nsq, args.k)
     mi, err = dithered_mi_estimate(params, args.h, args.samples, args.seed)
     return {
-        "scheme": json.loads(params.to_json()),
+        "scheme": params.to_dict(),
         "mi_estimate_bits": mi,
         "std_err_bits": err,
     }
@@ -178,10 +178,10 @@ def _cmd_ba(args) -> dict:
     # pam_inner_rate, on the transition matrix already built
     uniform_rate = mutual_information(InputDistribution.uniform(scheme.m_levels), channel)
     return {
-        "scheme": json.loads(scheme.to_json()),
+        "scheme": scheme.to_dict(),
         "capacity_bits": capacity,
         "uniform_input_rate_bits": uniform_rate,
-        "input_distribution": list(map(float, dist.probs)),
+        "input_distribution": dist.probs.tolist(),
     }
 
 
@@ -215,6 +215,8 @@ def _cmd_sweep(args):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once; its ``commands`` maps each
+    subcommand name to that subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="sqcap",
         description=(
@@ -224,6 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sqcap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def command(name, handler, help):
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
     def common(p):
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -234,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", type=int, help="fix the constellation size directly")
         p.add_argument("--gain", type=float, default=1.0)
 
-    b = sub.add_parser("bounds", help="evaluate a closed-form capacity value or bound pair")
+    b = command("bounds", _cmd_bounds, "evaluate a closed-form capacity value or bound pair")
     b.add_argument("--family", choices=tuple(BOUND_FAMILIES), required=True)
     b.add_argument("--power", type=float)
     b.add_argument("--nsq", type=int)
@@ -243,21 +251,18 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ntx", type=int)
     b.add_argument("--channel", help="channel JSON, or @path to a JSON file")
     common(b)
-    b.set_defaults(handler=_cmd_bounds)
 
-    w = sub.add_parser("waterfill", help="split power and quantizer budgets over subchannels")
+    w = command("waterfill", _cmd_waterfill, "split power and quantizer budgets over subchannels")
     w.add_argument("--gains", type=_floats, required=True)
     w.add_argument("--power", type=float, required=True)
     w.add_argument("--nsq", type=int, required=True)
     common(w)
-    w.set_defaults(handler=_cmd_waterfill)
 
-    p = sub.add_parser("pam", help="build a PAM scheme and its exact achievable rate")
+    p = command("pam", _cmd_pam, "build a PAM scheme and its exact achievable rate")
     scheme_flags(p)
     common(p)
-    p.set_defaults(handler=_cmd_pam)
 
-    d = sub.add_parser("dither", help="dithered multi-antenna scheme with Monte-Carlo rate")
+    d = command("dither", _cmd_dither, "dithered multi-antenna scheme with Monte-Carlo rate")
     d.add_argument("--h", type=_floats, required=True)
     d.add_argument("--power", type=float, required=True)
     d.add_argument("--nsq", type=int, required=True)
@@ -265,16 +270,14 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--samples", type=int, default=10**5)
     d.add_argument("--seed", type=int, default=0)
     common(d)
-    d.set_defaults(handler=_cmd_dither)
 
-    a = sub.add_parser("ba", help="capacity of the scheme-induced channel by Blahut-Arimoto")
+    a = command("ba", _cmd_ba, "capacity of the scheme-induced channel by Blahut-Arimoto")
     scheme_flags(a)
     a.add_argument("--tolerance", type=float, default=1e-9)
     a.add_argument("--max-iters", type=int, default=10_000)
     common(a)
-    a.set_defaults(handler=_cmd_ba)
 
-    s = sub.add_parser("sweep", help="Monte-Carlo averaged figure curves to CSV")
+    s = command("sweep", _cmd_sweep, "Monte-Carlo averaged figure curves to CSV")
     s.add_argument("--figure", choices=FIGURES, required=True)
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
@@ -292,14 +295,29 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k-list", type=_ints)
     s.add_argument("--format", choices=("csv", "json"), default="csv")
     common(s)
-    s.set_defaults(handler=_cmd_sweep)
     return parser
 
 
-def cli_dispatch(argv) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one pass when ``argv[0]`` names a subcommand.
+
+    The subcommand's own parser reads the rest; anything it leaves over goes
+    back to the top-level parser with the whole argv, so every usage error
+    is the one the top-level parser prints.
+    """
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def cli_dispatch(argv) -> int:
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

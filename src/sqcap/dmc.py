@@ -173,6 +173,27 @@ def _mi_bits(r: np.ndarray, w: np.ndarray) -> float:
     return max(float(r[live] @ d[live] / _LN2), 0.0)
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """``scipy.special.logsumexp(a)`` of a 1-D float array, step for step.
+
+    The entries equal to the maximum are counted and left out of the
+    shifted sum, which keeps its precision, as scipy does; the sum runs over
+    the whole array, zeros where the maxima were, so numpy's pairwise
+    summation adds in scipy's order.  When the maximum is not finite, scipy
+    takes the direct log of the sum of exponentials, and so does this.
+    """
+    top = a.max()
+    if not np.isfinite(top):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.log(np.exp(a).sum())
+    at_top = a == top
+    count = np.float64(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, a - top)).sum()
+    if s != 0:
+        s = s / count
+    return np.log1p(s) + np.log(count) + top
+
+
 def blahut_arimoto(
     channel: TransitionMatrix, tolerance: float = 1e-9, max_iters: int = 10_000
 ) -> tuple[float, InputDistribution]:
@@ -200,8 +221,6 @@ def blahut_arimoto(
     r = np.full(n, 1.0 / n)
     rate_nats = 0.0
     gap_bits = np.inf
-    from scipy import special
-
     for _ in range(max_iters):
         # A row with current mass reaches only outputs with py > 0 or ones
         # whose mass underflowed, which score zero, so d is finite on the
@@ -215,7 +234,7 @@ def blahut_arimoto(
             return rate_nats / _LN2, InputDistribution(r)
         logr = np.full(n, -np.inf)
         logr[live] = np.log(r[live]) + d[live]
-        logr -= special.logsumexp(logr)
+        logr -= _logsumexp(logr)
         r = np.exp(logr)
         r /= r.sum()
     raise ConvergenceError(

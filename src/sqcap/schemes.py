@@ -86,17 +86,19 @@ class PamScheme:
         object.__setattr__(self, "points", _frozen(points))
         object.__setattr__(self, "thresholds", _frozen(0.5 * (points[:-1] + points[1:])))
 
+    def to_dict(self) -> dict:
+        """The scheme as plain JSON values; ``to_json`` dumps this dict."""
+        return {
+            "m_levels": self.m_levels,
+            "spacing": self.spacing,
+            "points": self.points.tolist(),
+            "thresholds": self.thresholds.tolist(),
+            "power_budget": self.power_budget,
+            "quantizers_used": self.thresholds.size,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m_levels": self.m_levels,
-                "spacing": self.spacing,
-                "points": list(map(float, self.points)),
-                "thresholds": list(map(float, self.thresholds)),
-                "power_budget": self.power_budget,
-                "quantizers_used": int(self.thresholds.size),
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def pam_scheme_for_levels(m_levels: int, power: float) -> PamScheme:
@@ -223,23 +225,25 @@ class DitheredSchemeParams:
     def quantizers_used(self) -> int:
         return self.selected_count * (self.m_levels + 1)
 
+    def to_dict(self) -> dict:
+        """The parameters as plain JSON values; ``to_json`` dumps this dict."""
+        return {
+            "selected_count": self.selected_count,
+            "m_levels": self.m_levels,
+            "spacing": self.spacing,
+            "dither_width": self.spacing,
+            "points": self.points.tolist(),
+            "base_thresholds": self.base_thresholds.tolist(),
+            "selected_gains": self.selected_gains.tolist(),
+            "effective_noise_bound": self.effective_noise_bound,
+            "power_budget": self.power_budget,
+            "quantizer_budget": self.quantizer_budget,
+            "quantizers_used": self.quantizers_used,
+            "flags": list(self.flags),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "selected_count": self.selected_count,
-                "m_levels": self.m_levels,
-                "spacing": self.spacing,
-                "dither_width": self.spacing,
-                "points": list(map(float, self.points)),
-                "base_thresholds": list(map(float, self.base_thresholds)),
-                "selected_gains": list(map(float, self.selected_gains)),
-                "effective_noise_bound": self.effective_noise_bound,
-                "power_budget": self.power_budget,
-                "quantizer_budget": self.quantizer_budget,
-                "quantizers_used": self.quantizers_used,
-                "flags": list(self.flags),
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def build_dithered_scheme(

@@ -933,3 +933,25 @@ def test_allocation_result_validation():
         AllocationResult(**ok, active_count=2)
     with pytest.raises(ValueError):
         AllocationResult(**{**ok, "water_level": -0.5})
+
+
+def test_allocation_result_messages_and_frozen_copies():
+    ok = dict(
+        gains=[2.0, 1.0], power_budget=2.0, quantizer_budget=4, powers=[1.0, 1.0],
+        quantizer_shares=[2.0, 2.0], water_level=1.5, rate=1.0,
+        branch=AllocationBranch.POWER_LIMITED,
+    )
+    alloc = AllocationResult(**ok)
+    for arr in (alloc.gains, alloc.powers, alloc.quantizer_shares):
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+    cases = [
+        ({"powers": [-0.5, 1.0]}, "allocations must be nonnegative"),
+        ({"quantizer_shares": [2.0, -1.0]}, "allocations must be nonnegative"),
+        ({"powers": [5.0, 1.0]}, "powers sum to np.float64(6.0), over budget 2.0"),
+        ({"quantizer_shares": [3.0, 2.0]}, "quantizer shares sum to np.float64(5.0), over budget 4"),
+        ({"water_level": -0.5}, "water level must be nonnegative, got -0.5"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ValueError) as err:
+            AllocationResult(**{**ok, **change})
+        assert str(err.value) == message

@@ -79,6 +79,62 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         cli._build_parser.cache_clear()
 
 
+_WATERFILL = ["waterfill", "--gains", "2.1,1.4,0.6", "--power", "12", "--nsq", "6"]
+
+#: argv -> the top-level parser's outcome, which the one-pass route must repeat
+PARSE_CASES = {
+    "no-argv": [],
+    "help": ["-h"],
+    "version": ["--version"],
+    "waterfill-help": ["waterfill", "-h"],
+    "unknown-command": ["nope"],
+    "unknown-flag": [*_WATERFILL, "--bogus"],
+    "unknown-flag-first": ["waterfill", "--bogus", "1", *_WATERFILL[1:]],
+    "missing-nsq": _WATERFILL[:5],
+    "bad-gains": ["waterfill", "--gains", "a,b", "--power", "12", "--nsq", "6"],
+    "deleted-sweep-flag": ["sweep", "--figure", "fig2c", "--trials", "2",
+                           "--include-highsnr-proxy"],
+    "stray-positional": [*_WATERFILL, "stray"],
+    "abbreviated-flags": ["waterfill", "--gai", "2,1", "--pow", "3", "--ns", "4"],
+    "equals-form": ["waterfill", "--gains=2,1", "--power=3", "--nsq=4"],
+    "version-after-command": [*_WATERFILL, "--version"],
+    "double-dash-then-positional": [*_WATERFILL, "--", "x"],
+    "valid-waterfill": _WATERFILL,
+    "valid-bounds": ["bounds", "--family", "simo-linear", "--h", "1.2,0.8", "--power", "4",
+                     "--nsq", "6"],
+    "valid-sweep": ["sweep", "--figure", "fig2a", "--trials", "2", "--format", "json"],
+    "bad-figure": ["sweep", "--figure", "nope"],
+    "bad-family": ["bounds", "--family", "x"],
+}
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        args, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, args
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_one_pass_parse_repeats_the_top_level_parser(capsys, argv):
+    want = _parse_outcome(capsys, cli._build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == want
+    code, out, err, _ = want
+    assert code is None or out or err
+
+
+def test_subcommand_argv_skips_the_top_level_parse(capsys, monkeypatch):
+    parser = cli._build_parser()
+    calls = []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv))
+    args = cli._parse(list(_WATERFILL))
+    assert calls == [] and args.command == "waterfill" and args.nsq == 6
+    cli._parse([*_WATERFILL, "--bogus"])  # what is left over goes back whole
+    assert calls == [[*_WATERFILL, "--bogus"]]
+
+
 def test_bounds_families(capsys):
     payload = run_json(capsys, "bounds", "--family", "siso-sign", "--power", "1")
     assert payload["result"]["capacity_bits"] == pytest.approx(0.368917232594458, rel=1e-12)

@@ -17,7 +17,7 @@ from sqcap.dmc import (
     output_marginal,
     quantizer_transition,
 )
-from sqcap.dmc import _log_positive, _row_divergences
+from sqcap.dmc import _log_positive, _logsumexp, _row_divergences
 from sqcap.tailmath import binary_entropy
 
 BSC_011 = TransitionMatrix(np.array([[0.89, 0.11], [0.11, 0.89]]))
@@ -234,3 +234,21 @@ def test_blahut_arimoto_convergence_error_carries_state():
     assert err.gap_bits > 0
     assert 0 <= err.rate_bits <= 1.0
     assert err.input_dist.probs.shape == (3,)
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    from scipy import special
+
+    rng = np.random.default_rng(34)
+    cases = [np.array(a) for a in ([-np.inf], [-np.inf, np.inf], [np.nan, 1.0], [1e308, 1e308])]
+    for _ in range(3000):
+        n = int(rng.integers(1, 70))
+        a = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0, 700.0]), size=n)
+        a[rng.random(n) < rng.random() / 2] = -np.inf  # outputs dropped from the support
+        if rng.random() < 0.3:  # tied maxima
+            a[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = np.max(a)
+        cases.append(a)
+    for a in cases:
+        want, got = special.logsumexp(a), _logsumexp(a)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True) and np.signbit(got) == np.signbit(want)

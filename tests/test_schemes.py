@@ -336,3 +336,22 @@ def test_dithered_params_validation():
     payload = json.loads(params.to_json())
     assert payload["m_levels"] == 7
     assert payload["quantizers_used"] == 16
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        build_pam_scheme(25.0, 4),
+        pam_scheme_for_levels(7, 3.5),
+        build_dithered_scheme((1.2, 1.5), 50.0, 16, 2),
+        build_dithered_scheme((1.2e77,), 100.0, 100, 1),
+    ],
+    ids=["pam", "pam-levels", "dither", "dither-huge-gain"],
+)
+def test_to_dict_is_the_json_payload(scheme):
+    d = scheme.to_dict()
+    assert d == json.loads(scheme.to_json())
+    assert json.dumps(d) == scheme.to_json()
+    # plain Python values only, as a JSON round trip would leave them
+    leaves = [v for x in d.values() for v in (x if isinstance(x, list) else [x])]
+    assert {type(v) for v in leaves} <= {int, float, str}
