@@ -103,18 +103,20 @@ class AllocationResult:
         for name in ("gains", "powers", "quantizer_shares"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         powers, shares = self.powers, self.quantizer_shares
-        # (x < 0).any(), not x.min() < 0: NaN powers and shares pass as before
-        if (powers < 0).any() or (shares < 0).any():
+        # every test is stated so that NaN fails it
+        if not ((powers >= 0).all() and (shares >= 0).all()):
             raise ValueError("allocations must be nonnegative")
         power_sum, share_sum = powers.sum(), shares.sum()
-        if power_sum > self.power_budget * (1 + _WF_TOL) + _WF_TOL:
+        if not power_sum <= self.power_budget * (1 + _WF_TOL) + _WF_TOL:
             raise ValueError(f"powers sum to {power_sum!r}, over budget {self.power_budget!r}")
-        if share_sum > self.quantizer_budget + _WF_TOL:
+        if not share_sum <= self.quantizer_budget + _WF_TOL:
             raise ValueError(
                 f"quantizer shares sum to {share_sum!r}, over budget {self.quantizer_budget}"
             )
-        if self.water_level < 0:
+        if not self.water_level >= 0:
             raise ValueError(f"water level must be nonnegative, got {self.water_level!r}")
+        if math.isnan(self.rate):
+            raise ValueError(f"rate must be a number, got {self.rate!r}")
         object.__setattr__(self, "active_count", int(np.count_nonzero(powers > 0)))
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -103,6 +103,52 @@ def _alloc_dict(alloc) -> dict:
         "rate_bits": alloc.rate,
         "branch": alloc.branch.value,
     }
+
+
+_INF = float("inf")
+
+
+def _json_text(o, newline: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)`` byte for byte.
+
+    Nested values are written at the indent that ``newline`` ends in.
+    ``json`` writes an indented dump with its pure-Python encoder; this is
+    the same recursion without a generator per container.  Floats, the
+    most common leaves, are tested first; bool is still tested before int.
+    It raises ``TypeError`` wherever ``json`` does, and also on a key that
+    is not a string, which ``json`` would convert; it does not detect
+    circular references.
+    """
+    if isinstance(o, float):
+        if -_INF < o < _INF:
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0.0 else "-Infinity"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _load_channel(text: str) -> ChannelMatrix:
@@ -328,7 +374,7 @@ def cli_dispatch(argv) -> int:
                 "command": args.command, "inputs": _echo(args), "result": result,
                 "version": __version__,
             }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = _json_text(payload) + "\n"
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8", newline="\n")
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validate import _check_count, _check_probabilities, _check_real, _check_vector, _frozen
-from .tailmath import clamp_small_probabilities, q_array, q_diff_array
+from .tailmath import _cell_masses, clamp_small_probabilities
 
 __all__ = [
     "ConvergenceError",
@@ -113,12 +113,7 @@ def quantizer_transition(
 
     # z[m, k] = (t_k - gain x_m) / std, increasing along k for every row
     z = (t[np.newaxis, :] - gain * x[:, np.newaxis]) / noise_std
-    probs = np.empty((x.size, t.size + 1))
-    probs[:, 0] = q_array(-z[:, 0])
-    if t.size > 1:
-        probs[:, 1:-1] = q_diff_array(z[:, :-1], z[:, 1:])
-    probs[:, -1] = q_array(z[:, -1])
-    return TransitionMatrix(clamp_small_probabilities(probs))
+    return TransitionMatrix(clamp_small_probabilities(_cell_masses(z)))
 
 
 def output_marginal(input_dist: InputDistribution, channel: TransitionMatrix) -> np.ndarray:

@@ -147,6 +147,11 @@ def q_array(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("q_array needs finite arguments")
+    return _tail(x)
+
+
+def _tail(x: np.ndarray) -> np.ndarray:
+    # q_array on a finite float64 array, unchecked
     from scipy import special
 
     # erfc returns a numpy scalar on 0-d input; the rescue needs an array
@@ -177,35 +182,59 @@ def q_diff_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("q_diff_array needs finite endpoints")
     if np.any(a > b):
         raise ValueError("q_diff_array needs a <= b elementwise")
-    out = np.empty(a.shape, dtype=np.float64)
+    # [()] turns a 0-d result into the numpy scalar np.maximum gives 0-d input
+    return _interval_masses(np.stack((a, b), axis=-1))[..., 0][()]
 
+
+def _interval_masses(z: np.ndarray) -> np.ndarray:
+    """Masses Q(z[..., k]) - Q(z[..., k + 1]) of the intervals between neighbours in z.
+
+    z is finite and nondecreasing along its last axis.  Each endpoint's tail
+    is read once, as Q(|z|): a right-side interval (0 < a) subtracts
+    Q(a) - Q(b), a left-side one (b < 0) its mirror image Q(|b|) - Q(|a|),
+    and only intervals that straddle 0 take erf.  A one-sided subtraction
+    that keeps fewer than six digits of the nearer tail is recomputed by
+    quadrature over the interval, mirrored onto the right side.
+    """
+    a, b = z[..., :-1], z[..., 1:]
+    q = _tail(np.abs(z))
+    qa, qb = q[..., :-1], q[..., 1:]
+    left = b < 0.0
+    # on each side the endpoint nearer 0 has the larger tail
+    near = np.where(left, qb, qa)
+    d = near - np.where(left, qa, qb)
     straddle = (a <= 0.0) & (b >= 0.0)
-    if np.any(straddle):
+    if straddle.any():
         from scipy import special
 
-        out[straddle] = 0.5 * (
+        d[straddle] = 0.5 * (
             special.erf(b[straddle] * _INV_SQRT2) - special.erf(a[straddle] * _INV_SQRT2)
         )
-
-    right = a > 0.0
-    if np.any(right):
-        out[right] = _tail_side_diff(a[right], b[right])
-    left = b < 0.0
-    if np.any(left):
-        # Q(a) - Q(b) = Q(-b) - Q(-a), mirrored onto the right tail
-        out[left] = _tail_side_diff(-b[left], -a[left])
-
-    return np.maximum(out, 0.0)
+    for i in np.flatnonzero((d < _CANCEL_GUARD * near) & ~straddle):
+        lo, hi = float(a.flat[i]), float(b.flat[i])
+        d.flat[i] = _interval_mass_quad(-hi, -lo) if hi < 0.0 else _interval_mass_quad(lo, hi)
+    return np.maximum(d, 0.0)
 
 
-def _tail_side_diff(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # both endpoints positive: tails are small on this side, so the paired
-    # subtraction is safe unless the interval is very narrow
-    qlo = q_array(lo)
-    d = qlo - q_array(hi)
-    for i in np.flatnonzero(d < _CANCEL_GUARD * qlo):
-        d[i] = _interval_mass_quad(float(lo[i]), float(hi[i]))
-    return d
+def _cell_masses(z: np.ndarray) -> np.ndarray:
+    """Gaussian masses of the cells (-inf, z_0], (z_0, z_1], ..., (z_last, inf) of each row of z.
+
+    z is nondecreasing along its last axis.  The interior cells are
+    :func:`_interval_masses` of the whole grid and the two edge cells one
+    tail call; a non-finite first column fails as q_array's argument, any
+    other as q_diff_array's endpoint.
+    """
+    finite = np.isfinite(z)
+    if not finite.all():
+        if not finite[..., 0].all():
+            raise ValueError("q_array needs finite arguments")
+        raise ValueError("q_diff_array needs finite endpoints")
+    out = np.empty(z.shape[:-1] + (z.shape[-1] + 1,))
+    edges = _tail(np.stack((-z[..., 0], z[..., -1])))
+    out[..., 0], out[..., -1] = edges
+    if z.shape[-1] > 1:
+        out[..., 1:-1] = _interval_masses(z)
+    return out
 
 
 def clamp_small_probabilities(p: np.ndarray) -> np.ndarray:

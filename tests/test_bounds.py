@@ -936,6 +936,7 @@ def test_allocation_result_validation():
 
 
 def test_allocation_result_messages_and_frozen_copies():
+    nan = float("nan")
     ok = dict(
         gains=[2.0, 1.0], power_budget=2.0, quantizer_budget=4, powers=[1.0, 1.0],
         quantizer_shares=[2.0, 2.0], water_level=1.5, rate=1.0,
@@ -950,6 +951,13 @@ def test_allocation_result_messages_and_frozen_copies():
         ({"powers": [5.0, 1.0]}, "powers sum to np.float64(6.0), over budget 2.0"),
         ({"quantizer_shares": [3.0, 2.0]}, "quantizer shares sum to np.float64(5.0), over budget 4"),
         ({"water_level": -0.5}, "water level must be nonnegative, got -0.5"),
+        # NaN fails every test, the powers' first
+        ({"powers": [nan, 1.0], "water_level": nan, "rate": nan},
+         "allocations must be nonnegative"),
+        ({"quantizer_shares": [2.0, nan]}, "allocations must be nonnegative"),
+        ({"power_budget": nan}, "powers sum to np.float64(2.0), over budget nan"),
+        ({"water_level": nan}, "water level must be nonnegative, got nan"),
+        ({"rate": nan}, "rate must be a number, got nan"),
     ]
     for change, message in cases:
         with pytest.raises(ValueError) as err:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import CLI_CASES
 
 import sqcap
@@ -465,3 +467,47 @@ def test_memory_error_is_runtime_error(capsys, monkeypatch):
     code, out, err = run(capsys, *_SWEEP_ARGV)
     assert code == 1 and out == ""
     assert err == "error: Unable to allocate 137. GiB for an array\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]),
+)
+_LEAVES = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=400)
+def test_json_writer_is_the_indented_dump_byte_for_byte(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.int64(3), np.bool_(True), {1, 2}, object(), b"x"], ids=lambda v: type(v).__name__
+)
+def test_json_writer_raises_type_error_where_json_does(bad):
+    for payload in (bad, [1.0, bad], {"a": {"b": bad}}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(payload)
+        assert str(got.value) == str(want.value)
+    # json would write a number as its string; every payload's keys are strings
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        cli._json_text({1: 2.0})

@@ -5,15 +5,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from sqcap.dmc import quantizer_transition
 from sqcap.tailmath import (
+    _CANCEL_GUARD,
     CLAMP_FLOOR,
     TAIL_TINY,
     _INV_SQRT2,
     _deep_tail,
+    _interval_mass_quad,
     binary_entropy,
     clamp_small_probabilities,
     q_array,
@@ -119,6 +122,116 @@ def test_q_diff_array_shape_and_values():
     got = q_diff_array(a, b)
     want = np.array([[q_diff(-1.0, -0.5), q_diff(0.0, 0.5)], [q_diff(2.0, 2.5), q_diff(5.0, 5.5)]])
     np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+def _per_side_q_diff_array(a, b):
+    # the interval masses before the one-pass kernel: each side's tails read
+    # by their own q_array calls, the left side mirrored onto the right
+    a, b = np.broadcast_arrays(np.asarray(a, np.float64), np.asarray(b, np.float64))
+    out = np.empty(a.shape, dtype=np.float64)
+    straddle = (a <= 0.0) & (b >= 0.0)
+    if np.any(straddle):
+        out[straddle] = 0.5 * (
+            special.erf(b[straddle] * _INV_SQRT2) - special.erf(a[straddle] * _INV_SQRT2)
+        )
+    right = a > 0.0
+    if np.any(right):
+        out[right] = _per_side_tail_diff(a[right], b[right])
+    left = b < 0.0
+    if np.any(left):
+        out[left] = _per_side_tail_diff(-b[left], -a[left])
+    return np.maximum(out, 0.0)
+
+
+def _per_side_tail_diff(lo, hi):
+    qlo = q_array(lo)
+    d = qlo - q_array(hi)
+    for i in np.flatnonzero(d < _CANCEL_GUARD * qlo):
+        d[i] = _interval_mass_quad(float(lo[i]), float(hi[i]))
+    return d
+
+
+def _per_column_transition(points, thresholds, gain, noise_std):
+    # quantizer_transition's probabilities before the one-pass kernel: the
+    # edge cells and the interior intervals by three separate calls
+    x, t = np.asarray(points, np.float64), np.asarray(thresholds, np.float64)
+    z = (t[np.newaxis, :] - gain * x[:, np.newaxis]) / noise_std
+    probs = np.empty((x.size, t.size + 1))
+    probs[:, 0] = q_array(-z[:, 0])
+    if t.size > 1:
+        if not np.all(np.isfinite(z)):
+            raise ValueError("q_diff_array needs finite endpoints")
+        probs[:, 1:-1] = _per_side_q_diff_array(z[:, :-1], z[:, 1:])
+    probs[:, -1] = q_array(z[:, -1])
+    return clamp_small_probabilities(probs)
+
+
+_WIDTHS = st.one_of(st.just(0.0), st.floats(1e-15, 1e-6), st.floats(1e-6, 20.0))
+
+
+@given(st.lists(st.tuples(st.floats(-45.0, 45.0), _WIDTHS), min_size=1, max_size=12))
+@example([(-1.0, 3.0), (0.0, 2.0), (-2.0, 2.0), (-0.0, 0.0)])  # straddling
+@example([(2.0, 1.0), (8.0, 1.0), (-3.0, 1.0), (-9.0, 1.0)])  # one-sided, each side
+@example([(5.0, 1e-9), (-5.0 - 1e-9, 1e-9), (20.0, 1e-12), (-3.0, 1e-13)])  # quadrature rescue
+@example([(37.6, 0.6), (-38.5, 0.8), (37.5, 1e-10), (38.0, 0.5)])  # erfc underflows to 0
+@example([(38.7, 1.3), (-41.0, 2.0), (39.0, 1e-9), (44.0, 0.0)])  # past the floor
+@settings(max_examples=300, deadline=None)
+def test_q_diff_is_the_per_side_oracle_bit_for_bit(pairs):
+    a = np.array([p[0] for p in pairs])
+    b = a + np.array([p[1] for p in pairs])
+    want = _per_side_q_diff_array(a, b)
+    assert q_diff_array(a, b).tobytes() == want.tobytes()
+    if a.size % 2 == 0:
+        shape = (2, a.size // 2)
+        got = q_diff_array(a.reshape(shape), b.reshape(shape))
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+    for ai, bi, wi in zip(a, b, want):
+        assert q_diff(ai, bi) == wi
+        assert type(q_diff_array(ai, bi)) is type(_per_side_q_diff_array(ai, bi)) is np.float64
+
+
+_GRIDS = st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6),
+    st.one_of(_GRIDS, st.tuples(st.floats(-45.0, 45.0), st.floats(1e-12, 1e-5), st.integers(1, 8))
+              .map(lambda s: [s[0] + k * s[1] for k in range(s[2])])),
+    st.floats(-4.0, 4.0),
+    st.floats(0.02, 4.0),
+)
+@example([0.0, 1.0], [-1.0, 0.0, 1.0], 1.0, 1.0)  # straddling cells
+@example([0.0], [5.0, 5.0 + 1e-9, 5.0 + 2e-9], 1.0, 1.0)  # rescued right cells
+@example([0.0], [-5.0 - 2e-9, -5.0 - 1e-9, -5.0], 1.0, 1.0)  # rescued left cells
+@example([0.0], [-38.5, -37.6, 37.6, 38.5], 1.0, 1.0)  # erfc underflow on both sides
+@example([0.0], [-44.0, -40.0, 40.0, 44.0], 1.0, 1.0)  # floored tails
+@example([0.0, 1.0], [-1.0, 37.5, 38.2], 1.0, 1.0)  # subnormal cells clamped to zero
+@settings(max_examples=300, deadline=None)
+def test_quantizer_transition_is_the_per_column_oracle_bit_for_bit(points, thresholds, gain, std):
+    if any(u >= v for u, v in zip(thresholds, thresholds[1:])):
+        return  # a step below the spacing of floats: not strictly increasing
+    c0 = underflow_clamps.count
+    got = quantizer_transition(points, thresholds, gain, std).probs
+    c1 = underflow_clamps.count
+    want = _per_column_transition(points, thresholds, gain, std)
+    assert got.tobytes() == want.tobytes()
+    assert c1 - c0 == underflow_clamps.count - c1
+
+
+@pytest.mark.parametrize(
+    "thresholds, message",
+    [
+        ([-1e300, 0.0], "q_array needs finite arguments"),  # the first cell's tail
+        ([1e300], "q_array needs finite arguments"),
+        ([0.0, 1e300], "q_diff_array needs finite endpoints"),  # an interior column
+        ([-1.0, 0.0, 1e300], "q_diff_array needs finite endpoints"),
+    ],
+)
+def test_quantizer_transition_overflow_reads_as_the_per_column_calls(thresholds, message):
+    for build in (quantizer_transition, _per_column_transition):
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            build([0.0, 1.0], thresholds, 1.0, 1e-10)
+        assert str(err.value) == message
 
 
 def test_binary_entropy_endpoints_and_symmetry():
