@@ -195,7 +195,8 @@ def _multi_select_rates(top: np.ndarray, power: float, n_sq: int) -> np.ndarray:
     :func:`_top_squares` returns them, one selection problem per row.
     """
     counts = np.arange(1, top.shape[-1] + 1, dtype=np.float64)
-    return _capped_half_log(1.0 + np.cumsum(top, axis=-1) * power, n_sq / counts)
+    with np.errstate(over="ignore"):  # a sum or SNR past the float range is inf; the caps clip it
+        return _capped_half_log(1.0 + np.cumsum(top, axis=-1) * power, n_sq / counts)
 
 
 def _multi_select_flags(gains: np.ndarray, power: float, n_sq: int) -> tuple:
@@ -238,9 +239,11 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     v = _check_vector(h, "gain vector")
     p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
-    rates = _multi_select_rates(_top_squares(v * v, min(v.size, m)), p, m)
+    with np.errstate(over="ignore"):  # a gain past 1e154 squares to inf, which the caps clip
+        sq, norm_sq = v * v, float(v @ v)
+    rates = _multi_select_rates(_top_squares(sq, min(v.size, m)), p, m)
     best = int(np.argmax(rates))
-    upper = float(_capped_half_log(1.0 + float(v @ v) * p, m))
+    upper = float(_capped_half_log(1.0 + norm_sq * p, m))
     flags = _multi_select_flags(v, p, m)
     return BoundPair(max(float(rates[best]) - 2.0, 0.0), upper, 2.0, argmax_k=best + 1, flags=flags)
 
@@ -248,7 +251,9 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
 def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
     """Maximal-ratio combining before quantization, gap half a bit."""
     v = _check_vector(h, "gain vector")
-    return _capped_pair(float(v @ v), power, n_sq, 0.5)
+    with np.errstate(over="ignore"):  # a gain past 1e154 squares to inf, which the cap clips
+        norm_sq = float(v @ v)
+    return _capped_pair(norm_sq, power, n_sq, 0.5)
 
 
 def mimo_single_select_bounds(channel: ChannelMatrix, power: float, n_sq: int) -> BoundPair:
@@ -267,7 +272,8 @@ def _relaxed_rates(g: np.ndarray, powers: np.ndarray, free: np.ndarray, n_sq: in
     so the total adds in subchannel order: bit for bit numpy's row sum up
     to 7 subchannels, as in ``_capped_waterfill_rows``.
     """
-    demand = np.sqrt(1.0 + g.T * powers.T) - 1.0  # one row per subchannel
+    with np.errstate(over="ignore"):  # an infinite demand exceeds any budget
+        demand = np.sqrt(1.0 + g.T * powers.T) - 1.0  # one row per subchannel
     k = np.count_nonzero(powers.T > 0, axis=0)
     split = [j * math.log2(n_sq / j + 1.0) if j else 0.0 for j in range(g.shape[-1] + 1)]
     capped = sum(demand) > n_sq
@@ -406,7 +412,8 @@ def _capped_waterfill_rows(g: np.ndarray, caps: np.ndarray | None, power: float)
         mu = target - sum(np.where(capped, caps, 0.0)) + sum(np.where(free, inv, 0.0))
         mu = np.where(all_capped, np.max(inv, axis=0) + power, mu / np.maximum(n_free, 1))
         p = np.where(all_capped, caps, np.minimum(np.maximum(mu - inv, 0.0), caps))
-    return 0.5 * sum(np.log2(1.0 + g * p)), p.T, mu
+    with np.errstate(over="ignore"):  # an infinite free rate: the demand then caps it
+        return 0.5 * sum(np.log2(1.0 + g * p)), p.T, mu
 
 
 def _sum_in_numpy_order(d: list) -> float:
@@ -448,7 +455,8 @@ def _bisected_free_rate(g: np.ndarray, power: float) -> float:
         mu = (lo + hi) * 0.5
         total = _sum_in_numpy_order([mu - x if mu > x else 0.0 for x in inv])
         if not (abs(total - power) > tol and lo < mu < hi):
-            return float(np.sum(0.5 * np.log2(1.0 + g * np.maximum(mu - 1.0 / g, 0.0))))
+            with np.errstate(over="ignore"):  # an infinite free rate tags the quantizer limit
+                return float(np.sum(0.5 * np.log2(1.0 + g * np.maximum(mu - 1.0 / g, 0.0))))
         lo, hi = (lo, mu) if total > power else (mu, hi)
 
 

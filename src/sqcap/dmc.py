@@ -10,6 +10,7 @@ additive stopping gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
-_LN2 = np.log(2.0)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,27 +169,6 @@ def _mi_bits(r: np.ndarray, w: np.ndarray) -> float:
     return max(float(r[live] @ d[live] / _LN2), 0.0)
 
 
-def _logsumexp(a: np.ndarray) -> np.float64:
-    """``scipy.special.logsumexp(a)`` of a 1-D float array, step for step.
-
-    The entries equal to the maximum are counted and left out of the
-    shifted sum, which keeps its precision, as scipy does; the sum runs over
-    the whole array, zeros where the maxima were, so numpy's pairwise
-    summation adds in scipy's order.  When the maximum is not finite, scipy
-    takes the direct log of the sum of exponentials, and so does this.
-    """
-    top = a.max()
-    if not np.isfinite(top):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.log(np.exp(a).sum())
-    at_top = a == top
-    count = np.float64(np.count_nonzero(at_top))
-    s = np.exp(np.where(at_top, -np.inf, a - top)).sum()
-    if s != 0:
-        s = s / count
-    return np.log1p(s) + np.log(count) + top
-
-
 def blahut_arimoto(
     channel: TransitionMatrix, tolerance: float = 1e-9, max_iters: int = 10_000
 ) -> tuple[float, InputDistribution]:
@@ -227,10 +207,8 @@ def blahut_arimoto(
         gap_bits = (float(np.max(d)) - rate_nats) / _LN2
         if gap_bits <= tolerance:
             return rate_nats / _LN2, InputDistribution(r)
-        logr = np.full(n, -np.inf)
-        logr[live] = np.log(r[live]) + d[live]
-        logr -= _logsumexp(logr)
-        r = np.exp(logr)
+        # r <- r e^d / sum, with d shifted by its live max so exp cannot overflow
+        r[live] *= np.exp(d[live] - d[live].max())
         r /= r.sum()
     raise ConvergenceError(
         f"capacity gap {gap_bits:.3e} bits above tolerance {tolerance:.1e} "

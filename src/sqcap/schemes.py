@@ -129,6 +129,11 @@ def _pam_channel(scheme: PamScheme, gain: float) -> TransitionMatrix:
     Thresholds are placed at the received (gain-scaled) midpoints.
     """
     gain = _check_real(gain, "gain", positive=True)
+    if not math.isfinite(gain * float(scheme.points[-1] - scheme.points[0])):
+        raise ValueError(
+            f"power {scheme.power_budget!r} and gain {gain!r} put the received PAM span "
+            "past the float range"
+        )
     return quantizer_transition(scheme.points, gain * scheme.thresholds, gain, 1.0)
 
 

@@ -164,7 +164,12 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
 
 def _half_log(*names: str):
     """Kernel of the bounds 0.5 log2 min(1 + P stat, (n_sq + 1)^2), one per named statistic."""
-    return lambda spec, stats, p: (_capped_half_log(1.0 + stats[n] * p, spec.n_sq) for n in names)
+
+    def kernel(spec: SweepSpec, stats: dict, p: float) -> list:
+        with np.errstate(over="ignore"):  # P stat past the float range is inf, which the cap clips
+            return [_capped_half_log(1.0 + stats[n] * p, spec.n_sq) for n in names]
+
+    return kernel
 
 
 def _k_strongest(spec: SweepSpec, stats: dict, p: float) -> list:
@@ -186,7 +191,9 @@ def _k_strongest(spec: SweepSpec, stats: dict, p: float) -> list:
 
 
 def _best_row_and_waterfill(spec: SweepSpec, stats: dict, p: float):
-    yield _capped_half_log(1.0 + stats["max_sq"] * p, spec.n_sq)
+    with np.errstate(over="ignore"):  # P |h|^2 past the float range is inf, which the cap clips
+        best = _capped_half_log(1.0 + stats["max_sq"] * p, spec.n_sq)
+    yield best
     free, powers, _ = _capped_waterfill_rows(stats["gains"], None, p)
     yield _relaxed_rates(stats["gains"], powers, free, spec.n_sq)[0].reshape(-1, len(spec.axis))
 

@@ -352,8 +352,10 @@ def test_dither_command(capsys):
         "dither --h 1.5,1.2 --power 1e308 --nsq 16 --k 2",
         "dither --h 1e307 --power 100 --nsq 100 --k 1",
         "pam --levels 3 --power 1e308",
+        "pam --power 1e6 --gain 1.7e308 --levels 2",
+        "ba --power 1e77 --gain 1e300 --levels 9",
     ],
-    ids=["dither-spacing", "dither-threshold-span", "pam-spacing"],
+    ids=["dither-spacing", "dither-threshold-span", "pam-spacing", "pam-received-span", "ba-received-span"],
 )
 def test_scheme_past_the_float_range_is_an_error(capsys, argv):
     with warnings.catch_warnings():
@@ -361,6 +363,36 @@ def test_scheme_past_the_float_range_is_an_error(capsys, argv):
         code, out, err = run(capsys, *argv.split())
     assert code == 1 and out == ""
     assert err.startswith("error: power ") and err.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "waterfill --gains 1e300,1e200,1e154,1e77 --power 1e154 --nsq 1",
+        "sweep --figure custom --trials 1 --axis 2 --powers 1,1.7e308 --nsq 64 --ntx 3",
+        "sweep --figure custom --trials 2 --axis 1,3 --powers 1.7e308 --nsq 8 --k-list 1,2",
+        "bounds --family simo-linear --power 1 --nsq 7 --h 3,1e300",
+        "bounds --family simo-multi-select --power 1 --nsq 7 --h 3,1e300",
+        "bounds --family simo-multi-select --power 1 --nsq 7 --h 1.3e154,1.3e154",
+    ],
+    ids=["waterfill", "sweep-matrix", "sweep-vector", "simo-linear", "simo-multi-select",
+         "simo-multi-select-sum"],
+)
+def test_rates_past_the_float_range_are_capped_without_warnings(capsys, argv):
+    # P |h|^2, a water-filled g p or a quantizer demand overflows to inf, and a cap clips it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    if argv.startswith("sweep"):
+        rows = out.splitlines()[1:]
+        assert rows and all(np.isfinite(float(v)) for row in rows for v in row.split(",")[2:])
+    else:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 def test_ba_command(capsys):

@@ -17,7 +17,8 @@ from sqcap.dmc import (
     output_marginal,
     quantizer_transition,
 )
-from sqcap.dmc import _log_positive, _logsumexp, _row_divergences
+from sqcap.dmc import _log_positive, _row_divergences
+from sqcap.schemes import _pam_channel, build_pam_scheme, pam_scheme_for_levels
 from sqcap.tailmath import binary_entropy
 
 BSC_011 = TransitionMatrix(np.array([[0.89, 0.11], [0.11, 0.89]]))
@@ -236,19 +237,61 @@ def test_blahut_arimoto_convergence_error_carries_state():
     assert err.input_dist.probs.shape == (3,)
 
 
-def test_logsumexp_is_scipys_bit_for_bit():
+def _log_domain_blahut_arimoto(w, tolerance=1e-9, max_iters=10_000):
+    """Blahut-Arimoto in the log domain, each update normalized by
+    ``scipy.special.logsumexp``: (rate bits, input, gap bits, iterations)."""
     from scipy import special
 
-    rng = np.random.default_rng(34)
-    cases = [np.array(a) for a in ([-np.inf], [-np.inf, np.inf], [np.nan, 1.0], [1e308, 1e308])]
-    for _ in range(3000):
-        n = int(rng.integers(1, 70))
-        a = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0, 700.0]), size=n)
-        a[rng.random(n) < rng.random() / 2] = -np.inf  # outputs dropped from the support
-        if rng.random() < 0.3:  # tied maxima
-            a[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = np.max(a)
-        cases.append(a)
-    for a in cases:
-        want, got = special.logsumexp(a), _logsumexp(a)
-        assert type(got) is type(want)
-        assert np.array_equal(got, want, equal_nan=True) and np.signbit(got) == np.signbit(want)
+    w = w[:, w.sum(axis=0) > 0]
+    logw = _log_positive(w)
+    r = np.full(w.shape[0], 1.0 / w.shape[0])
+    for iteration in range(1, max_iters + 1):
+        d = _row_divergences(r, w, logw)
+        live = r > 0
+        rate = r[live] @ d[live]
+        gap = (np.max(d) - rate) / np.log(2.0)
+        if gap <= tolerance:
+            break
+        logr = np.full(r.size, -np.inf)
+        logr[live] = np.log(r[live]) + d[live]
+        r = np.exp(logr - special.logsumexp(logr))
+        r /= r.sum()
+    return rate / np.log(2.0), r, gap, iteration
+
+
+BA_REFERENCE_LAWS = {
+    "bsc": lambda: BSC_011,
+    "bec": lambda: TransitionMatrix(np.array([[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]])),
+    "z": lambda: TransitionMatrix(np.array([[1.0, 0.0], [0.5, 0.5]])),
+    "ba-golden": lambda: _pam_channel(build_pam_scheme(40.0, 7), 1.1),
+    "ba-readme": lambda: _pam_channel(build_pam_scheme(16.0, 3), 1.0),
+    # one law per power decade of the benchmark's cli-mix ba commands
+    "ba-power-31.6": lambda: _pam_channel(build_pam_scheme(31.6, 7), 1.7),
+    "ba-power-316": lambda: _pam_channel(build_pam_scheme(316.0, 15), 0.8),
+    "ba-power-3162": lambda: _pam_channel(build_pam_scheme(3162.0, 63), 2.4),
+    # still 3.2e-5 bits short of the tolerance after the default 10 000 iterations
+    "ba-levels-40": lambda: _pam_channel(pam_scheme_for_levels(40, 50.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("law", BA_REFERENCE_LAWS.values(), ids=BA_REFERENCE_LAWS.keys())
+def test_blahut_arimoto_matches_the_log_domain_reference(law):
+    w = law()
+    rate, r, gap, iterations = _log_domain_blahut_arimoto(w.probs)
+    if gap > 1e-9:
+        with pytest.raises(ConvergenceError) as info:
+            blahut_arimoto(w)
+        err = info.value
+        assert type(err.rate_bits) is float and type(err.gap_bits) is float
+        assert err.iterations == iterations == 10_000
+        assert abs(err.gap_bits - gap) <= 1e-12 and abs(err.rate_bits - rate) <= 1e-14
+        # 10 000 updates apart, the inputs differ by at most 1.4e-15
+        np.testing.assert_allclose(err.input_dist.probs, r, rtol=0, atol=1e-14)
+        return
+    cap, dist = blahut_arimoto(w, max_iters=iterations)
+    assert type(cap) is float
+    assert abs(cap - rate) <= 1e-14
+    np.testing.assert_allclose(dist.probs, r, rtol=0, atol=1e-15)
+    if iterations > 1:
+        with pytest.raises(ConvergenceError):
+            blahut_arimoto(w, max_iters=iterations - 1)
