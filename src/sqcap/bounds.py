@@ -180,12 +180,26 @@ def _capped_half_log(snr, n_sq):
     return v
 
 
-def _top_squares(sq: np.ndarray, kmax: int) -> np.ndarray:
-    """The ``kmax`` largest squared gains along the last axis, in nonincreasing order."""
-    n = sq.shape[-1]
-    if kmax < n:
-        sq = np.partition(sq, n - kmax, axis=-1)[..., n - kmax :]
-    return np.sort(sq, axis=-1)[..., ::-1]
+def _top_squares(sq: np.ndarray, counts, k: int) -> np.ndarray:
+    """The ``k`` largest of ``sq[:, :x]`` per row for every x of the increasing
+    ``counts``, nonincreasing and zero-padded: shape (rows, len(counts), k).
+
+    A prefix's strongest are among the previous prefix's (zeros before the
+    first) and the d entries added since.  The last k columns of one buffer
+    hold the previous strongest, ascending; the d go just before them, and
+    partitioning those d + k at d leaves the new strongest in the last k
+    columns, sorted there for the next prefix.
+    """
+    step = max(x - start for start, x in zip((0, *counts), counts))
+    tops = np.empty((len(sq), len(counts), k))
+    merge = np.zeros((len(sq), step + k))
+    for i, (start, x) in enumerate(zip((0, *counts), counts)):
+        d = x - start
+        merge[:, step - d : step] = sq[:, start:x]
+        merge[:, step - d :].partition(d, axis=1)
+        merge[:, step:].sort(axis=1)
+        tops[:, i] = merge[:, step:][:, ::-1]
+    return tops
 
 
 def _multi_select_rates(top: np.ndarray, power: float, n_sq: int) -> np.ndarray:
@@ -240,10 +254,10 @@ def simo_multi_select_bounds(h, power: float, n_sq: int) -> BoundPair:
     p = _check_real(power, "power")
     m = _check_count(n_sq, "n_sq")
     with np.errstate(over="ignore"):  # a gain past 1e154 squares to inf, which the caps clip
-        sq, norm_sq = v * v, float(v @ v)
-    rates = _multi_select_rates(_top_squares(sq, min(v.size, m)), p, m)
+        sq = v * v
+        upper = float(_capped_half_log(1.0 + float(np.cumsum(sq)[-1]) * p, m))
+    rates = _multi_select_rates(_top_squares(sq[None], (v.size,), min(v.size, m))[0, 0], p, m)
     best = int(np.argmax(rates))
-    upper = float(_capped_half_log(1.0 + norm_sq * p, m))
     flags = _multi_select_flags(v, p, m)
     return BoundPair(max(float(rates[best]) - 2.0, 0.0), upper, 2.0, argmax_k=best + 1, flags=flags)
 
@@ -252,7 +266,7 @@ def simo_linear_bounds(h, power: float, n_sq: int) -> BoundPair:
     """Maximal-ratio combining before quantization, gap half a bit."""
     v = _check_vector(h, "gain vector")
     with np.errstate(over="ignore"):  # a gain past 1e154 squares to inf, which the cap clips
-        norm_sq = float(v @ v)
+        norm_sq = float(np.cumsum(v * v)[-1])
     return _capped_pair(norm_sq, power, n_sq, 0.5)
 
 

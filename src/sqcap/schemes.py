@@ -126,7 +126,9 @@ def build_pam_scheme(power: float, n_sq: int) -> PamScheme:
 def _pam_channel(scheme: PamScheme, gain: float) -> TransitionMatrix:
     """Cell transitions of the scheme at unit noise and the given gain.
 
-    Thresholds are placed at the received (gain-scaled) midpoints.
+    Thresholds are placed at the received (gain-scaled) midpoints; a span
+    past the float range, or thresholds that the scaling leaves equal, are
+    errors that name the power and the gain.
     """
     gain = _check_real(gain, "gain", positive=True)
     if not math.isfinite(gain * float(scheme.points[-1] - scheme.points[0])):
@@ -134,7 +136,13 @@ def _pam_channel(scheme: PamScheme, gain: float) -> TransitionMatrix:
             f"power {scheme.power_budget!r} and gain {gain!r} put the received PAM span "
             "past the float range"
         )
-    return quantizer_transition(scheme.points, gain * scheme.thresholds, gain, 1.0)
+    thresholds = gain * scheme.thresholds
+    if np.any(np.diff(thresholds) <= 0):
+        raise ValueError(
+            f"power {scheme.power_budget!r} and gain {gain!r} put received PAM thresholds "
+            "closer than the float resolution"
+        )
+    return quantizer_transition(scheme.points, thresholds, gain, 1.0)
 
 
 def pam_inner_rate(scheme: PamScheme, gain: float) -> float:

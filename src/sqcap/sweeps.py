@@ -158,7 +158,9 @@ def multi_select_lower_capped(h, power: float, n_sq: int, k_cap: int) -> float:
     power = _check_real(power, "power")
     n_sq = _check_count(n_sq, "n_sq")
     kmax = min(_check_count(k_cap, "k_cap"), v.size, n_sq)
-    rates = _multi_select_rates(_top_squares(v * v, kmax), power, n_sq)
+    with np.errstate(over="ignore"):  # a gain past 1e154 squares to inf, which the caps clip
+        top = _top_squares((v * v)[None], (v.size,), kmax)[0, 0]
+    rates = _multi_select_rates(top, power, n_sq)
     return max(0.0, float(np.max(rates)) - 2.0)
 
 
@@ -268,6 +270,7 @@ def _entries_per_trial(spec: SweepSpec) -> int:
     return max(spectrum, stats, n * (curves + held + temps + 1))
 
 
+# np.sum(a, axis=-1) has the same bits but cost sweep-matrix 9-14%: measure before swapping
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """``np.sum(a, axis=-1)``, bit for bit.  numpy adds a row of 2 to 7
     entries left to right, one row at a time; that many column passes add
@@ -293,8 +296,9 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
     keeps.  The statistics are read once: per grid point the running max
     of the squared row norms, their running sum for a vector, the strongest
     of them in order, zero-padded to min(k_list[-1], n_sq), if ``k_list``
-    is set, and a matrix's gains, zero-padded to ``n_tx``, so each power
-    water-fills the whole block once without caps.  Each group's kernel
+    is set, by the scalar bounds' top-k kernel ``bounds._top_squares``, and
+    a matrix's gains, zero-padded to ``n_tx``, so each power water-fills
+    the whole block once without caps.  Each group's kernel
     then runs once per power.  Every step acts row by row, so a trial's
     values do not depend on its block.
     """
@@ -308,29 +312,13 @@ def _block(spec: SweepSpec, curves: list, t0: int, t1: int) -> np.ndarray:
         sq = _row_sums(np.square(h, out=h))
         stats["gains"] = prefix.reshape(-1, spec.n_tx)
         del h
-    starts = (0,) + spec.axis[:-1]
     if spec.k_list:
-        k = min(spec.k_list[-1], spec.n_sq)
-        step = max(x - start for start, x in zip(starts, spec.axis))
-        tops = stats["tops"] = np.empty((t1 - t0, len(spec.axis), k))
-        # the strongest of a prefix are among the previous prefix's strongest,
-        # zeros before the first, and the d entries added since.  The last k
-        # columns of one buffer hold the previous strongest, ascending; the d
-        # go just before them, and partitioning those d + k at d leaves the
-        # new strongest in the last k columns, sorted there for the next prefix
-        merge = np.zeros((t1 - t0, step + k))
-        for i, (start, x) in enumerate(zip(starts, spec.axis)):
-            d = x - start
-            merge[:, step - d : step] = sq[:, start:x]
-            merge[:, step - d :].partition(d, axis=1)
-            merge[:, step:].sort(axis=1)
-            tops[:, i] = merge[:, step:][:, ::-1]
-        del merge
-        # the strongest of a prefix is its first top
-        stats["max_sq"] = tops[:, :, 0]
+        tops = stats["tops"] = _top_squares(sq, spec.axis, min(spec.k_list[-1], spec.n_sq))
+        stats["max_sq"] = tops[:, :, 0]  # the strongest of a prefix is its first top
     else:
         # squaring rounds monotonically, so a vector's max |h|^2 is the square
         # of max |h|, the statistic the single-select bound squares
+        starts = (0,) + spec.axis[:-1]
         stats["max_sq"] = np.maximum.accumulate(np.maximum.reduceat(sq, starts, axis=1), axis=1)
     if spec.n_tx is None:  # no matrix curve reads the sums
         stats["sum_sq"] = np.cumsum(sq, axis=1, out=sq)[:, np.asarray(spec.axis) - 1]

@@ -354,8 +354,13 @@ def test_dither_command(capsys):
         "pam --levels 3 --power 1e308",
         "pam --power 1e6 --gain 1.7e308 --levels 2",
         "ba --power 1e77 --gain 1e300 --levels 9",
+        "pam --levels 3 --power 1e-300 --gain 5e-324",
+        "pam --levels 9 --power 0.5 --gain 5e-324",
+        "ba --levels 3 --power 1e-300 --gain 5e-324",
     ],
-    ids=["dither-spacing", "dither-threshold-span", "pam-spacing", "pam-received-span", "ba-received-span"],
+    ids=["dither-spacing", "dither-threshold-span", "pam-spacing", "pam-received-span",
+         "ba-received-span", "pam-thresholds-underflow", "pam-thresholds-partly-underflow",
+         "ba-thresholds-underflow"],
 )
 def test_scheme_past_the_float_range_is_an_error(capsys, argv):
     with warnings.catch_warnings():

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 import sqcap.channel
 import sqcap.sweeps
 from sqcap.bounds import (
-    _top_squares,
     mimo_single_select_bounds,
     simo_linear_bounds,
     simo_multi_select_bounds,
@@ -160,6 +160,16 @@ def test_multi_select_lower_capped_matches_full_bound():
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def test_multi_select_lower_capped_squares_past_the_float_range_silently():
+    # a gain past 1e154 squares to inf, which the caps clip, as in
+    # simo_multi_select_bounds: no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        capped = multi_select_lower_capped([1e200, 1.0], 1.0, 4, 1)
+        full = simo_multi_select_bounds([1e200, 1.0], 1.0, 4)
+    assert capped == max(math.log2(5.0) - 2.0, 0.0) and full.lower == capped
+
+
 def test_run_sweep_shapes_and_labels():
     # the CSV row order: each curve's grid points in turn, the curves of
     # each power together, then the selection curves, power by power
@@ -192,15 +202,31 @@ def test_single_trial_curves_match_direct_evaluation():
     master = gaussian_draw(11, 0, (4,))
     for x in (1, 2, 4):
         h = master[:x]
-        assert pts[("single-select-upper:P=3", x)] == pytest.approx(
-            simo_single_select_bounds(h, 3.0, 12).upper, rel=1e-12
-        )
-        assert pts[("linear-upper:P=3", x)] == pytest.approx(
-            simo_linear_bounds(h, 3.0, 12).upper, rel=1e-12
-        )
-        assert pts[("multi-select-lower:P=3;K=2", x)] == pytest.approx(
-            multi_select_lower_capped(h, 3.0, 12, 2), rel=1e-12
-        )
+        assert pts[("single-select-upper:P=3", x)] == simo_single_select_bounds(h, 3.0, 12).upper
+        assert pts[("linear-upper:P=3", x)] == simo_linear_bounds(h, 3.0, 12).upper
+        assert pts[("multi-select-lower:P=3;K=2", x)] == multi_select_lower_capped(h, 3.0, 12, 2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_vector_curves_equal_their_scalar_bounds(seed):
+    # the sweep block and the scalar API read the same statistics, the top
+    # squares from one kernel and |h|^2 summed in order, so a one-trial
+    # vector curve is its scalar bound on the prefix bit for bit, also
+    # where P is small enough that the sum's last bits reach the rate
+    axis, powers = (1, 3, 8, 17, 40, 90, 200), (1e-4, 0.01, 50.0)
+    spec = SweepSpec("custom", axis, powers, 4000, k_list=(5,), trials=1, seed=seed)
+    pts = {(p.curve_label, p.x): p.mean for p in run_sweep(spec)}
+    master = gaussian_draw(seed, 0, (axis[-1],))
+    for p in powers:
+        for x in axis:
+            h = master[:x]
+            assert pts[(f"single-select-upper:P={p:g}", x)] == simo_single_select_bounds(
+                h, p, 4000
+            ).upper
+            assert pts[(f"linear-upper:P={p:g}", x)] == simo_linear_bounds(h, p, 4000).upper
+            assert pts[(f"multi-select-lower:P={p:g};K=5", x)] == multi_select_lower_capped(
+                h, p, 4000, 5
+            )
 
 
 def test_multi_trial_curves_match_scalar_api():
@@ -228,7 +254,7 @@ def test_multi_trial_curves_match_scalar_api():
                 },
             }
             for label, values in want.items():
-                assert pts[(label, x)] == pytest.approx(np.mean(values), rel=1e-12)
+                assert pts[(label, x)] == np.mean(values)
 
 
 def _labels(curves: list) -> list:
@@ -273,9 +299,9 @@ def test_multi_select_curves_take_one_rate_pass_per_power(monkeypatch):
 )
 def test_top_rows_are_the_top_squares_of_every_prefix(monkeypatch, axis, n_sq, ks, ties):
     # the top rows, merged prefix by prefix in one buffer, are bit for bit
-    # the sorted strongest squares of each whole prefix, zero-padded to
-    # K = min(k_list[-1], n_sq), and the max row is their first column,
-    # the running max of the squares
+    # the strongest squares of each whole prefix as a full sort orders
+    # them, zero-padded to K = min(k_list[-1], n_sq), and the max row is
+    # their first column, the running max of the squares
     trials = 6
     spec = SweepSpec("custom", axis, (1.0,), n_sq, k_list=ks, trials=trials, seed=3)
     draws = _gaussian_rows(3, range(trials), (axis[-1],))
@@ -296,7 +322,7 @@ def test_top_rows_are_the_top_squares_of_every_prefix(monkeypatch, axis, n_sq, k
     assert seen["tops"].shape == (trials, len(axis), k)
     for i, x in enumerate(axis):
         want = np.zeros((trials, k))
-        top = _top_squares(sq[:, :x], min(k, x))
+        top = np.sort(sq[:, :x], axis=1)[:, ::-1][:, :k]
         want[:, : top.shape[1]] = top
         assert np.array_equal(seen["tops"][:, i], want)
         assert np.array_equal(seen["max_sq"][:, i], np.max(sq[:, :x], axis=1))
