@@ -244,18 +244,14 @@ def _cmd_sweep(args):
     spec = _sweep_spec(args)
     for a, f in SWEEP_FIELDS.items():  # the echo shows the spec as resolved
         setattr(args, a, getattr(spec, f))
-    points = run_sweep(spec, workers=args.workers)
+    table = run_sweep(spec, workers=args.workers)
     if args.format == "csv":
-        return csv_text(points)
+        return csv_text(table)
+    xs = [float(x) for x in table.axis]
     return [
-        {
-            "figure": pt.figure_id,
-            "curve": pt.curve_label,
-            "x": pt.x,
-            "mean": pt.mean,
-            "std_err": pt.std_err,
-        }
-        for pt in points
+        {"figure": table.figure_id, "curve": label, "x": x, "mean": mean, "std_err": err}
+        for label, means, errs in zip(table.labels, table.means.tolist(), table.std_errs.tolist())
+        for x, mean, err in zip(xs, means, errs)
     ]
 
 

@@ -24,6 +24,11 @@ order; every curve is a bound evaluated on each draw.
 folds each finished block into running sums trial by trial, so the output
 does not depend on the blocks and its memory does not grow with the trials.
 
+A sweep's result is one ``SweepTable``: its curve labels, its grid, and
+read-only (curves, grid points) arrays of the means and their standard
+errors.  ``csv_text`` writes its rows straight from those arrays;
+iterating the table yields one ``CurvePoint`` per CSV row, built on demand.
+
 Figure presets:
 
 * ``fig2a``: one receive antenna bank, 10 sign quantizers, P in {1, 10, 100},
@@ -58,6 +63,7 @@ from .channel import _JACOBI_MAX_DIM, _full_rank_rows, _gaussian_rows
 __all__ = [
     "CurvePoint",
     "SweepSpec",
+    "SweepTable",
     "csv_text",
     "emit_csv",
     "figure_spec",
@@ -113,10 +119,20 @@ class SweepSpec:
         object.__setattr__(self, "n_tx", n_tx)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", _check_seed(self.seed))
+        seen = {}
+        for labels, _, p in _curves(self):
+            for label in labels:  # a group's labels differ, so a repeat is another power's
+                if label in seen:
+                    raise ValueError(
+                        f"powers {seen[label]!r} and {p!r} share the curve label {label!r}"
+                    )
+                seen[label] = p
 
 
 @dataclass(frozen=True, slots=True)
 class CurvePoint:
+    """One CSV row of a ``SweepTable``: a curve's mean and s.e. at grid count ``x``."""
+
     figure_id: str
     curve_label: str
     x: float
@@ -125,11 +141,54 @@ class CurvePoint:
     trials: int
     seed: int
 
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Every curve of a sweep: ``means[c, j]`` and ``std_errs[c, j]`` are
+    curve ``labels[c]`` at grid count ``axis[j]``, read-only float arrays
+    of shape (curves, grid points).  Each mean must be finite and each
+    s.e. nonnegative.  Iterating yields one ``CurvePoint`` per CSV row,
+    each curve's grid points in turn, and ``len`` counts them.
+    """
+
+    figure_id: str
+    labels: tuple
+    axis: tuple
+    means: np.ndarray
+    std_errs: np.ndarray
+    trials: int
+    seed: int
+
     def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise ValueError(f"curve mean must be finite, got {self.mean!r}")
-        if not self.std_err >= 0:
-            raise ValueError(f"std_err must be nonnegative, got {self.std_err!r}")
+        labels, axis = tuple(self.labels), tuple(self.axis)
+        means = np.array(self.means, dtype=float)
+        errs = np.array(self.std_errs, dtype=float)
+        if not means.shape == errs.shape == (len(labels), len(axis)):
+            raise ValueError(
+                f"means and std_errs must have shape {(len(labels), len(axis))}, "
+                f"got {means.shape} and {errs.shape}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(means) & (errs >= 0)))
+        if bad.size:  # name the first offending CSV row
+            c, j = divmod(int(bad[0]), len(axis))
+            raise ValueError(
+                f"curve {labels[c]} at x={axis[j]!r} needs a finite mean and a nonnegative "
+                f"std_err, got {float(means[c, j])!r} and {float(errs[c, j])!r}"
+            )
+        means.flags.writeable = errs.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "std_errs", errs)
+
+    def __len__(self) -> int:
+        return self.means.size
+
+    def __iter__(self):
+        xs = [float(x) for x in self.axis]
+        for label, means, errs in zip(self.labels, self.means.tolist(), self.std_errs.tolist()):
+            for x, mean, err in zip(xs, means, errs):
+                yield CurvePoint(self.figure_id, label, x, mean, err, self.trials, self.seed)
 
 
 def figure_spec(figure_id: str, trials: int = 1000, seed: int = 0, **overrides) -> SweepSpec:
@@ -348,7 +407,7 @@ def _finished_blocks(spec: SweepSpec, curves: list, bounds, threads: int):
             yield pending.popleft().result()
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepTable:
     """Evaluate all configured curves, averaged over the trial ensemble.
 
     The trials are cut into n contiguous blocks, split as evenly as
@@ -364,7 +423,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     standard errors, exactly 0 where every trial has the same value.  Every
     sum adds its trials in order whatever the blocks, and a trial's values
     do not depend on its block, so the output is identical for any
-    ``workers`` value; nothing held grows with the trials.
+    ``workers`` value; nothing held grows with the trials.  The means and
+    standard errors come back as one ``SweepTable``.
     """
     workers = _check_count(workers, "workers")
     curves = _curves(spec)
@@ -398,22 +458,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
         errs = np.sqrt(var) / math.sqrt(spec.trials)
     else:
         errs = np.zeros_like(means)
-    return [
-        CurvePoint(spec.figure_id, label, float(x), mean, err, spec.trials, spec.seed)
-        for label, row_means, row_errs in zip(labels, means.tolist(), errs.tolist())
-        for x, mean, err in zip(spec.axis, row_means, row_errs)
-    ]
+    return SweepTable(spec.figure_id, labels, spec.axis, means, errs, spec.trials, spec.seed)
 
 
-def csv_text(points: list) -> str:
-    """CSV rendering of curve points; identical inputs give identical bytes."""
-    row = "%s,%s,%.12g,%.12g,%.12g,%s,%s\n"
-    return "figure,curve,x,mean,std_err,trials,seed\n" + "".join([
-        row % (pt.figure_id, pt.curve_label, pt.x, pt.mean, pt.std_err, pt.trials, pt.seed)
-        for pt in points
-    ])
+def csv_text(table: SweepTable) -> str:
+    """CSV rendering of a sweep table, one row per ``CurvePoint`` in its
+    iteration order; identical inputs give identical bytes."""
+    tail = ",%s,%s\n" % (table.trials, table.seed)
+    xs = ["%.12g" % x for x in table.axis]
+    rows = ["figure,curve,x,mean,std_err,trials,seed\n"]
+    for label, means, errs in zip(table.labels, table.means.tolist(), table.std_errs.tolist()):
+        lead = "%s,%s," % (table.figure_id, label)
+        rows += ["%s%s,%.12g,%.12g%s" % (lead, x, m, e, tail) for x, m, e in zip(xs, means, errs)]
+    return "".join(rows)
 
 
-def emit_csv(points: list, path) -> None:
+def emit_csv(table: SweepTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(points))
+        fh.write(csv_text(table))

@@ -54,6 +54,9 @@ def test_package_all_keeps_every_earlier_export():
     # re-exported from their modules' lists
     for name in ("RANK_TOL", "TAIL_TINY", "CLAMP_FLOOR", "clamp_small_probabilities"):
         assert name in sqcap.__all__
+    # exported later, from its module and the package alike
+    assert "SweepTable" in sqcap.sweeps.__all__ and "SweepTable" in sqcap.__all__
+    assert sqcap.SweepTable is sqcap.sweeps.SweepTable
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -18,6 +18,7 @@ import sqcap
 from sqcap import __version__, cli
 from sqcap.channel import ChannelEnsembleSpec, draw_channel
 from sqcap.cli import BOUND_FAMILIES, cli_dispatch
+from sqcap.sweeps import SweepSpec, figure_spec, run_sweep
 
 
 def run(capsys, *argv):
@@ -444,6 +445,30 @@ def test_sweep_json_format(capsys):
     # a preset's values are echoed as resolved
     preset = run_json(capsys, "sweep", "--figure", "fig2c", "--trials", "2", "--format", "json")
     assert preset["inputs"]["axis"] == list(range(5, 51))
+
+
+def test_sweep_json_rows_carry_the_table_floats(capsys):
+    for argv, spec in [
+        (["--figure", "fig2b", "--trials", "5", "--seed", "3"], figure_spec("fig2b", trials=5, seed=3)),
+        (["--figure", "custom", "--axis", "2,5,9", "--powers", "0.5,4", "--nsq", "6", "--ntx", "3",
+          "--trials", "4", "--seed", "2"],
+         SweepSpec("custom", (2, 5, 9), (0.5, 4.0), 6, n_tx=3, trials=4, seed=2)),
+    ]:
+        rows = run_json(capsys, "sweep", *argv, "--format", "json")["result"]
+        table = run_sweep(spec)
+        assert [(r["curve"], r["x"]) for r in rows] == [(p.curve_label, p.x) for p in table]
+        assert all(r["figure"] == spec.figure_id for r in rows)
+        # JSON writes the shortest repr, which reads back to the same double
+        means = [r["mean"] for r in rows]
+        errs = [r["std_err"] for r in rows]
+        assert means == table.means.ravel().tolist() and errs == table.std_errs.ravel().tolist()
+
+
+def test_sweep_powers_sharing_a_label_are_an_error(capsys):
+    code, out, err = run(capsys, "sweep", "--figure", "custom", "--axis", "1",
+                         "--powers", "1,1.0000001", "--nsq", "4", "--trials", "2")
+    assert code == 1 and out == ""
+    assert err == "error: powers 1.0 and 1.0000001 share the curve label 'single-select-upper:P=1'\n"
 
 
 def test_sweep_worker_flag_gives_identical_bytes(capsys, monkeypatch):

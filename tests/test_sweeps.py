@@ -24,6 +24,7 @@ from sqcap.channel import RANK_TOL, ChannelMatrix, _gaussian_rows, gaussian_draw
 from sqcap.sweeps import (
     CurvePoint,
     SweepSpec,
+    SweepTable,
     csv_text,
     emit_csv,
     figure_spec,
@@ -73,6 +74,25 @@ def test_spec_rejects_fractional_counts(field, kwargs):
     args = dict(figure_id="custom", axis=(1, 2), power_list=(1.0,), n_sq=4, trials=3)
     with pytest.raises(ValueError, match=field):
         SweepSpec(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs, powers, label",
+    [
+        (dict(), "1.0 and 1.0000001", "single-select-upper:P=1"),
+        (dict(k_list=(2,)), "1.0 and 1.0000001", "single-select-upper:P=1"),
+        (dict(n_tx=2), "1.0 and 1.0000001", "mimo-single-select-upper:P=1"),
+    ],
+    ids=["vector", "k-list", "matrix"],
+)
+def test_spec_rejects_powers_that_share_a_label(kwargs, powers, label):
+    # {p:g} keeps 6 significant digits: the two powers would name one curve twice
+    with pytest.raises(ValueError) as info:
+        SweepSpec("custom", (1, 2), (0.5, 1.0, 1.0000001), 4, trials=2, **kwargs)
+    assert str(info.value) == f"powers {powers} share the curve label {label!r}"
+    with pytest.raises(ValueError, match="powers 2.0 and 2.0 share"):
+        SweepSpec("custom", (1, 2), (2.0, 2.0), 4, trials=2, **kwargs)
+    SweepSpec("custom", (1, 2), (1.0, 1.00001), 4, trials=2, **kwargs)
 
 
 def test_k_cap_and_workers_must_be_counts():
@@ -513,13 +533,13 @@ def test_k_curves_nondecreasing_per_draw():
 
 def test_matrix_sweep_curves():
     spec = figure_spec("fig2c", trials=3, seed=5, axis=(5, 9))
-    pts = run_sweep(spec)
-    assert [p.curve_label for p in pts[::2]] == [
+    table = run_sweep(spec)
+    assert table.labels == (
         "mimo-single-select-upper:P=0.1", "waterfill-rate:P=0.1",
         "mimo-single-select-upper:P=1", "waterfill-rate:P=1",
-    ]
+    )
     # every curve reads the draws: none is constant with zero spread
-    assert all(p.std_err > 0 for p in pts)
+    assert all(p.std_err > 0 for p in table)
 
 
 def test_matrix_sweep_propagates_evaluation_errors(monkeypatch):
@@ -763,12 +783,75 @@ def test_std_err_shrinks_with_trials():
         assert l[label] < s[label]
 
 
-def test_curve_point_validation():
-    CurvePoint("fig2a", "c", 1, 0.5, 0.01, 10, 0)
+def _table(means, errs, labels=("a", "b"), axis=(1, 2, 3)):
+    return SweepTable("fig2a", labels, axis, means, errs, 10, 0)
+
+
+def test_sweep_table_validation():
+    ok = [[0.5, 0.25, 0.0], [1.0, 2.0, 3.0]]
+    _table(ok, np.zeros((2, 3)))
+    nan, inf = math.nan, math.inf
+    cases = [
+        ([[0.5, 0.25, 0.0], [1.0, nan, inf]], np.zeros((2, 3)), "b at x=2", "nan and 0.0"),
+        (ok, [[0.0, 0.0, 0.0], [0.0, 0.0, -0.01]], "b at x=3", "3.0 and -0.01"),
+        (ok, [[0.0, nan, -1.0], [0.0, 0.0, 0.0]], "a at x=2", "0.25 and nan"),
+        # the first offending row in CSV order is named, whichever field fails
+        ([[0.5, 0.25, -inf], [1.0, 2.0, 3.0]], [[0.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
+         "a at x=2", "0.25 and -1.0"),
+    ]
+    for means, errs, point, got in cases:
+        with pytest.raises(ValueError) as info:
+            _table(means, errs)
+        assert str(info.value) == (
+            f"curve {point} needs a finite mean and a nonnegative std_err, got {got}"
+        )
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), got \(3, 2\) and \(2, 3\)"):
+        _table(np.zeros((3, 2)), np.zeros((2, 3)))
+    table = _table(ok, np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        CurvePoint("fig2a", "c", 1, float("nan"), 0.01, 10, 0)
+        dataclasses.replace(table, means=np.full((2, 3), nan))
     with pytest.raises(ValueError):
-        CurvePoint("fig2a", "c", 1, 0.5, -0.01, 10, 0)
+        dataclasses.replace(table, std_errs=np.full((2, 3), -0.5))
+
+
+def test_sweep_table_is_frozen_and_read_only():
+    means, errs = np.ones((2, 3)), np.zeros((2, 3))
+    table = _table(means, errs)
+    means[0, 0] = errs[0, 0] = 7.0  # the table holds copies
+    assert table.means[0, 0] == 1.0 and table.std_errs[0, 0] == 0.0
+    for arr in (table.means, table.std_errs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.trials = 3
+    assert table.labels == ("a", "b") and table.axis == (1, 2, 3)
+    assert len(table) == 6 and len(list(table)) == 6
+    assert pickle.loads(pickle.dumps(table)).means.tolist() == table.means.tolist()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        figure_spec("fig2a", trials=5, seed=3),
+        figure_spec("fig2b", trials=4, seed=8),
+        figure_spec("fig2c", trials=3, seed=5, axis=(5, 6, 9, 30)),
+    ],
+    ids=["fig2a", "fig2b", "fig2c"],
+)
+def test_table_iterates_the_points_of_its_arrays(spec):
+    table = run_sweep(spec)
+    assert table.figure_id == spec.figure_id and table.axis == spec.axis
+    assert (table.trials, table.seed) == (spec.trials, spec.seed)
+    assert table.means.shape == table.std_errs.shape == (len(table.labels), len(spec.axis))
+    want = [
+        CurvePoint(spec.figure_id, label, float(x), float(table.means[c, j]),
+                   float(table.std_errs[c, j]), spec.trials, spec.seed)
+        for c, label in enumerate(table.labels)
+        for j, x in enumerate(spec.axis)
+    ]
+    assert list(table) == want and len(table) == len(want)
+    assert all(type(p.x) is type(p.mean) is type(p.std_err) is float for p in table)
+    assert csv_text(table) == _f_string_csv(list(table))
 
 
 def test_csv_format(tmp_path):
@@ -793,8 +876,6 @@ def test_curve_point_is_slotted_frozen_and_pickles():
     moved = dataclasses.replace(pt, mean=0.25)
     assert (moved.mean, moved.x, moved.seed) == (0.25, 2.0, 7)
     assert dataclasses.asdict(pt)["curve_label"] == "linear-upper:P=1"
-    with pytest.raises(ValueError):
-        dataclasses.replace(pt, mean=math.nan)
     with pytest.raises(dataclasses.FrozenInstanceError):
         pt.mean = 1.0
 
@@ -813,12 +894,14 @@ def _f_string_csv(points: list) -> str:
 def test_csv_rows_match_the_f_string_rendering():
     # integer x, a float trial count, the largest seed, a negative zero
     # mean, a zero std_err and values at both ends of the float range
-    points = [
-        CurvePoint("custom", "single-select-upper:P=1", 3, -0.0, 0.0, 10.0, 2**64 - 1),
-        CurvePoint("custom", "linear-upper:P=1e+300", 1e-300, 1e300, 1e-300, 10, 0),
-        CurvePoint("custom", "linear-upper:P=1e-300", 1e300, 1e-300, 1e300, 1, 2**63),
-        CurvePoint("custom", "multi-select-lower:P=2;K=3", 0.1, 123456789.123456789, 2.5e-7, 7, 5),
-        *run_sweep(SweepSpec("custom", (1, 2, 5), (1.0, 40.0), 6, k_list=(2,), trials=3, seed=9)),
+    tables = [
+        SweepTable("custom", ("single-select-upper:P=1",), (3,), [[-0.0]], [[0.0]], 10.0, 2**64 - 1),
+        SweepTable("custom", ("linear-upper:P=1e+300", "linear-upper:P=1e-300"), (1e-300, 1e300),
+                   [[1e300, 1e-300], [1e-300, 1e300]], [[1e-300, 1e300], [1e300, 1e-300]], 1, 2**63),
+        SweepTable("custom", ("multi-select-lower:P=2;K=3",), (0.1,),
+                   [[123456789.123456789]], [[2.5e-7]], 7, 5),
+        run_sweep(SweepSpec("custom", (1, 2, 5), (1.0, 40.0), 6, k_list=(2,), trials=3, seed=9)),
+        SweepTable("custom", (), (1, 2), np.zeros((0, 2)), np.zeros((0, 2)), 3, 0),
     ]
-    assert csv_text(points) == _f_string_csv(points)
-    assert csv_text([]) == _f_string_csv([])
+    for table in tables:
+        assert csv_text(table) == _f_string_csv(list(table))
