@@ -6,13 +6,15 @@ gains, the squared singular values; the bound families in ``bounds`` read
 the entries or the gains and never factorize a channel themselves.  One
 spectrum kernel, ``_prefix_gains``, gives the gains and the rank verdict of
 ``ChannelMatrix`` and of every row prefix a matrix sweep evaluates, at every
-width: the eigenvalues of the running sums of row outer products that
-``_gram_rows`` forms, by cyclic Jacobi rotations up to ``_JACOBI_MAX_DIM``
-transmit antennas (elementwise passes over a sweep block's whole stack, or
-Python floats for one matrix, with the same bits) and by one ``eigvalsh``
-fallback, ``_gram_eigvalsh``, past it and for what the rotations leave
-unconverged, with the SVD kept only for the ill-conditioned prefixes a Gram
-matrix cannot resolve.  The gains come subchannel-major at every width.
+width: the eigenvalues of the running sums of row outer products, by cyclic
+Jacobi rotations up to ``_JACOBI_MAX_DIM`` transmit antennas and by one
+``eigvalsh`` fallback, ``_gram_eigvalsh``, past it and for what the rotations
+leave unconverged, with the SVD kept only for the ill-conditioned or
+non-finite Gram matrices whose eigenvalues cannot decide the rank.  A sweep
+block's stack takes elementwise passes over the Gram rows ``_gram_rows``
+forms; one matrix up to ``_JACOBI_MAX_DIM`` columns takes Python floats end
+to end, Gram sums and rotations, with the same bits.  The gains come
+subchannel-major at every width.
 
 Ensemble draws are counter based: trial ``k`` of seed ``s`` always comes from
 the Philox stream keyed by (s, k), and normal variates are produced by the
@@ -178,22 +180,23 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
     its rank), and ``full[t]`` is True where every prefix has full rank.
 
     Every prefix, wide or tall, takes its gains from the eigenvalues of its
-    Gram matrix H[:x]^T H[:x], which :func:`_gram_rows` forms for every
-    stack (``sweeps.BLOCK_ENTRIES`` bounds it): by the cyclic Jacobi kernel
-    up to ``_JACOBI_MAX_DIM`` columns, on Python floats for a one-matrix
-    stack and as array passes over the stack otherwise, with the same bits
-    either way, and by ``eigvalsh`` past it.  A wide prefix's eigenvalues
-    past its x rows are set to exact zeros.  A prefix whose smallest
-    unpadded gain is at most ``_GRAM_RATIO`` times its largest takes the
-    SVD, which decides its rank as ``ChannelMatrix`` always has and gives
-    its gains.  Each step acts on one matrix at a time, so a trial's gains
-    do not depend on the stack it sits in.
+    Gram matrix H[:x]^T H[:x]: by the cyclic Jacobi kernel up to
+    ``_JACOBI_MAX_DIM`` columns and by ``eigvalsh`` past it.  One matrix up
+    to that width, as ``ChannelMatrix`` and ``draw_channel`` pass, takes
+    :func:`_matrix_gains`, on Python floats end to end; any other stack
+    takes :func:`_jacobi_gains`, array passes over the Gram rows of
+    :func:`_gram_rows` (``sweeps.BLOCK_ENTRIES`` bounds them).  The two give
+    the same bits.  A wide prefix's eigenvalues past its x rows are set to
+    exact zeros.  A prefix whose smallest unpadded gain is at most
+    ``_GRAM_RATIO`` times its largest, or not finite, takes the SVD, which
+    decides its rank as ``ChannelMatrix`` always has and gives its gains.
+    Each step acts on one matrix at a time, so a trial's gains do not
+    depend on the stack it sits in.
     """
     trials, _, n_tx = h.shape
     if trials * len(counts) == 1 and n_tx <= _JACOBI_MAX_DIM:
-        gains = np.array(_jacobi_floats(_gram_rows(h, counts)[:, 0].tolist(), n_tx))[None, None]
-    else:
-        gains = _jacobi_gains(h, counts)
+        return _matrix_gains(h[0, : counts[0]])
+    gains = _jacobi_gains(h, counts)
     gains[:, np.arange(n_tx) >= np.asarray(counts)[:, None]] = 0.0
     smallest = gains[:, range(len(counts)), np.minimum(counts, n_tx) - 1]
     weak = ~(smallest > _GRAM_RATIO * gains[..., 0])
@@ -204,6 +207,33 @@ def _prefix_gains(h: np.ndarray, counts) -> tuple:
             gains[t, i, : s.size] = s * s
         full[t] &= s[-1] > RANK_TOL * s[0]
     return gains, full
+
+
+def _matrix_gains(h: np.ndarray) -> tuple:
+    """:func:`_prefix_gains` of the one x x n matrix ``h``, n at most
+    ``_JACOBI_MAX_DIM``, as arrays of shape (1, 1, n) and (1,).
+
+    The Gram entries are running sums of row products in row order, from
+    0.0, on Python floats: the IEEE operations of :func:`_gram_rows`, so an
+    overflow gives inf and inf - inf NaN, with no warning.  Their spectrum
+    is :func:`_jacobi_floats`, then exact zeros past min(x, n), and a weak
+    or non-finite matrix takes the SVD with the verdict of the stack path.
+    """
+    x, n = h.shape
+    pairs = _upper(n)
+    gram = [0.0] * len(pairs)
+    for row in h.tolist():
+        gram = [g + row[p] * row[q] for g, (p, q) in zip(gram, pairs)]
+    gains = _jacobi_floats(gram, n)
+    rank = min(x, n)
+    gains[rank:] = [0.0] * (n - rank)
+    full = True
+    if not gains[rank - 1] > _GRAM_RATIO * gains[0]:
+        s = np.linalg.svd(h, compute_uv=False)
+        with np.errstate(over="ignore"):  # past 1e154 the square is inf, as in the Gram
+            gains[:rank] = (s * s).tolist()
+        full = bool(s[-1] > RANK_TOL * s[0])
+    return np.array(gains)[None, None], np.array([full])
 
 
 def _upper(n: int) -> list:
@@ -254,8 +284,16 @@ def _gram_eigvalsh(gram: np.ndarray, n: int) -> np.ndarray:
     """The nonincreasing eigenvalues, by ``eigvalsh``, of the n x n Gram
     matrices whose :func:`_upper` entries are the columns of ``gram``, as
     :func:`_gram_rows` lays them out: shape (columns, n).  One gather
-    through the slot table of :func:`_slots` builds the symmetric matrices."""
-    return np.linalg.eigvalsh(gram[np.array(_slots(n))].transpose(2, 0, 1))[:, ::-1]
+    through the slot table of :func:`_slots` builds the symmetric matrices.
+    A Gram matrix with a non-finite entry, which LAPACK cannot take, gets
+    NaN eigenvalues, so :func:`_prefix_gains` sends it to the SVD."""
+    mats = gram[np.array(_slots(n))].transpose(2, 0, 1)
+    finite = np.isfinite(gram).all(axis=0)
+    if finite.all():
+        return np.linalg.eigvalsh(mats)[:, ::-1]
+    out = np.full((gram.shape[1], n), np.nan)
+    out[finite] = np.linalg.eigvalsh(mats[finite])[:, ::-1]
+    return out
 
 
 def _jacobi_floats(a: list, n: int) -> list:
@@ -265,7 +303,9 @@ def _jacobi_floats(a: list, n: int) -> list:
 
     Each step is the IEEE-rounded operation of the same step of
     :func:`_jacobi_gains`, in the same order, so the two give the same
-    bits, an unconverged or out-of-range Gram's included.
+    bits.  An unconverged or out-of-range Gram matrix takes
+    :func:`_gram_eigvalsh`, as on the stack: a non-finite one's eigenvalues
+    are then NaN.
     """
     upper = _upper(n)
     gram, a, rotations = a, a.copy(), _jacobi_rotations(n)

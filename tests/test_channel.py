@@ -177,6 +177,31 @@ def test_unconverged_jacobi_takes_eigvalsh_of_its_gram(monkeypatch, n):
     assert np.array_equal(_jacobi_floats(entries, n), want[0, -1])
 
 
+def _edge_matrices(n: int) -> list:
+    """Fixed-seed n-column matrices at the spectrum kernel's edges, wide and
+    tall: exact and signed zeros, a weak column that takes the SVD (and an
+    exact copy, rank deficient), entries near 1e154, where squares
+    overflow, and near 1e-160, where they underflow, and integer entries
+    with repeated eigenvalues."""
+    rng = np.random.default_rng(60 + n)
+    cases = []
+    for rows in sorted({1, max(n - 1, 1), n, n + 1, 3 * n}):
+        h = rng.standard_normal((rows, n))
+        zeros = h.copy()
+        zeros[rng.random(h.shape) < 0.4] = 0.0
+        zeros[rng.random(h.shape) < 0.3] = -0.0
+        cases += [h, zeros, h * 1e154, h * -3e154, h * 1e-160, np.abs(h) * 1e-160,
+                  rng.integers(-2, 3, h.shape).astype(float), np.ones((rows, n))]
+        if n > 1:
+            weak, copy = h.copy(), h.copy()
+            weak[:, 1] = weak[:, 0] + 1e-7 * weak[:, 1]
+            copy[:, 1] = copy[:, 0]
+            cases += [weak, copy]
+    eye = np.eye(n)
+    cases += [np.vstack([eye, eye, -eye]), np.vstack([eye, eye, -eye]) * 1e154]
+    return cases
+
+
 @pytest.mark.parametrize("n", [3, _JACOBI_MAX_DIM, _JACOBI_MAX_DIM + 2])
 def test_trial_gains_do_not_depend_on_the_stack(n):
     # stacks of 200, 7 and 1 (the Python-float form, where n allows it)
@@ -191,6 +216,18 @@ def test_trial_gains_do_not_depend_on_the_stack(n):
         for i, x in enumerate(counts):
             one, one_full = _prefix_gains(h[t : t + 1, :x], (x,))
             assert np.array_equal(one[0, 0], gains[t, i]) and one_full[0]
+    # at the edges, one matrix against a two-matrix stack, which takes the
+    # array path: the same gains and verdict, bit for bit, and no warning
+    verdicts = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, m in enumerate(_edge_matrices(n)):
+            x = m.shape[0]
+            one, one_full = _prefix_gains(m[None], (x,))
+            two, two_full = _prefix_gains(np.stack([m, -m[::-1]]), (x,))
+            assert one.tobytes() == two[:1].tobytes() and one_full[0] == two_full[0], k
+            verdicts.add(bool(one_full[0]))
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("n", [*range(2, _JACOBI_MAX_DIM + 1), 7, 8, 12])
@@ -232,6 +269,17 @@ def test_non_finite_gram_keeps_the_svd_verdict(monkeypatch, n):
     assert np.all(gains[1, 1:, 0] == np.inf)
     np.testing.assert_array_equal(gains[1, 1:], want[1, 1:])
     np.testing.assert_allclose(gains, want, rtol=1e-13, atol=1e-13)
+    # all entries near 1e179 of mixed sign: inf - inf puts NaN in every Gram
+    # matrix, which takes no eigvalsh but the SVD, whose squares are inf at
+    # full rank, on the stack, on one matrix and in ChannelMatrix
+    huge = np.random.default_rng(50 + n).standard_normal((3, n + 2, n)) * 1e179
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gains, full = _prefix_gains(huge, counts)
+        one, one_full = _prefix_gains(huge[:1], (n + 2,))
+        cm = ChannelMatrix(huge[0])
+    assert full.all() and one_full[0]
+    assert np.all(gains == np.inf) and np.all(one == np.inf) and np.all(cm.gains == np.inf)
 
 
 def test_gaussian_draw_deterministic_and_keyed():
@@ -396,6 +444,21 @@ def test_draw_channel_takes_one_spectrum_per_draw(monkeypatch):
         assert cm.gains.shape == (min(shape),) and not cm.gains.flags.writeable
         assert not cm.entries.flags.writeable
         assert cm.provenance == {"seed": 9, "trial_index": 2, "redraws": 0}
+
+
+def test_one_matrix_takes_the_python_float_spectrum(monkeypatch):
+    # ChannelMatrix and draw_channel up to _JACOBI_MAX_DIM columns build no
+    # Gram rows and run no array kernel: one matrix takes Python floats
+    def stack_only(*args):
+        raise AssertionError("a one-matrix spectrum took the stack path")
+
+    monkeypatch.setattr(sqcap.channel, "_gram_rows", stack_only)
+    monkeypatch.setattr(sqcap.channel, "_jacobi_gains", stack_only)
+    for n_tx in range(1, _JACOBI_MAX_DIM + 1):
+        for n_rx in (1, n_tx, n_tx + 3):
+            cm = draw_channel(ChannelEnsembleSpec(n_rx, n_tx, seed=11, trials=2), 1)
+            assert cm.gains.shape == (min(n_rx, n_tx),)
+            assert np.array_equal(ChannelMatrix(cm.entries).gains, cm.gains)
 
 
 def test_full_rank_rows_redraws_only_pending_streams(monkeypatch):

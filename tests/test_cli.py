@@ -198,14 +198,19 @@ def test_bounds_malformed_channel_is_runtime_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entries, code",
-    [([1e200, 0, 0, 1], 1), ([1e200, 3e199, 2e199, 1e200], 0)],
-    ids=["rank-deficient", "full-rank"],
+    "shape, entries, code",
+    [((2, 2), [1e200, 0, 0, 1], 1), ((2, 2), [1e200, 3e199, 2e199, 1e200], 0),
+     # mixed-sign products overflow and inf - inf puts NaN in the Gram
+     # matrix: the SVD, not LAPACK's eigvalsh, decides it
+     ((4, 4), [2.85e179, -1.48e179, 2.27e178, 1.93e177, 5.67e177, -1.92e179, 1.44e178, -5.1e178,
+               7.47e178, -1.04e179, 1.72e179, -1.34e177, -4.55e178, 3.32e178, -1.41e179, -1.01e179],
+      0)],
+    ids=["rank-deficient", "full-rank", "full-rank-nan-gram"],
 )
-def test_channel_whose_squares_overflow(capsys, entries, code):
+def test_channel_whose_squares_overflow(capsys, shape, entries, code):
     # squares past the float range are inf, the honest value: no numpy
     # warning, and a rank-deficient matrix is named by its singular values
-    channel = json.dumps({"n_rx": 2, "n_tx": 2, "entries": entries})
+    channel = json.dumps({"n_rx": shape[0], "n_tx": shape[1], "entries": entries})
     argv = ["bounds", "--family", "mimo-single-select", "--channel", channel,
             "--power", "1", "--nsq", "2"]
     with warnings.catch_warnings():
